@@ -3,11 +3,11 @@
 Each manager owns the energy-detection sensing for one device. Sensing is a
 linear power sum over all concurrent emissions, regardless of technology,
 evaluated with either 0 dB (omni) or beam-aligned (directional) receive gain.
+The deferral/backoff procedure (`Backoff`) is shared with the WiGig DCF.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .engine import US, MS, Engine
@@ -87,7 +87,7 @@ class Cam:
             return self.sense_toward
         return None
 
-    def sensed_busy_now(self) -> bool:
+    def medium_busy(self) -> bool:
         p = self.env.sensed_power_dbm(self.device, self._rx_beam())
         return p >= self.config.ed_threshold_dbm
 
@@ -156,25 +156,83 @@ class OnOffCam(Cam):
         return self._grant(on_end)
 
 
-class LbtCam(Cam):
-    """Cat3/Cat4: deferral plus frozen-resume random backoff.
+class Backoff:
+    """Deferral plus frozen-resume random backoff: NR-U Cat3/Cat4 LBT and
+    WiGig DCF run this one procedure.
 
     The procedure is event-driven: an idle medium runs an 8 us deferral
     timer, then one 5 us CCA-slot timer per remaining backoff count. Any
     emission edge re-evaluates sensing; a busy medium cancels the pending
     timer, preserves the counter, and re-defers once idle again.
+
+    A subclass provides `engine`, `env`, `rng`, `config` (`defer_ns`,
+    `cca_slot_ns`), its contention window `cws`, the busy predicate
+    `medium_busy()`, and `_backoff_done()`, called once the counter runs out
+    and the device has stopped listening.
     """
 
     IDLE, WAIT_IDLE, DEFER, COUNT = range(4)
+    # Class-level defaults until an instance first contends.
+    state = IDLE
+    counter = 0
+    _timer = None
+
+    def _emit(self, event: str) -> None:
+        """Trace hook for defer_start/counter_frozen; silent by default."""
+
+    def _start_backoff(self) -> None:
+        self.counter = self.rng.randint(0, self.cws)
+        self.env.add_listener(self)
+        if self.medium_busy():
+            self.state = self.WAIT_IDLE
+        else:
+            self._start_defer()
+
+    def medium_changed(self) -> None:
+        """Re-sense on an emission edge; a device not contending ignores it."""
+        state = self.state
+        if state == self.WAIT_IDLE:
+            if not self.medium_busy():
+                self._start_defer()
+        elif (state == self.DEFER or state == self.COUNT) and self.medium_busy():
+            self.engine.cancel(self._timer)
+            if state == self.COUNT:
+                self._emit("counter_frozen")
+            self.state = self.WAIT_IDLE
+
+    def _start_defer(self) -> None:
+        self.state = self.DEFER
+        self._emit("defer_start")
+        self._timer = self.engine.schedule_in(self._defer_done, self.config.defer_ns)
+
+    def _defer_done(self) -> None:
+        if self.counter == 0:
+            self._finish()
+        else:
+            self.state = self.COUNT
+            self._timer = self.engine.schedule_in(self._slot_done, self.config.cca_slot_ns)
+
+    def _slot_done(self) -> None:
+        self.counter -= 1
+        if self.counter == 0:
+            self._finish()
+        else:
+            self._timer = self.engine.schedule_in(self._slot_done, self.config.cca_slot_ns)
+
+    def _finish(self) -> None:
+        self.state = self.IDLE
+        self.env.remove_listener(self)
+        self._backoff_done()
+
+
+class LbtCam(Cam, Backoff):
+    """Cat3/Cat4: `Backoff`, then a grant bounded by the maximum COT."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.cws = (
             self.config.cat3_cws if self.config.category == CAT3 else self.config.cws_min
         )
-        self.state = self.IDLE
-        self.counter = 0
-        self._timer = None
         self._on_grant: Optional[Callable[[ChannelGrant], None]] = None
 
     @property
@@ -184,12 +242,7 @@ class LbtCam(Cam):
     def request(self, on_grant: Callable[[ChannelGrant], None]) -> None:
         assert self._on_grant is None, "one outstanding LBT request per CAM"
         self._on_grant = on_grant
-        self.counter = self.rng.randint(0, self.cws)
-        self.env.add_listener(self)
-        if self.sensed_busy_now():
-            self.state = self.WAIT_IDLE
-        else:
-            self._start_defer()
+        self._start_backoff()
 
     def update_cws(self, nacks: list[bool]) -> int:
         """Cat4 exponential rule: >=80% NACK doubles, otherwise reset."""
@@ -201,51 +254,7 @@ class LbtCam(Cam):
             self.cws = self.config.cws_min
         return self.cws
 
-    # -- state machine ----------------------------------------------------
-
-    def medium_changed(self) -> None:
-        if self._on_grant is None:
-            return
-        busy = self.sensed_busy_now()
-        if self.state == self.WAIT_IDLE and not busy:
-            self._start_defer()
-        elif self.state == self.DEFER and busy:
-            self._cancel_timer()
-            self.state = self.WAIT_IDLE
-        elif self.state == self.COUNT and busy:
-            self._cancel_timer()
-            self._emit("counter_frozen")
-            self.state = self.WAIT_IDLE
-
-    def _cancel_timer(self) -> None:
-        if self._timer is not None:
-            self.engine.cancel(self._timer)
-            self._timer = None
-
-    def _start_defer(self) -> None:
-        self.state = self.DEFER
-        self._emit("defer_start")
-        self._timer = self.engine.schedule_in(self._defer_done, self.config.defer_ns)
-
-    def _defer_done(self) -> None:
-        self._timer = None
-        if self.counter == 0:
-            self._finish()
-        else:
-            self.state = self.COUNT
-            self._timer = self.engine.schedule_in(self._slot_done, self.config.cca_slot_ns)
-
-    def _slot_done(self) -> None:
-        self._timer = None
-        self.counter -= 1
-        if self.counter == 0:
-            self._finish()
-        else:
-            self._timer = self.engine.schedule_in(self._slot_done, self.config.cca_slot_ns)
-
-    def _finish(self) -> None:
-        self.state = self.IDLE
-        self.env.remove_listener(self)
+    def _backoff_done(self) -> None:
         callback = self._on_grant
         self._on_grant = None
         callback(self._grant(self.engine.now + self.config.max_cot_ns))

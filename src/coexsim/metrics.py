@@ -6,7 +6,6 @@ simultaneous emissions by devices of one operator count once.
 from __future__ import annotations
 
 import bisect
-import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 

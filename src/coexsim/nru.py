@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .channel_access import CAT1, CAT2, CAT3, CAT4, ONOFF, AlwaysOnCam, Cam, Cat2Cam, LbtCam, OnOffCam
+from .channel_access import CAT1, CAT4, ONOFF, AlwaysOnCam, Cam, Cat2Cam, LbtCam, OnOffCam
 from .engine import Engine
 from .radio import Device, Emission, RadioEnvironment, db_to_lin, lin_to_db
 from .traffic import PacketRecord
@@ -98,6 +98,7 @@ class NruUe:
         cam.sense_toward = gnb.device  # dir-LBT along the transmit beam
         self.acc_sinr_lin: dict[int, float] = {}
         self.fb_pending: dict[int, tuple[bool, Optional[float]]] = {}
+        self.last_sinr_db: Optional[float] = None  # set at the gNB's first link adaptation
 
     def receive_tb(self, tb: TransportBlock, cap) -> None:
         env = self.gnb.env
@@ -177,6 +178,7 @@ class NruGnb:
         self.t_end = t_end
         self.mac_trace = mac_trace
         self.ues: list[NruUe] = []
+        self.ue_by_id: dict[str, NruUe] = {}
         self.buffers: dict[str, deque] = {}  # ue_id -> deque of [pkt, remaining]
         self.buffered_bytes: dict[str, int] = {}
         self.retx: deque[TransportBlock] = deque()
@@ -193,11 +195,9 @@ class NruGnb:
 
     def add_ue(self, ue: NruUe) -> None:
         self.ues.append(ue)
+        self.ue_by_id[ue.device.id] = ue
         self.buffers[ue.device.id] = deque()
         self.buffered_bytes[ue.device.id] = 0
-
-    def ue_by_id(self, ue_id: str) -> NruUe:
-        return next(u for u in self.ues if u.device.id == ue_id)
 
     def offer_packet(self, ue_id: str, pkt: PacketRecord) -> None:
         self.buffers[ue_id].append([pkt, pkt.size_bytes])
@@ -217,9 +217,9 @@ class NruGnb:
         return p - self.env.noise_dbm
 
     def last_sinr_db(self, ue: NruUe) -> float:
-        if not hasattr(ue, "_last_sinr_db"):
-            ue._last_sinr_db = self._clean_snr_db(ue)
-        return ue._last_sinr_db
+        if ue.last_sinr_db is None:
+            ue.last_sinr_db = self._clean_snr_db(ue)
+        return ue.last_sinr_db
 
     # -- scheduling -----------------------------------------------------------
 
@@ -235,7 +235,7 @@ class NruGnb:
 
         while self.retx and budget - used >= self.retx[0].n_symbols:
             tb = self.retx.popleft()
-            alloc.append((self.ue_by_id(tb.ue_id), tb.n_symbols, tb))
+            alloc.append((self.ue_by_id[tb.ue_id], tb.n_symbols, tb))
             used += tb.n_symbols
 
         n = len(self.ues)
@@ -356,7 +356,7 @@ class NruGnb:
                             entry[1].extend(pids)
                             break
                     else:
-                        res.append((self.ue_by_id(ue_id), pids))
+                        res.append((self.ue_by_id[ue_id], pids))
             else:
                 for _ue, _n, tb in alloc:
                     if tb.tx_count == 0:
@@ -401,7 +401,7 @@ class NruGnb:
             if tb is not None:
                 cot = tb.cot_id if cot is None else cot
                 if measured is not None and tb.tx_count == 1:
-                    self.ue_by_id(tb.ue_id)._last_sinr_db = measured
+                    self.ue_by_id[tb.ue_id].last_sinr_db = measured
             self._settle(pid, ack, ue)
         self._feed_cws(nacks, cot)
 
@@ -417,7 +417,7 @@ class NruGnb:
                 continue
             cot = tb.cot_id if cot is None else cot
             nacks.append(True)
-            self._settle(pid, ack=False, ue=self.ue_by_id(tb.ue_id))
+            self._settle(pid, ack=False, ue=self.ue_by_id[tb.ue_id])
         if nacks:
             self._feed_cws(nacks, cot)
 

@@ -8,8 +8,8 @@ pattern with the uniform-planar-array factor for conjugate steering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from .engine import Engine, RngStreams
 

@@ -9,20 +9,20 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import time
 from dataclasses import dataclass, field
 from multiprocessing import get_context
+from statistics import median
 from typing import Optional
 
 from .channel_access import CamTrace, make_cam
 from .config import ACCESS_MODES, CampaignConfig, ConfigError
 from .engine import MS, US, Engine, RngStreams
 from .metrics import OccupancyLedger, box_stats, goodput_per_device_bps, latency_samples_ns
-from .nru import NruConfig, NruGnb, NruUe
+from .nru import SYMBOLS_PER_SLOT, NruConfig, NruGnb, NruUe
 from .radio import RadioEnvironment
-from .scenario import Scenario, build_scenario, scenario_csv
+from .scenario import build_scenario, scenario_csv
 from .traffic import CbrFlow
 from .wigig import WigigAp, WigigConfig, WigigSta
 
@@ -111,6 +111,13 @@ def run_once(
             )
             overrides = _cam_overrides(cfg)
             for site in scn.sites[op]:
+                users = scn.users_of_site(site)
+                if len(users) > SYMBOLS_PER_SLOT:
+                    # Each UE's HARQ feedback takes one symbol of a slot.
+                    raise ConfigError(
+                        f"value for key 'users_per_operator' puts {len(users)} UEs on "
+                        f"gNB {site.id}; at most {SYMBOLS_PER_SLOT} fit one slot's feedback"
+                    )
                 cam = make_cam(
                     gnb_cat, site, env, engine,
                     streams.stream("cam", site.id), cam_trace,
@@ -120,7 +127,7 @@ def run_once(
                 cams.append(cam)
                 gnb = NruGnb(site, cam, env, engine, nru_cfg, t_end, mac_trace)
                 gnbs.append(gnb)
-                for user in scn.users_of_site(site):
+                for user in users:
                     ue_cam = make_cam(
                         ue_cat, user, env, engine,
                         streams.stream("cam", user.id), cam_trace,
@@ -287,12 +294,6 @@ def run_campaign(
 # -- report ------------------------------------------------------------------
 
 
-def _median(xs: list[float]) -> float:
-    ys = sorted(xs)
-    n = len(ys)
-    return ys[n // 2] if n % 2 else 0.5 * (ys[n // 2 - 1] + ys[n // 2])
-
-
 def emit_report(in_dir: str, out_csv: str) -> None:
     runs_dir = os.path.join(in_dir, "runs")
     if not os.path.isdir(runs_dir):
@@ -328,7 +329,7 @@ def emit_report(in_dir: str, out_csv: str) -> None:
                     per_dev_latency.setdefault(scope, []).append(value)
         for dev, delays in per_dev_latency.items():
             op = dev.split("-", 1)[0]
-            samples.setdefault((label, "latency_us", tech[op]), []).append(_median(delays))
+            samples.setdefault((label, "latency_us", tech[op]), []).append(median(delays))
     if not found:
         raise ConfigError(f"no run results found under {in_dir}")
     with open(out_csv, "w", newline="") as fh:

@@ -1,7 +1,7 @@
 """Open-loop CBR traffic sources and per-packet bookkeeping."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .engine import SEC, Engine

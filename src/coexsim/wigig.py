@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
+from .channel_access import Backoff
 from .engine import MS, US, Engine
 from .radio import Device, Emission, RadioEnvironment, db_to_lin
 from .traffic import PacketRecord
@@ -68,32 +69,30 @@ class WigigFrame:
     failures: int = 0
 
 
-class WigigAp:
-    """One access point: a DCF transmit queue serving its associated STAs."""
+class WigigAp(Backoff):
+    """One access point: a DCF transmit queue serving its associated STAs.
+    Channel access is the shared `Backoff`; TX and WAIT_ACK follow it."""
 
-    IDLE, WAIT_IDLE, DEFER, COUNT, TX, WAIT_ACK = range(6)
+    TX, WAIT_ACK = 4, 5  # after Backoff.IDLE, WAIT_IDLE, DEFER, COUNT
 
     def __init__(
         self,
         device: Device,
         env: RadioEnvironment,
         engine: Engine,
-        cfg: WigigConfig,
+        config: WigigConfig,
         rng,
         frame_trace: Optional[list] = None,
     ) -> None:
         self.device = device
         self.env = env
         self.engine = engine
-        self.cfg = cfg
+        self.config = config
         self.rng = rng
         self.frame_trace = frame_trace
         self.stas: dict[str, "WigigSta"] = {}
         self.queue: deque[WigigFrame] = deque()
-        self.cws = cfg.cws_min
-        self.counter = 0
-        self.state = self.IDLE
-        self._timer = None
+        self.cws = config.cws_min
         self._ack_timer = None
         self._current: Optional[WigigFrame] = None
         self._ack_ok = False
@@ -109,10 +108,10 @@ class WigigAp:
         device = device or self.device
         total = 0.0
         for em, p in self.env.received_now(device):
-            if em.rat == "wigig" and p >= self.cfg.preamble_threshold_dbm:
+            if em.rat == "wigig" and p >= self.config.preamble_threshold_dbm:
                 return True
             total += db_to_lin(p)
-        return total >= db_to_lin(self.cfg.ed_threshold_dbm)
+        return total >= db_to_lin(self.config.ed_threshold_dbm)
 
     # -- queueing -----------------------------------------------------------
 
@@ -139,60 +138,25 @@ class WigigAp:
                 pkt.lost = True
         sta.holding.clear()
 
-    # -- DCF state machine ----------------------------------------------------
+    # -- DCF ------------------------------------------------------------------
 
     def _start_access(self) -> None:
         self._current = self.queue.popleft()
         sta = self.stas[self._current.sta_id]
-        self._current.mcs = select_wigig_mcs(sta.last_sinr_db, self.cfg.mcs_margin_db)
-        self.counter = self.rng.randint(0, self.cws)
-        self.env.add_listener(self)
-        if self.medium_busy():
-            self.state = self.WAIT_IDLE
-        else:
-            self._start_defer()
+        self._current.mcs = select_wigig_mcs(sta.last_sinr_db, self.config.mcs_margin_db)
+        self._start_backoff()
 
-    def medium_changed(self) -> None:
-        if self.state in (self.IDLE, self.TX, self.WAIT_ACK):
-            return
-        busy = self.medium_busy()
-        if self.state == self.WAIT_IDLE and not busy:
-            self._start_defer()
-        elif self.state in (self.DEFER, self.COUNT) and busy:
-            if self._timer is not None:
-                self.engine.cancel(self._timer)
-                self._timer = None
-            self.state = self.WAIT_IDLE
-
-    def _start_defer(self) -> None:
-        self.state = self.DEFER
-        self._timer = self.engine.schedule_in(self._defer_done, self.cfg.defer_ns)
-
-    def _defer_done(self) -> None:
-        self._timer = None
-        if self.counter == 0:
-            self._transmit()
-        else:
-            self.state = self.COUNT
-            self._timer = self.engine.schedule_in(self._slot_done, self.cfg.cca_slot_ns)
-
-    def _slot_done(self) -> None:
-        self._timer = None
-        self.counter -= 1
-        if self.counter == 0:
-            self._transmit()
-        else:
-            self._timer = self.engine.schedule_in(self._slot_done, self.cfg.cca_slot_ns)
+    def _backoff_done(self) -> None:
+        self._transmit()
 
     def _transmit(self) -> None:
         self.state = self.TX
-        self.env.remove_listener(self)
         frame = self._current
         sta = self.stas[frame.sta_id]
         dur = frame_duration_ns(frame.packet.size_bytes, WIGIG_MCS[frame.mcs][1])
         end = self.engine.now + dur
         em = Emission(
-            self.device, self.cfg.tx_power_dbm, sta.device,
+            self.device, self.config.tx_power_dbm, sta.device,
             self.engine.now, end, "wigig", payload=frame,
         )
         cap = self.env.add_emission(em, capture=True)
@@ -200,7 +164,7 @@ class WigigAp:
         self.engine.schedule(lambda: sta.receive_frame(frame, cap, end), end)
         self.state = self.WAIT_ACK
         self._ack_timer = self.engine.schedule(
-            lambda: self._settle(frame), end + self.cfg.ack_timeout_ns
+            lambda: self._settle(frame), end + self.config.ack_timeout_ns
         )
 
     def ack_received(self, frame: WigigFrame, measured_sinr_db: float) -> None:
@@ -213,15 +177,15 @@ class WigigAp:
     def _settle(self, frame: WigigFrame) -> None:
         outcome: str
         if self._ack_ok:
-            self.cws = self.cfg.cws_min
+            self.cws = self.config.cws_min
             outcome = "done"
         else:
             frame.failures += 1
-            self.cws = min(2 * self.cws + 1, self.cfg.cws_max)
-            if frame.failures >= self.cfg.retry_limit:
+            self.cws = min(2 * self.cws + 1, self.config.cws_max)
+            if frame.failures >= self.config.retry_limit:
                 frame.packet.lost = True
                 self.drops += 1
-                self.cws = self.cfg.cws_min
+                self.cws = self.config.cws_min
                 outcome = "drop"
             else:
                 self.queue.appendleft(frame)
@@ -258,6 +222,7 @@ class WigigSta:
         self.holding: list[PacketRecord] = []
         self.last_sinr_db = 0.0
         self._assoc_tries = 0
+        self._busy_waits = 0
         self._t0 = t0_offset
         ap.add_sta(self)
 
@@ -266,8 +231,8 @@ class WigigSta:
         return self.ap.env
 
     @property
-    def cfg(self) -> WigigConfig:
-        return self.ap.cfg
+    def config(self) -> WigigConfig:
+        return self.ap.config
 
     def start(self) -> None:
         self.last_sinr_db = self._clean_snr_db()
@@ -275,7 +240,7 @@ class WigigSta:
 
     def _clean_snr_db(self) -> float:
         env, ap = self.env, self.ap.device
-        p = self.cfg.tx_power_dbm
+        p = self.config.tx_power_dbm
         p += env.gain_db(ap, self.device, self.device)
         p += env.gain_db(self.device, ap, ap)
         p -= env.link_pathloss_db(ap, self.device)
@@ -289,13 +254,13 @@ class WigigSta:
             return  # undecodable; AP times out
         frame.packet.credit(frame.packet.size_bytes, frame_end)
         self.engine.schedule(
-            lambda: self._send_ack(frame, sinr), frame_end + self.cfg.sifs_ns
+            lambda: self._send_ack(frame, sinr), frame_end + self.config.sifs_ns
         )
 
     def _send_ack(self, frame: WigigFrame, measured_sinr_db: float) -> None:
-        end = self.engine.now + self.cfg.ack_ns
+        end = self.engine.now + self.config.ack_ns
         em = Emission(
-            self.device, self.cfg.tx_power_dbm, self.ap.device,
+            self.device, self.config.tx_power_dbm, self.ap.device,
             self.engine.now, end, "wigig", payload=("ack", frame),
         )
         cap = self.env.add_emission(em, capture=True)
@@ -306,7 +271,7 @@ class WigigSta:
     def _deliver_ack(self, frame: WigigFrame, cap, measured_sinr_db: float) -> None:
         # Quasi-omnidirectional reception at the AP in the uplink.
         sinr = self.env.effective_sinr_db(cap, self.ap.device, rx_beam_toward=None)
-        if sinr >= self.cfg.ack_threshold_db:
+        if sinr >= self.config.ack_threshold_db:
             self.ap.ack_received(frame, measured_sinr_db)
 
     # -- association ------------------------------------------------------------
@@ -317,8 +282,8 @@ class WigigSta:
         if self.ap.medium_busy(self.device):
             # Busy medium: poll again shortly; count a missed attempt only
             # after the attempt window (half the spacing) is exhausted.
-            self._busy_waits = getattr(self, "_busy_waits", 0) + 1
-            if self._busy_waits * 100 * US >= self.cfg.assoc_spacing_ns // 2:
+            self._busy_waits += 1
+            if self._busy_waits * 100 * US >= self.config.assoc_spacing_ns // 2:
                 self._busy_waits = 0
                 self._attempt_failed()
             else:
@@ -328,7 +293,7 @@ class WigigSta:
         rate = WIGIG_MCS[0][1]
         end = self.engine.now + frame_duration_ns(PROBE_BYTES, rate)
         em = Emission(
-            self.device, self.cfg.tx_power_dbm, self.ap.device,
+            self.device, self.config.tx_power_dbm, self.ap.device,
             self.engine.now, end, "wigig", payload="probe",
         )
         cap = self.env.add_emission(em, capture=True)
@@ -336,16 +301,16 @@ class WigigSta:
 
     def _probe_at_ap(self, cap) -> None:
         sinr = self.env.effective_sinr_db(cap, self.ap.device, rx_beam_toward=None)
-        if sinr < self.cfg.ack_threshold_db:
+        if sinr < self.config.ack_threshold_db:
             self._attempt_failed()
             return
-        self.engine.schedule_in(self._probe_response, self.cfg.sifs_ns)
+        self.engine.schedule_in(self._probe_response, self.config.sifs_ns)
 
     def _probe_response(self) -> None:
         rate = WIGIG_MCS[0][1]
         end = self.engine.now + frame_duration_ns(PROBE_BYTES, rate)
         em = Emission(
-            self.ap.device, self.cfg.tx_power_dbm, self.device,
+            self.ap.device, self.config.tx_power_dbm, self.device,
             self.engine.now, end, "wigig", payload="probe_resp",
         )
         cap = self.env.add_emission(em, capture=True)
@@ -353,7 +318,7 @@ class WigigSta:
 
     def _response_at_sta(self, cap) -> None:
         sinr = self.env.effective_sinr_db(cap, self.device, rx_beam_toward=self.ap.device)
-        if sinr < self.cfg.ack_threshold_db:
+        if sinr < self.config.ack_threshold_db:
             self._attempt_failed()
             return
         self.association = "associated"
@@ -361,10 +326,10 @@ class WigigSta:
 
     def _attempt_failed(self) -> None:
         self._assoc_tries += 1
-        if self._assoc_tries >= self.cfg.assoc_attempts:
+        if self._assoc_tries >= self.config.assoc_attempts:
             self._assoc_fail()
         else:
-            self.engine.schedule_in(self._associate_attempt, self.cfg.assoc_spacing_ns)
+            self.engine.schedule_in(self._associate_attempt, self.config.assoc_spacing_ns)
 
     def _assoc_fail(self) -> None:
         self.association = "failed"

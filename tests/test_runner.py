@@ -133,3 +133,22 @@ def test_cli_rejects_unknown_trace(tmp_path, capsys):
                "--trace", "frames,bogus", "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", ["Cat4/Cat2", "On/On", "OnOff/OnOff"])
+def test_gnb_with_fourteen_ues_runs(label):
+    # One HARQ feedback symbol per UE: 14 fill a slot exactly.
+    r = run_once(reduced(label, users_per_operator=14, duration_s=0.002), 1)
+    assert r.event_count > 0
+
+
+def test_gnb_with_fifteen_ues_is_rejected_before_the_run(tmp_path):
+    from coexsim import ConfigError
+
+    cfg = reduced(users_per_operator=15, duration_s=0.002)
+    with pytest.raises(ConfigError, match="users_per_operator"):
+        run_once(cfg, 1)
+    [(_label, _seed, err, _wall)] = run_campaign(cfg, [1], str(tmp_path), verbose=False)
+    assert "users_per_operator" in err
+    error = (tmp_path / "runs" / "Cat4-Cat2_seed1" / "error.txt").read_text()
+    assert error.startswith("ConfigError:") and "users_per_operator" in error

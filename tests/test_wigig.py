@@ -49,7 +49,7 @@ def _ap_rig(rig):
 def test_cws_doubles_per_failure_and_caps(rig):
     ap, sta = _ap_rig(rig)
     cfg = WigigConfig(retry_limit=20)
-    ap.cfg = cfg
+    ap.config = cfg
     frame = WigigFrame("sta0", PacketRecord("f", 0, 1500, 0))
     seen = []
     for _ in range(8):
