@@ -1,5 +1,6 @@
 """Golden-output gate: the reduced 7-label campaign must reproduce the
-committed per-run-directory digests byte for byte.
+committed per-run-directory digests byte for byte, once at the default
+parameters and once with every component parameter moved off its default.
 
 Regenerate ``golden_manifest.json`` only for an intended behaviour change,
 and say why in CHANGES.md; the failure message prints the new manifest.
@@ -10,11 +11,23 @@ import os
 from dataclasses import replace
 from pathlib import Path
 
-from coexsim import emit_report, parse_config, run_campaign
+from coexsim import emit_report, parse_config, run_campaign, run_once
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = Path(__file__).resolve().parent / "golden_manifest.json"
 SEEDS = [1, 2, 3]
+
+# Distinct valid non-default values for every parameter a component reads,
+# so that a component reading the wrong key or unit changes the digests
+# (the default ED thresholds and MCS margins coincide).
+NON_DEFAULT = dict(
+    center_frequency_ghz=60.0, bandwidth_ghz=1.08, tx_power_dbm=15.0, noise_figure_db=8.0,
+    gnb_ed_threshold_dbm=-75.0, ue_ed_threshold_dbm=-66.0, wigig_ed_threshold_dbm=-77.0,
+    wigig_preamble_threshold_dbm=-86.0, cca_slot_us=6.0, defer_us=9.0, max_cot_ms=6.0,
+    cws_min=7, cws_max=255, cat3_cws=31, cat2_defer_us=30.0, duty_on_ms=5.0, duty_off_ms=4.0,
+    mac_lead_slots=3, harq_max_tx=3, mcs_margin_db=2.0, nru_overhead=0.7,
+    wigig_retry_limit=5, sifs_us=4.0, ack_us=2.0, ack_timeout_us=12.0, assoc_attempts=4,
+)
 
 
 def _file_sha(path: Path) -> str:
@@ -41,14 +54,36 @@ def golden_manifest(out: Path) -> dict:
     }
 
 
+def non_default_manifest(out: Path) -> dict:
+    """One traced seed-1 0.05 s run per label at the NON_DEFAULT parameters."""
+    cfg = replace(
+        parse_config(str(ROOT / "scripts" / "reduced_campaign.cfg")), duration_s=0.05, **NON_DEFAULT
+    )
+    runs = {}
+    for label in cfg.sweep_labels():
+        run_dir = out / label.replace("/", "-")
+        run_once(cfg.for_label(label), 1, out_dir=str(run_dir), traces=("cam", "mac", "frames"))
+        runs[run_dir.name] = _dir_sha(run_dir)
+    return runs
+
+
+def _assert_matches(got: dict, want: dict) -> None:
+    differ = [n for n in sorted(set(got) | set(want)) if got.get(n) != want.get(n)]
+    assert not differ, (
+        f"golden outputs differ: {', '.join(differ)}\n"
+        f"new manifest entries:\n{json.dumps(got, indent=2, sort_keys=True)}"
+    )
+
+
 def test_reduced_campaign_matches_golden_manifest(tmp_path):
     got = golden_manifest(tmp_path / "campaign")
     want = json.loads(MANIFEST.read_text())
-    names = sorted(set(got["runs"]) | set(want["runs"]))
-    differ = [n for n in names if got["runs"].get(n) != want["runs"].get(n)]
-    if got["boxstats.csv"] != want["boxstats.csv"]:
-        differ.append("boxstats.csv")
-    assert not differ, (
-        f"golden outputs differ: {', '.join(differ)}\n"
-        f"new manifest:\n{json.dumps(got, indent=2, sort_keys=True)}"
+    _assert_matches(
+        {**got["runs"], "boxstats.csv": got["boxstats.csv"]},
+        {**want["runs"], "boxstats.csv": want["boxstats.csv"]},
     )
+
+
+def test_non_default_parameters_match_golden_manifest(tmp_path):
+    want = json.loads(MANIFEST.read_text())["non_default"]
+    _assert_matches(non_default_manifest(tmp_path / "non_default"), want)
