@@ -10,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .engine import US, MS, Engine
-from .radio import Device, RadioEnvironment, db_to_lin
+from .config import CampaignConfig
+from .engine import Engine
+from .radio import Device, RadioEnvironment
 
 CAT1 = "Cat1"
 CAT2 = "Cat2"
@@ -20,22 +21,6 @@ CAT4 = "Cat4"
 ONOFF = "OnOff"
 
 CAT4_CWS_LADDER = (15, 31, 63, 127, 255, 511, 1023)
-
-
-@dataclass
-class CamConfig:
-    category: str
-    ed_threshold_dbm: float = -79.0
-    cca_slot_ns: int = 5 * US
-    defer_ns: int = 8 * US
-    max_cot_ns: int = 9 * MS
-    cws_min: int = 15
-    cws_max: int = 1023
-    cat3_cws: int = 15
-    cat2_defer_ns: int = 25 * US
-    duty_on_ns: int = 9 * MS
-    duty_off_ns: int = 9 * MS
-    sensing_mode: str = "omni"  # omni | directional
 
 
 @dataclass(frozen=True)
@@ -62,49 +47,55 @@ class CamTrace:
 
 
 class Cam:
-    """Base sensing behaviour shared by all categories."""
+    """Base sensing behaviour shared by all categories.
+
+    A UE senses along its beam at the UE ED threshold; any other device
+    senses omni at the gNB threshold.
+    """
 
     def __init__(
         self,
+        category: str,
         device: Device,
-        config: CamConfig,
+        config: CampaignConfig,
         env: RadioEnvironment,
         engine: Engine,
         rng,
         trace: Optional[CamTrace] = None,
     ) -> None:
+        self.category = category
         self.device = device
         self.config = config
         self.env = env
         self.engine = engine
         self.rng = rng
         self.trace = trace
+        self.directional = device.role == "ue"
+        self.ed_threshold_dbm = (
+            config.ue_ed_threshold_dbm if self.directional else config.gnb_ed_threshold_dbm
+        )
         # Directional sensing looks along the current transmit beam.
         self.sense_toward: Optional[Device] = None
 
     def _rx_beam(self) -> Optional[Device]:
-        if self.config.sensing_mode == "directional":
-            return self.sense_toward
-        return None
+        return self.sense_toward if self.directional else None
 
     def medium_busy(self) -> bool:
         p = self.env.sensed_power_dbm(self.device, self._rx_beam())
-        return p >= self.config.ed_threshold_dbm
+        return p >= self.ed_threshold_dbm
 
     def sense_window(self, w_start: int, w_end: int) -> bool:
         """True (busy) iff aggregate power reaches the ED threshold anywhere
         in the half-open window [w_start, w_end)."""
         p = self.env.max_sensed_power_dbm(self.device, w_start, w_end, self._rx_beam())
-        return p >= self.config.ed_threshold_dbm
+        return p >= self.ed_threshold_dbm
 
     def _emit(self, event: str) -> None:
         if self.trace is not None:
-            self.trace.add(
-                self.engine.now, self.device.id, self.config.category, event
-            )
+            self.trace.add(self.engine.now, self.device.id, self.category, event)
 
     def _grant(self, deadline: Optional[int]) -> ChannelGrant:
-        g = ChannelGrant(self.engine.now, deadline, self.device.id, self.config.category)
+        g = ChannelGrant(self.engine.now, deadline, self.device.id, self.category)
         self._emit("grant")
         if deadline is not None and self.trace is not None:
             self.engine.schedule(lambda: self._emit("cot_end"), deadline)
@@ -136,10 +127,6 @@ class Cat2Cam(Cam):
 
 class OnOffCam(Cam):
     """Duty cycle anchored at t=0, shared by all devices of one operator."""
-
-    def state(self, t: int) -> str:
-        period = self.config.duty_on_ns + self.config.duty_off_ns
-        return "ON" if t % period < self.config.duty_on_ns else "OFF"
 
     def current_on_end(self, t: int) -> Optional[int]:
         period = self.config.duty_on_ns + self.config.duty_off_ns
@@ -230,9 +217,7 @@ class LbtCam(Cam, Backoff):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.cws = (
-            self.config.cat3_cws if self.config.category == CAT3 else self.config.cws_min
-        )
+        self.cws = self.config.cat3_cws if self.category == CAT3 else self.config.cws_min
         self._on_grant: Optional[Callable[[ChannelGrant], None]] = None
 
     @property
@@ -246,7 +231,7 @@ class LbtCam(Cam, Backoff):
 
     def update_cws(self, nacks: list[bool]) -> int:
         """Cat4 exponential rule: >=80% NACK doubles, otherwise reset."""
-        if self.config.category != CAT4 or not nacks:
+        if self.category != CAT4 or not nacks:
             return self.cws
         if sum(nacks) / len(nacks) >= 0.8:
             self.cws = min(2 * self.cws + 1, self.config.cws_max)
@@ -263,13 +248,12 @@ class LbtCam(Cam, Backoff):
 def make_cam(
     category: str,
     device: Device,
+    config: CampaignConfig,
     env: RadioEnvironment,
     engine: Engine,
     rng,
     trace: Optional[CamTrace] = None,
-    **overrides,
 ) -> Cam:
-    config = CamConfig(category=category, **overrides)
     cls = {
         CAT1: AlwaysOnCam,
         CAT2: Cat2Cam,
@@ -277,77 +261,4 @@ def make_cam(
         CAT4: LbtCam,
         ONOFF: OnOffCam,
     }[category]
-    return cls(device, config, env, engine, rng, trace)
-
-
-# -- offline LBT-safety verification ---------------------------------------
-
-
-def _power_steps(env: RadioEnvironment, device: Device, emissions, rx_beam):
-    """Stepwise aggregate sensed power at `device`: (edge times, levels)."""
-    import numpy as np
-
-    edges: list[tuple[int, float]] = []
-    for em in emissions:
-        if em.source is device:
-            continue
-        p = db_to_lin(env.rx_power_dbm(em, device, rx_beam))
-        edges.append((em.start, p))
-        edges.append((em.end, -p))
-    if not edges:
-        return np.array([0]), np.array([0.0])
-    edges.sort()
-    times = np.array([t for t, _ in edges])
-    levels = np.cumsum([p for _, p in edges])
-    return times, levels
-
-
-def verify_lbt_safety(
-    env: RadioEnvironment,
-    cams: list[Cam],
-    trace: CamTrace,
-    emissions: list,
-) -> list[tuple[int, str, str]]:
-    """Re-derive every CCA window a CAM believed idle and check it really was.
-
-    Returns one (time, device, detail) tuple per violation. Windows are the
-    trace intervals from each defer_start to the next counter_frozen/grant of
-    the same device, plus the fixed deferral window preceding each Cat2 grant.
-    """
-    import numpy as np
-
-    violations: list[tuple[int, str, str]] = []
-    by_id = {c.device.id: c for c in cams}
-    per_device: dict[str, list[tuple[int, str]]] = {}
-    for t, dev, cat, event in trace.rows:
-        if cat in (CAT2, CAT3, CAT4):
-            per_device.setdefault(dev, []).append((t, event))
-
-    for dev_id, rows in per_device.items():
-        cam = by_id[dev_id]
-        thr = db_to_lin(cam.config.ed_threshold_dbm)
-        times, levels = _power_steps(env, cam.device, emissions, cam._rx_beam())
-        windows: list[tuple[int, int]] = []
-        open_at: Optional[int] = None
-        for t, event in rows:
-            if event == "defer_start":
-                open_at = t
-            elif event in ("counter_frozen", "grant") and open_at is not None:
-                windows.append((open_at, t))
-                open_at = None
-            if event == "grant" and cam.config.category == CAT2:
-                windows.append((t - cam.config.cat2_defer_ns, t))
-        for w0, w1 in windows:
-            if w1 <= w0:
-                continue
-            # Max level over [w0, w1): level at w0 plus any steps inside.
-            i0 = int(np.searchsorted(times, w0, side="right")) - 1
-            i1 = int(np.searchsorted(times, w1, side="left"))
-            lo = max(i0, 0)
-            seg = levels[lo:i1]
-            peak = float(seg.max()) if len(seg) else 0.0
-            if i0 < 0:
-                peak = max(peak, 0.0)
-            if peak >= thr * (1 - 1e-12):
-                violations.append((w0, dev_id, f"busy window [{w0},{w1})"))
-    return violations
+    return cls(category, device, config, env, engine, rng, trace)

@@ -1,13 +1,18 @@
 """Campaign configuration: plain key=value files with audited defaults.
 
-Every scenario parameter has an explicit default here; a config file only
-needs to list deviations. Unknown keys and out-of-range values are rejected
-with a diagnostic naming the key.
+`CampaignConfig` is the only parameter source: every scenario parameter has
+its one default here, and the simulator components read it directly, with
+time and frequency values taken from the derived integer-nanosecond and Hz
+properties below. A config file only needs to list deviations. Unknown keys
+and out-of-range values are rejected with a diagnostic naming the key.
 """
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
+
+from .engine import MS, SEC, US
 
 ACCESS_MODES = {
     "On/On": ("Cat1", "Cat1"),
@@ -23,6 +28,11 @@ TECHNOLOGIES = ("WiGig", "NR-U")
 
 class ConfigError(ValueError):
     pass
+
+
+def _ns(field: str, unit: int) -> cached_property:
+    """`field` converted to integer nanoseconds, computed once per config."""
+    return cached_property(lambda cfg: round(getattr(cfg, field) * unit))
 
 
 @dataclass(frozen=True)
@@ -72,15 +82,27 @@ class CampaignConfig:
     ack_timeout_us: float = 10.0
     assoc_attempts: int = 5
 
+    # Derived values: not fields, so config_hash, == and replace ignore them.
+    duration_ns = _ns("duration_s", SEC)
+    cca_slot_ns = _ns("cca_slot_us", US)
+    defer_ns = _ns("defer_us", US)
+    max_cot_ns = _ns("max_cot_ms", MS)
+    cat2_defer_ns = _ns("cat2_defer_us", US)
+    duty_on_ns = _ns("duty_on_ms", MS)
+    duty_off_ns = _ns("duty_off_ms", MS)
+    sifs_ns = _ns("sifs_us", US)
+    ack_ns = _ns("ack_us", US)
+    ack_timeout_ns = _ns("ack_timeout_us", US)
+
+    @cached_property
+    def bandwidth_hz(self) -> float:
+        return self.bandwidth_ghz * 1e9
+
     @property
     def label(self) -> str:
         if self.operator_a != "NR-U" and self.operator_b != "NR-U":
             return "WiGig-only"
         return self.nru_access
-
-    @property
-    def duration_ns(self) -> int:
-        return round(self.duration_s * 1e9)
 
     def technologies(self) -> dict[str, str]:
         return {"A": self.operator_a, "B": self.operator_b}
@@ -182,8 +204,8 @@ def parse_config(path: str) -> CampaignConfig:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    known = {f.name: f.type for f in fields(CampaignConfig)}
-    types = {f.name: type(getattr(CampaignConfig(), f.name)) for f in fields(CampaignConfig)}
+    defaults = CampaignConfig()
+    types = {f.name: type(getattr(defaults, f.name)) for f in fields(defaults)}
     values: dict[str, object] = {}
     for lineno, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].strip()
@@ -192,7 +214,7 @@ def parse_config(path: str) -> CampaignConfig:
         if "=" not in text:
             raise ConfigError(f"{path}:{lineno}: malformed line (expected key = value)")
         key, raw = (s.strip() for s in text.split("=", 1))
-        if key not in known:
+        if key not in types:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
         values[key] = _convert(key, raw, types[key])
     return validate(CampaignConfig(**values))

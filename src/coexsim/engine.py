@@ -22,7 +22,6 @@ class SchedulingInPastError(RuntimeError):
 
 @dataclass(frozen=True)
 class EventHandle:
-    id: int
     due: int
     sequence: int
 
@@ -36,28 +35,26 @@ class Engine:
 
     def __init__(self) -> None:
         self.now: int = 0
-        self._heap: list[tuple[int, int, int]] = []
-        self._actions: dict[int, Callable[[], None]] = {}
-        self._next_id = 0
+        self._heap: list[tuple[int, int]] = []
+        self._actions: dict[int, Callable[[], None]] = {}  # by sequence number
         self._seq = 0
         self.executed = 0
 
     def schedule(self, callback: Callable[[], None], due: int) -> EventHandle:
         if due < self.now:
             raise SchedulingInPastError(f"due={due} is before clock={self.now}")
-        handle = EventHandle(self._next_id, due, self._seq)
-        self._next_id += 1
-        self._seq += 1
-        heapq.heappush(self._heap, (due, handle.sequence, handle.id))
-        self._actions[handle.id] = callback
-        return handle
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (due, seq))
+        self._actions[seq] = callback
+        return EventHandle(due, seq)
 
     def schedule_in(self, callback: Callable[[], None], delay: int) -> EventHandle:
         return self.schedule(callback, self.now + delay)
 
     def cancel(self, handle: EventHandle) -> bool:
         """Remove a pending event; False if it already fired or was cancelled."""
-        return self._actions.pop(handle.id, None) is not None
+        return self._actions.pop(handle.sequence, None) is not None
 
     def run_until(self, t_end: int) -> int:
         """Execute every event due at or before t_end; clock ends at t_end."""
@@ -65,8 +62,8 @@ class Engine:
         heap = self._heap
         actions = self._actions
         while heap and heap[0][0] <= t_end:
-            due, _seq, eid = heapq.heappop(heap)
-            action = actions.pop(eid, None)
+            due, seq = heapq.heappop(heap)
+            action = actions.pop(seq, None)
             if action is None:
                 continue  # cancelled
             self.now = due

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .channel_access import CAT1, CAT4, ONOFF, AlwaysOnCam, Cam, Cat2Cam, LbtCam, OnOffCam
+from .config import CampaignConfig
 from .engine import Engine
 from .radio import Device, Emission, RadioEnvironment, db_to_lin, lin_to_db
 from .traffic import PacketRecord
@@ -23,6 +24,12 @@ from .traffic import PacketRecord
 SYMBOL_NS = 8920
 SYMBOLS_PER_SLOT = 14
 SLOT_NS = SYMBOL_NS * SYMBOLS_PER_SLOT
+
+# HARQ feedback timing, fixed by the model rather than by a config key.
+FB_DELAY_SLOTS = 4
+FB_BATCH_SLOTS = 4  # feedback slots land on this grid, merging batches
+FB_GAP_SYMBOLS = 3  # Cat2's 25 us deferral fits in 3 empty symbols
+FB_DECODE_THRESHOLD_DB = -2.0
 
 # (decode threshold dB, spectral efficiency bit/s/Hz), QPSK-low to 64QAM-high.
 MCS_TABLE: list[tuple[float, float]] = [
@@ -54,20 +61,6 @@ def select_mcs(effective_sinr_db: float, margin_db: float = 1.0) -> McsChoice:
 
 def symbol_capacity_bytes(se: float, bandwidth_hz: float, overhead: float = 0.75) -> int:
     return int(se * bandwidth_hz * overhead * SYMBOL_NS * 1e-9 / 8)
-
-
-@dataclass
-class NruConfig:
-    bandwidth_hz: float = 2.16e9
-    tx_power_dbm: float = 17.0
-    mac_lead_slots: int = 2
-    harq_max_tx: int = 4
-    overhead: float = 0.75
-    mcs_margin_db: float = 1.0
-    fb_delay_slots: int = 4
-    fb_batch_slots: int = 4  # feedback slots land on this grid, merging batches
-    fb_gap_symbols: int = 3  # Cat2's 25 us deferral fits in 3 empty symbols
-    fb_decode_threshold_db: float = -2.0
 
 
 @dataclass
@@ -135,7 +128,7 @@ class NruUe:
         batch = FeedbackBatch(self.device.id, items)
         em = Emission(
             self.device,
-            self.gnb.cfg.tx_power_dbm,
+            self.gnb.config.tx_power_dbm,
             self.gnb.device,
             engine.now,
             t_end,
@@ -154,7 +147,7 @@ class NruUe:
             return self.cam.attempt(deadline=deadline)
         if isinstance(self.cam, OnOffCam):
             return self.cam.attempt()
-        raise RuntimeError(f"unsupported uplink CAM {self.cam.config.category}")
+        raise RuntimeError(f"unsupported uplink CAM {self.cam.category}")
 
 
 class NruGnb:
@@ -166,7 +159,7 @@ class NruGnb:
         cam: Cam,
         env: RadioEnvironment,
         engine: Engine,
-        cfg: NruConfig,
+        config: CampaignConfig,
         t_end: int,
         mac_trace: Optional[list] = None,
     ) -> None:
@@ -174,7 +167,7 @@ class NruGnb:
         self.cam = cam
         self.env = env
         self.engine = engine
-        self.cfg = cfg
+        self.config = config
         self.t_end = t_end
         self.mac_trace = mac_trace
         self.ues: list[NruUe] = []
@@ -204,13 +197,13 @@ class NruGnb:
         self.buffered_bytes[ue_id] += pkt.size_bytes
 
     def start(self) -> None:
-        lead = self.cfg.mac_lead_slots
+        lead = self.config.mac_lead_slots
         self.engine.schedule(lambda: self._plan(lead), 0)
 
     # -- link adaptation ------------------------------------------------------
 
     def _clean_snr_db(self, ue: NruUe) -> float:
-        p = self.cfg.tx_power_dbm
+        p = self.config.tx_power_dbm
         p += self.env.gain_db(self.device, ue.device, ue.device)
         p += self.env.gain_db(ue.device, self.device, self.device)
         p -= self.env.link_pathloss_db(self.device, ue.device)
@@ -229,7 +222,7 @@ class NruGnb:
             self.engine.schedule(lambda: self._plan(slot + 1), self.engine.now + SLOT_NS)
         fb_entries = self.fb_reservations.pop(slot, [])
         n_fb = len(fb_entries)
-        budget = SYMBOLS_PER_SLOT - n_fb - (self.cfg.fb_gap_symbols if n_fb else 0)
+        budget = SYMBOLS_PER_SLOT - n_fb - (FB_GAP_SYMBOLS if n_fb else 0)
         alloc: list[tuple[NruUe, int, TransportBlock]] = []  # (ue, n_sym, tb)
         used = 0
 
@@ -246,8 +239,10 @@ class NruGnb:
             buf = self.buffered_bytes[ue.device.id]
             if buf <= 0:
                 continue
-            choice = select_mcs(self.last_sinr_db(ue), self.cfg.mcs_margin_db)
-            cap = symbol_capacity_bytes(choice.spectral_efficiency, self.cfg.bandwidth_hz, self.cfg.overhead)
+            choice = select_mcs(self.last_sinr_db(ue), self.config.mcs_margin_db)
+            cap = symbol_capacity_bytes(
+                choice.spectral_efficiency, self.config.bandwidth_hz, self.config.nru_overhead
+            )
             n_sym = min(-(-buf // cap), budget - used)
             tb_bytes = min(buf, n_sym * cap)
             segments = self._take_bytes(ue.device.id, tb_bytes)
@@ -308,7 +303,7 @@ class NruGnb:
         self.cot_id += 1
 
     def _access_ok(self, emissions_end: int) -> bool:
-        cat = self.cam.config.category
+        cat = self.cam.category
         if cat == CAT1:
             self.cam.request(self._on_grant)
             return True
@@ -347,8 +342,8 @@ class NruGnb:
                         self.mac_trace.append(
                             (t_slot, ue.device.id, n_sym, tb.mcs, tb.total_bytes, "tx")
                         )
-                fb_slot = slot + self.cfg.fb_delay_slots
-                fb_slot += (-fb_slot) % max(self.cfg.fb_batch_slots, 1)
+                fb_slot = slot + FB_DELAY_SLOTS
+                fb_slot += (-fb_slot) % FB_BATCH_SLOTS
                 res = self.fb_reservations.setdefault(fb_slot, [])
                 for ue_id, pids in fb_by_ue.items():
                     for entry in res:
@@ -379,7 +374,8 @@ class NruGnb:
 
     def _air_tb(self, ue: NruUe, tb: TransportBlock, end: int) -> None:
         em = Emission(
-            self.device, self.cfg.tx_power_dbm, ue.device, self.engine.now, end, "nru", payload=tb
+            self.device, self.config.tx_power_dbm, ue.device, self.engine.now, end, "nru",
+            payload=tb,
         )
         cap = self.env.add_emission(em, capture=True)
         self.engine.schedule(lambda: ue.receive_tb(tb, cap), end)
@@ -388,7 +384,7 @@ class NruGnb:
 
     def receive_feedback(self, batch: FeedbackBatch, cap, ue: NruUe) -> None:
         sinr = self.env.effective_sinr_db(cap, self.device, rx_beam_toward=ue.device)
-        if sinr < self.cfg.fb_decode_threshold_db:
+        if sinr < FB_DECODE_THRESHOLD_DB:
             return  # undecodable; the slot-end timeout turns this into NACKs
         nacks: list[bool] = []
         cot = None
@@ -427,7 +423,7 @@ class NruGnb:
             return
         if ack:
             return
-        if tb.tx_count < self.cfg.harq_max_tx:
+        if tb.tx_count < self.config.harq_max_tx:
             self.retx.append(tb)
         else:
             for pkt, _n in tb.segments:
@@ -436,7 +432,7 @@ class NruGnb:
 
     def _feed_cws(self, nacks: list[bool], cot_id: Optional[int]) -> None:
         """First feedback batch seen for each COT drives the Cat4 window."""
-        if not isinstance(self.cam, LbtCam) or self.cam.config.category != CAT4:
+        if not isinstance(self.cam, LbtCam) or self.cam.category != CAT4:
             return
         if not nacks or cot_id is None or cot_id in self._cws_fed_cots:
             return

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .config import CampaignConfig
 from .engine import Engine, RngStreams
 
 SHADOW_SIGMA_LOS_DB = 3.0
@@ -193,17 +194,12 @@ class RadioEnvironment:
         self,
         engine: Engine,
         streams: RngStreams,
-        fc_ghz: float = 58.0,
-        bandwidth_hz: float = 2.16e9,
-        noise_figure_db: float = 7.0,
-        tx_power_dbm: float = 17.0,
+        config: CampaignConfig = CampaignConfig(),
     ) -> None:
         self.engine = engine
         self.streams = streams
-        self.fc_ghz = fc_ghz
-        self.bandwidth_hz = bandwidth_hz
-        self.tx_power_dbm = tx_power_dbm
-        self.noise_dbm = noise_power_dbm(bandwidth_hz, noise_figure_db)
+        self.config = config
+        self.noise_dbm = noise_power_dbm(config.bandwidth_hz, config.noise_figure_db)
         self.noise_lin = db_to_lin(self.noise_dbm)
         self.devices: dict[str, Device] = {}
         self._links: dict[frozenset, LinkState] = {}
@@ -238,7 +234,8 @@ class RadioEnvironment:
 
     def link_pathloss_db(self, a: Device, b: Device) -> float:
         st = self.link(a, b)
-        return pathloss_db(st.distance_3d, self.fc_ghz, st.los) + st.shadowing_db
+        pl = pathloss_db(st.distance_3d, self.config.center_frequency_ghz, st.los)
+        return pl + st.shadowing_db
 
     def direction(self, src: Device, dst: Device) -> tuple[float, float, float]:
         key = (src.id, dst.id)

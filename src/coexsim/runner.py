@@ -12,19 +12,20 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import get_context
 from statistics import median
 from typing import Optional
 
 from .channel_access import CamTrace, make_cam
 from .config import ACCESS_MODES, CampaignConfig, ConfigError
-from .engine import MS, US, Engine, RngStreams
+from .engine import US, Engine, RngStreams
 from .metrics import OccupancyLedger, box_stats, goodput_per_device_bps, latency_samples_ns
-from .nru import SYMBOLS_PER_SLOT, NruConfig, NruGnb, NruUe
+from .nru import SYMBOLS_PER_SLOT, NruGnb, NruUe
 from .radio import RadioEnvironment
 from .scenario import build_scenario, scenario_csv
 from .traffic import CbrFlow
-from .wigig import WigigAp, WigigConfig, WigigSta
+from .wigig import WigigAp, WigigSta
 
 
 @dataclass
@@ -49,20 +50,6 @@ class RunResult:
     cams: list = field(default_factory=list, repr=False)
 
 
-def _cam_overrides(cfg: CampaignConfig) -> dict:
-    return dict(
-        cca_slot_ns=round(cfg.cca_slot_us * US),
-        defer_ns=round(cfg.defer_us * US),
-        max_cot_ns=round(cfg.max_cot_ms * MS),
-        cws_min=cfg.cws_min,
-        cws_max=cfg.cws_max,
-        cat3_cws=cfg.cat3_cws,
-        cat2_defer_ns=round(cfg.cat2_defer_us * US),
-        duty_on_ns=round(cfg.duty_on_ms * MS),
-        duty_off_ns=round(cfg.duty_off_ms * MS),
-    )
-
-
 def run_once(
     cfg: CampaignConfig,
     seed: int,
@@ -73,14 +60,7 @@ def run_once(
     t_end = cfg.duration_ns
     engine = Engine()
     streams = RngStreams(seed)
-    env = RadioEnvironment(
-        engine,
-        streams,
-        fc_ghz=cfg.center_frequency_ghz,
-        bandwidth_hz=cfg.bandwidth_ghz * 1e9,
-        noise_figure_db=cfg.noise_figure_db,
-        tx_power_dbm=cfg.tx_power_dbm,
-    )
+    env = RadioEnvironment(engine, streams, cfg)
     cam_trace = CamTrace() if "cam" in traces else None
     mac_trace: Optional[list] = [] if "mac" in traces else None
     frame_trace: Optional[list] = [] if "frames" in traces else None
@@ -97,19 +77,16 @@ def run_once(
     gnbs: list[NruGnb] = []
     aps: list[WigigAp] = []
     cams = []
+
+    def add_flow(user, sink) -> None:
+        flows.append(CbrFlow(
+            f"flow-{user.id}", user.id, cfg.load_mbps * 1e6, cfg.packet_bytes, engine, sink, t_end
+        ))
+
     for op in ("A", "B"):
         tech = cfg.technologies()[op]
         if tech == "NR-U":
             gnb_cat, ue_cat = ACCESS_MODES[cfg.nru_access]
-            nru_cfg = NruConfig(
-                bandwidth_hz=cfg.bandwidth_ghz * 1e9,
-                tx_power_dbm=cfg.tx_power_dbm,
-                mac_lead_slots=cfg.mac_lead_slots,
-                harq_max_tx=cfg.harq_max_tx,
-                overhead=cfg.nru_overhead,
-                mcs_margin_db=cfg.mcs_margin_db,
-            )
-            overrides = _cam_overrides(cfg)
             for site in scn.sites[op]:
                 users = scn.users_of_site(site)
                 if len(users) > SYMBOLS_PER_SLOT:
@@ -119,60 +96,27 @@ def run_once(
                         f"gNB {site.id}; at most {SYMBOLS_PER_SLOT} fit one slot's feedback"
                     )
                 cam = make_cam(
-                    gnb_cat, site, env, engine,
-                    streams.stream("cam", site.id), cam_trace,
-                    ed_threshold_dbm=cfg.gnb_ed_threshold_dbm,
-                    sensing_mode="omni", **overrides,
+                    gnb_cat, site, cfg, env, engine, streams.stream("cam", site.id), cam_trace
                 )
                 cams.append(cam)
-                gnb = NruGnb(site, cam, env, engine, nru_cfg, t_end, mac_trace)
+                gnb = NruGnb(site, cam, env, engine, cfg, t_end, mac_trace)
                 gnbs.append(gnb)
                 for user in users:
                     ue_cam = make_cam(
-                        ue_cat, user, env, engine,
-                        streams.stream("cam", user.id), cam_trace,
-                        ed_threshold_dbm=cfg.ue_ed_threshold_dbm,
-                        sensing_mode="directional", **overrides,
+                        ue_cat, user, cfg, env, engine, streams.stream("cam", user.id), cam_trace
                     )
                     cams.append(ue_cam)
-                    ue = NruUe(user, ue_cam, gnb)
-                    gnb.add_ue(ue)
-                    flow = CbrFlow(
-                        f"flow-{user.id}", user.id, cfg.load_mbps * 1e6,
-                        cfg.packet_bytes, engine,
-                        (lambda gnb=gnb, uid=user.id: lambda pkt: gnb.offer_packet(uid, pkt))(),
-                        t_end,
-                    )
-                    flows.append(flow)
+                    gnb.add_ue(NruUe(user, ue_cam, gnb))
+                    add_flow(user, partial(gnb.offer_packet, user.id))
                 gnb.start()
         else:
-            wcfg = WigigConfig(
-                tx_power_dbm=cfg.tx_power_dbm,
-                ed_threshold_dbm=cfg.wigig_ed_threshold_dbm,
-                preamble_threshold_dbm=cfg.wigig_preamble_threshold_dbm,
-                cca_slot_ns=round(cfg.cca_slot_us * US),
-                defer_ns=round(cfg.defer_us * US),
-                cws_min=cfg.cws_min,
-                cws_max=cfg.cws_max,
-                retry_limit=cfg.wigig_retry_limit,
-                sifs_ns=round(cfg.sifs_us * US),
-                ack_ns=round(cfg.ack_us * US),
-                ack_timeout_ns=round(cfg.ack_timeout_us * US),
-                assoc_attempts=cfg.assoc_attempts,
-            )
             for site in scn.sites[op]:
-                ap = WigigAp(site, env, engine, wcfg, streams.stream("dcf", site.id), frame_trace)
+                ap = WigigAp(site, env, engine, cfg, streams.stream("dcf", site.id), frame_trace)
                 aps.append(ap)
                 for k, user in enumerate(scn.users_of_site(site)):
                     sta = WigigSta(user, ap, engine, streams.stream("dcf", user.id), t0_offset=k * 100 * US)
                     sta.start()
-                    flow = CbrFlow(
-                        f"flow-{user.id}", user.id, cfg.load_mbps * 1e6,
-                        cfg.packet_bytes, engine,
-                        (lambda ap=ap, uid=user.id: lambda pkt: ap.offer_packet(uid, pkt))(),
-                        t_end,
-                    )
-                    flows.append(flow)
+                    add_flow(user, partial(ap.offer_packet, user.id))
 
     for flow in flows:
         flow.start(0)
@@ -303,9 +247,12 @@ def emit_report(in_dir: str, out_csv: str) -> None:
     found = 0
     for name in sorted(os.listdir(runs_dir)):
         run_dir = os.path.join(runs_dir, name)
-        meta_path = os.path.join(run_dir, "run.json")
-        if not os.path.isfile(meta_path):
+        if not os.path.isdir(run_dir):
             continue
+        meta_path = os.path.join(run_dir, "run.json")
+        if os.path.exists(os.path.join(run_dir, "error.txt")) or not os.path.isfile(meta_path):
+            # Pooling the remaining seeds would bias the box stats silently.
+            raise ConfigError(f"run directory {run_dir} has no complete result")
         with open(meta_path) as fh:
             meta = json.load(fh)
         label = meta["label"]

@@ -82,7 +82,7 @@ def build_scenario(
 def _serving_site(env: RadioEnvironment, user: Device, sites: list[Device]) -> Device:
     def rx_power(site: Device) -> float:
         return (
-            env.tx_power_dbm
+            env.config.tx_power_dbm
             + env.gain_db(site, user, user)
             + env.gain_db(user, site, site)
             - env.link_pathloss_db(site, user)

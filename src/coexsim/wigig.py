@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .channel_access import Backoff
+from .config import CampaignConfig
 from .engine import MS, US, Engine
 from .radio import Device, Emission, RadioEnvironment, db_to_lin
 from .traffic import PacketRecord
@@ -25,6 +26,8 @@ WIGIG_MCS: list[tuple[float, float]] = [
 
 PREAMBLE_NS = 1900
 PROBE_BYTES = 20
+ACK_THRESHOLD_DB = 1.0  # decode threshold of ACKs and association frames
+ASSOC_SPACING_NS = 2 * MS
 
 
 def frame_duration_ns(payload_bytes: int, rate_bps: float) -> int:
@@ -40,25 +43,6 @@ def select_wigig_mcs(sinr_db: float, margin_db: float = 1.0) -> int:
         if thr <= budget:
             chosen = i
     return chosen
-
-
-@dataclass
-class WigigConfig:
-    tx_power_dbm: float = 17.0
-    ed_threshold_dbm: float = -79.0
-    preamble_threshold_dbm: float = -89.0
-    cca_slot_ns: int = 5 * US
-    defer_ns: int = 8 * US
-    cws_min: int = 15
-    cws_max: int = 1023
-    retry_limit: int = 7
-    sifs_ns: int = 3 * US
-    ack_ns: int = 1 * US
-    ack_timeout_ns: int = 10 * US
-    ack_threshold_db: float = 1.0
-    mcs_margin_db: float = 1.0
-    assoc_attempts: int = 5
-    assoc_spacing_ns: int = 2 * MS
 
 
 @dataclass
@@ -80,7 +64,7 @@ class WigigAp(Backoff):
         device: Device,
         env: RadioEnvironment,
         engine: Engine,
-        config: WigigConfig,
+        config: CampaignConfig,
         rng,
         frame_trace: Optional[list] = None,
     ) -> None:
@@ -108,10 +92,10 @@ class WigigAp(Backoff):
         device = device or self.device
         total = 0.0
         for em, p in self.env.received_now(device):
-            if em.rat == "wigig" and p >= self.config.preamble_threshold_dbm:
+            if em.rat == "wigig" and p >= self.config.wigig_preamble_threshold_dbm:
                 return True
             total += db_to_lin(p)
-        return total >= db_to_lin(self.config.ed_threshold_dbm)
+        return total >= db_to_lin(self.config.wigig_ed_threshold_dbm)
 
     # -- queueing -----------------------------------------------------------
 
@@ -143,7 +127,7 @@ class WigigAp(Backoff):
     def _start_access(self) -> None:
         self._current = self.queue.popleft()
         sta = self.stas[self._current.sta_id]
-        self._current.mcs = select_wigig_mcs(sta.last_sinr_db, self.config.mcs_margin_db)
+        self._current.mcs = select_wigig_mcs(sta.last_sinr_db)
         self._start_backoff()
 
     def _backoff_done(self) -> None:
@@ -182,7 +166,7 @@ class WigigAp(Backoff):
         else:
             frame.failures += 1
             self.cws = min(2 * self.cws + 1, self.config.cws_max)
-            if frame.failures >= self.config.retry_limit:
+            if frame.failures >= self.config.wigig_retry_limit:
                 frame.packet.lost = True
                 self.drops += 1
                 self.cws = self.config.cws_min
@@ -231,7 +215,7 @@ class WigigSta:
         return self.ap.env
 
     @property
-    def config(self) -> WigigConfig:
+    def config(self) -> CampaignConfig:
         return self.ap.config
 
     def start(self) -> None:
@@ -271,7 +255,7 @@ class WigigSta:
     def _deliver_ack(self, frame: WigigFrame, cap, measured_sinr_db: float) -> None:
         # Quasi-omnidirectional reception at the AP in the uplink.
         sinr = self.env.effective_sinr_db(cap, self.ap.device, rx_beam_toward=None)
-        if sinr >= self.config.ack_threshold_db:
+        if sinr >= ACK_THRESHOLD_DB:
             self.ap.ack_received(frame, measured_sinr_db)
 
     # -- association ------------------------------------------------------------
@@ -283,7 +267,7 @@ class WigigSta:
             # Busy medium: poll again shortly; count a missed attempt only
             # after the attempt window (half the spacing) is exhausted.
             self._busy_waits += 1
-            if self._busy_waits * 100 * US >= self.config.assoc_spacing_ns // 2:
+            if self._busy_waits * 100 * US >= ASSOC_SPACING_NS // 2:
                 self._busy_waits = 0
                 self._attempt_failed()
             else:
@@ -301,7 +285,7 @@ class WigigSta:
 
     def _probe_at_ap(self, cap) -> None:
         sinr = self.env.effective_sinr_db(cap, self.ap.device, rx_beam_toward=None)
-        if sinr < self.config.ack_threshold_db:
+        if sinr < ACK_THRESHOLD_DB:
             self._attempt_failed()
             return
         self.engine.schedule_in(self._probe_response, self.config.sifs_ns)
@@ -318,7 +302,7 @@ class WigigSta:
 
     def _response_at_sta(self, cap) -> None:
         sinr = self.env.effective_sinr_db(cap, self.device, rx_beam_toward=self.ap.device)
-        if sinr < self.config.ack_threshold_db:
+        if sinr < ACK_THRESHOLD_DB:
             self._attempt_failed()
             return
         self.association = "associated"
@@ -329,7 +313,7 @@ class WigigSta:
         if self._assoc_tries >= self.config.assoc_attempts:
             self._assoc_fail()
         else:
-            self.engine.schedule_in(self._associate_attempt, self.config.assoc_spacing_ns)
+            self.engine.schedule_in(self._associate_attempt, ASSOC_SPACING_NS)
 
     def _assoc_fail(self) -> None:
         self.association = "failed"

@@ -2,6 +2,7 @@
 received powers in tests are exact, closed-form quantities."""
 import pytest
 
+from coexsim.config import CampaignConfig
 from coexsim.engine import Engine, RngStreams
 from coexsim.radio import (
     AntennaArray,
@@ -19,7 +20,8 @@ class Rig:
     def __init__(self, seed: int = 1):
         self.engine = Engine()
         self.streams = RngStreams(seed)
-        self.env = RadioEnvironment(self.engine, self.streams)
+        self.config = CampaignConfig()
+        self.env = RadioEnvironment(self.engine, self.streams, self.config)
 
     def place(self, dev_id, x, y=0.0, z=1.5, operator="A", role="sta", array=OMNI):
         dev = Device(dev_id, operator, role, Position(x, y, z), array)

@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 from coexsim import CampaignConfig, run_once
-from coexsim.channel_access import CAT4_CWS_LADDER, make_cam, verify_lbt_safety
+from coexsim.channel_access import CAT4_CWS_LADDER, make_cam
 from coexsim.cli import main
 from coexsim.engine import MS, Engine, RngStreams
 from coexsim.metrics import OccupancyLedger
 from coexsim.radio import RadioEnvironment, noise_power_dbm
+from coexsim.verify import verify_lbt_safety
 
 REDUCED = dict(sites_per_operator=1, users_per_operator=4)
 
@@ -184,7 +185,7 @@ def test_criterion_7_cat4_cws_trajectory():
 
     dev = Device("gnb", "B", "gnb", Position(0, 0, 3), AntennaArray(8, 8))
     env.add_device(dev)
-    cam = make_cam("Cat4", dev, env, engine, streams.stream("cam", dev.id))
+    cam = make_cam("Cat4", dev, env.config, env, engine, streams.stream("cam", dev.id))
     trajectory = [cam.cws]
     for _ in range(7):
         trajectory.append(cam.update_cws([True] * 8))  # 100% NACK batches

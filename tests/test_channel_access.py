@@ -1,4 +1,5 @@
-import math
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,16 +10,14 @@ from coexsim.channel_access import (
     CAT4_CWS_LADDER,
     CamTrace,
     make_cam,
-    verify_lbt_safety,
 )
 from coexsim.engine import MS, US
+from coexsim.verify import verify_lbt_safety
 from tests.conftest import FixedRng
 
 
-def _cam(rig, category, dev, rng=None, trace=None, **overrides):
-    return make_cam(
-        category, dev, rig.env, rig.engine, rng or FixedRng(0), trace, **overrides
-    )
+def _cam(rig, category, dev, rng=None, trace=None):
+    return make_cam(category, dev, rig.config, rig.env, rig.engine, rng or FixedRng(0), trace)
 
 
 def _interferer(rig, dev_id="intf", x=1.0):
@@ -76,10 +75,10 @@ def test_cat2_inherits_initiator_deadline(rig):
 def test_onoff_duty_cycle_edges(rig):
     dev = rig.place("dev", 0.0)
     cam = _cam(rig, "OnOff", dev)
-    assert cam.state(0) == "ON"
-    assert cam.state(9 * MS - 1) == "ON"
-    assert cam.state(9 * MS) == "OFF"
-    assert cam.state(18 * MS) == "ON"
+    assert cam.current_on_end(0) == 9 * MS
+    assert cam.current_on_end(9 * MS - 1) == 9 * MS
+    assert cam.current_on_end(9 * MS) is None
+    assert cam.current_on_end(18 * MS) == 27 * MS
 
     g = cam.attempt()
     assert g is not None and g.cot_deadline == 9 * MS
@@ -153,12 +152,16 @@ def test_request_while_busy_waits_for_idle(rig):
 
 
 def test_backoff_draw_stays_within_window(rig):
-    dev = rig.place("dev", 0.0)
-    import random
-
-    cam = _cam(rig, CAT4, dev, rng=random.Random(123))
-    draws = [random.Random(123).randint(0, cam.cws) for _ in range(1)]
-    assert 0 <= draws[0] <= 15
+    # A request draws its counter uniformly from [0, cws] with the CAM's own
+    # stream: Cat4 from its current window, Cat3 from cat3_cws.
+    config = replace(rig.config, cat3_cws=31)
+    for category, cws in ((CAT4, 15), (CAT3, 31)):
+        for seed in range(8):
+            dev = rig.place(f"{category}-dev{seed}", 0.0)
+            cam = make_cam(category, dev, config, rig.env, rig.engine, random.Random(seed))
+            cam.request(lambda _grant: None)
+            assert cam.counter == random.Random(seed).randint(0, cws)
+            assert 0 <= cam.counter <= cws
 
 
 def test_cat4_cws_ladder_and_reset(rig):
@@ -193,11 +196,11 @@ def test_directional_sensing_uses_beam_gain(rig):
     from coexsim.radio import AntennaArray
 
     arr = AntennaArray(rows=4, cols=4)
-    dev = rig.place("dev", 0.0, array=arr)
+    dev = rig.place("dev", 0.0, role="ue", array=arr)  # UEs sense along the beam at -69 dBm
     ahead = rig.place("ahead", 10.0)
     behind = rig.place("behind", -8.0)
     rig.force_link(dev, behind)
-    cam = _cam(rig, CAT2, dev, sensing_mode="directional", ed_threshold_dbm=-69.0)
+    cam = _cam(rig, CAT2, dev)
     rig.emit(behind, 17.0, 60_000)  # at 8 m: rx approx -83 dBm omni
     rig.engine.run_until(30_000)
     cam.sense_toward = ahead

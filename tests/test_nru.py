@@ -8,7 +8,6 @@ from coexsim.nru import (
     SLOT_NS,
     SYMBOL_NS,
     SYMBOLS_PER_SLOT,
-    NruConfig,
     NruGnb,
     NruUe,
     TransportBlock,
@@ -60,14 +59,14 @@ def test_symbol_capacity_hand_value():
 
 def _gnb_rig(rig, n_ues=2, distance=3.0):
     site = rig.place("gnb0", 0.0, 0.0, z=3.0, operator="B", role="gnb")
-    cam = make_cam("Cat1", site, rig.env, rig.engine, FixedRng(0))
+    cam = make_cam("Cat1", site, rig.config, rig.env, rig.engine, FixedRng(0))
     mac_trace = []
-    gnb = NruGnb(site, cam, rig.env, rig.engine, NruConfig(), 10 * SLOT_NS, mac_trace)
+    gnb = NruGnb(site, cam, rig.env, rig.engine, rig.config, 10 * SLOT_NS, mac_trace)
     ues = []
     for i in range(n_ues):
         dev = rig.place(f"ue{i}", distance, float(i), operator="B", role="ue")
         rig.force_link(site, dev)
-        ue_cam = make_cam("Cat1", dev, rig.env, rig.engine, FixedRng(0))
+        ue_cam = make_cam("Cat1", dev, rig.config, rig.env, rig.engine, FixedRng(0))
         ue = NruUe(dev, ue_cam, gnb)
         gnb.add_ue(ue)
         ues.append(ue)

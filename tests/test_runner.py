@@ -152,3 +152,5 @@ def test_gnb_with_fifteen_ues_is_rejected_before_the_run(tmp_path):
     assert "users_per_operator" in err
     error = (tmp_path / "runs" / "Cat4-Cat2_seed1" / "error.txt").read_text()
     assert error.startswith("ConfigError:") and "users_per_operator" in error
+    with pytest.raises(ConfigError, match="Cat4-Cat2_seed1"):
+        emit_report(str(tmp_path), str(tmp_path / "box.csv"))

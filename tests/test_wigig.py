@@ -1,12 +1,12 @@
 import pytest
 
+from coexsim.config import CampaignConfig
 from coexsim.engine import MS, US
 from coexsim.traffic import PacketRecord
 from coexsim.wigig import (
     PREAMBLE_NS,
     WIGIG_MCS,
     WigigAp,
-    WigigConfig,
     WigigFrame,
     WigigSta,
     frame_duration_ns,
@@ -38,7 +38,7 @@ def test_select_wigig_mcs_thresholds():
 
 def _ap_rig(rig):
     site = rig.place("ap0", 0.0, 0.0, z=3.0, operator="A", role="ap")
-    ap = WigigAp(site, rig.env, rig.engine, WigigConfig(), FixedRng(0))
+    ap = WigigAp(site, rig.env, rig.engine, rig.config, FixedRng(0))
     user = rig.place("sta0", 3.0, 0.0, operator="A", role="sta")
     rig.force_link(site, user)
     sta = WigigSta(user, ap, rig.engine, FixedRng(0))
@@ -48,8 +48,7 @@ def _ap_rig(rig):
 
 def test_cws_doubles_per_failure_and_caps(rig):
     ap, sta = _ap_rig(rig)
-    cfg = WigigConfig(retry_limit=20)
-    ap.config = cfg
+    ap.config = CampaignConfig(wigig_retry_limit=20)
     frame = WigigFrame("sta0", PacketRecord("f", 0, 1500, 0))
     seen = []
     for _ in range(8):
@@ -154,7 +153,7 @@ def test_failed_association_drops_traffic(rig):
 
 def test_association_handshake_completes(rig):
     site = rig.place("ap1", 0.0, 0.0, z=3.0, operator="A", role="ap")
-    ap = WigigAp(site, rig.env, rig.engine, WigigConfig(), FixedRng(0))
+    ap = WigigAp(site, rig.env, rig.engine, rig.config, FixedRng(0))
     user = rig.place("sta1", 3.0, 0.0, operator="A", role="sta")
     rig.force_link(site, user)
     sta = WigigSta(user, ap, rig.engine, FixedRng(0))
