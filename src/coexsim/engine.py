@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from typing import Callable
 
 # Time unit helpers (nanoseconds).
@@ -20,53 +19,50 @@ class SchedulingInPastError(RuntimeError):
     """An event was scheduled before the current virtual clock."""
 
 
-@dataclass(frozen=True)
-class EventHandle:
-    due: int
-    sequence: int
-
-
 class Engine:
     """Single-threaded event loop.
 
     Events at equal due times execute in insertion order (the monotonically
     increasing sequence number breaks ties), so a run is fully reproducible.
+    The heap entry ``[due, seq, callback]`` is the event's handle: cancelling
+    or firing clears the callback, and a cleared entry is skipped when popped.
     """
 
     def __init__(self) -> None:
         self.now: int = 0
-        self._heap: list[tuple[int, int]] = []
-        self._actions: dict[int, Callable[[], None]] = {}  # by sequence number
+        self._heap: list[list] = []
         self._seq = 0
         self.executed = 0
 
-    def schedule(self, callback: Callable[[], None], due: int) -> EventHandle:
+    def schedule(self, callback: Callable[[], None], due: int) -> list:
         if due < self.now:
             raise SchedulingInPastError(f"due={due} is before clock={self.now}")
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(self._heap, (due, seq))
-        self._actions[seq] = callback
-        return EventHandle(due, seq)
+        entry = [due, self._seq, callback]
+        self._seq += 1
+        heapq.heappush(self._heap, entry)
+        return entry
 
-    def schedule_in(self, callback: Callable[[], None], delay: int) -> EventHandle:
+    def schedule_in(self, callback: Callable[[], None], delay: int) -> list:
         return self.schedule(callback, self.now + delay)
 
-    def cancel(self, handle: EventHandle) -> bool:
-        """Remove a pending event; False if it already fired or was cancelled."""
-        return self._actions.pop(handle.sequence, None) is not None
+    def cancel(self, handle: list) -> bool:
+        """Drop a pending event; False if it already fired or was cancelled."""
+        pending = handle[2] is not None
+        handle[2] = None
+        return pending
 
     def run_until(self, t_end: int) -> int:
         """Execute every event due at or before t_end; clock ends at t_end."""
         executed = 0
         heap = self._heap
-        actions = self._actions
+        pop = heapq.heappop
         while heap and heap[0][0] <= t_end:
-            due, seq = heapq.heappop(heap)
-            action = actions.pop(seq, None)
+            entry = pop(heap)
+            action = entry[2]
             if action is None:
                 continue  # cancelled
-            self.now = due
+            entry[2] = None
+            self.now = entry[0]
             action()
             executed += 1
         if t_end > self.now:

@@ -127,12 +127,7 @@ class NruUe:
             return
         batch = FeedbackBatch(self.device.id, items)
         em = Emission(
-            self.device,
-            self.gnb.config.tx_power_dbm,
-            self.gnb.device,
-            engine.now,
-            t_end,
-            "nru",
+            self.device, self.gnb.config.tx_power_dbm, self.gnb.device, engine.now, t_end, "nru",
             payload=batch,
         )
         cap = self.gnb.env.add_emission(em, capture=True)
@@ -419,9 +414,7 @@ class NruGnb:
 
     def _settle(self, pid: int, ack: bool, ue: NruUe) -> None:
         tb = self.processes.pop(pid, None)
-        if tb is None:
-            return
-        if ack:
+        if tb is None or ack:
             return
         if tb.tx_count < self.config.harq_max_tx:
             self.retx.append(tb)

@@ -75,10 +75,6 @@ class AntennaArray:
     hpbw_deg: float = 65.0
     front_back_db: float = 30.0
 
-    @property
-    def peak_factor_db(self) -> float:
-        return 10.0 * math.log10(self.rows * self.cols)
-
 
 def _azel(v: tuple[float, float, float]) -> tuple[float, float]:
     az = math.degrees(math.atan2(v[1], v[0]))
@@ -314,7 +310,7 @@ class RadioEnvironment:
             cap = Capture(em, [e for e in self.active.values() if e is not em])
             self._open_captures.append(cap)
         self.engine.schedule(lambda: self._end_emission(em, cap), em.end)
-        self._notify()
+        self._notify(rising=True)
         return cap
 
     def _end_emission(self, em: Emission, cap: Optional[Capture]) -> None:
@@ -324,7 +320,7 @@ class RadioEnvironment:
         horizon = self.engine.now - self.RETAIN_NS
         if self._recent and self._recent[0].end < horizon:
             self._recent = [e for e in self._recent if e.end >= horizon]
-        self._notify()
+        self._notify(rising=False)
 
     def add_listener(self, obj) -> None:
         if obj not in self._listeners:
@@ -334,9 +330,14 @@ class RadioEnvironment:
         if obj in self._listeners:
             self._listeners.remove(obj)
 
-    def _notify(self) -> None:
-        for obj in list(self._listeners):
-            obj.medium_changed()
+    def _notify(self, rising: bool) -> None:
+        """medium_changed() on each `Backoff` listener whose sensing can flip:
+        an emission start can only make an idle one busy (WAIT_IDLE), an end
+        only a busy one idle. Exact, as an eid-order float sum over a subset
+        of the emissions never exceeds the full sum."""
+        for obj in self._listeners:
+            if (obj.state == obj.WAIT_IDLE) != rising:
+                obj.medium_changed()
 
     # -- sensing & SINR ---------------------------------------------------
 
@@ -373,9 +374,7 @@ class RadioEnvironment:
         ]
         if not ems:
             return -math.inf
-        points = sorted(
-            {max(em.start, w_start) for em in ems}
-        )
+        points = sorted({max(em.start, w_start) for em in ems})
         best = 0.0
         for t in points:
             total = 0.0

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import shutil
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -174,24 +175,24 @@ def _write_run(result, scn, cfg, out_dir, cam_trace, mac_trace, frame_trace) -> 
     with open(os.path.join(out_dir, "run.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if cam_trace is not None:
-        with open(os.path.join(out_dir, "cam_trace.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["time_ns", "device", "category", "event"])
-            w.writerows(cam_trace.rows)
-    if mac_trace is not None:
-        with open(os.path.join(out_dir, "mac_trace.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["slot_start_ns", "ue", "symbols", "mcs", "tb_bytes", "outcome"])
-            w.writerows(mac_trace)
-    if frame_trace is not None:
-        with open(os.path.join(out_dir, "frame_trace.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["time_ns", "ap", "sta", "bytes", "mcs", "retries", "outcome"])
-            w.writerows(frame_trace)
+    traces = (
+        ("cam_trace.csv", ["time_ns", "device", "category", "event"],
+         None if cam_trace is None else cam_trace.rows),
+        ("mac_trace.csv", ["slot_start_ns", "ue", "symbols", "mcs", "tb_bytes", "outcome"], mac_trace),
+        ("frame_trace.csv", ["time_ns", "ap", "sta", "bytes", "mcs", "retries", "outcome"], frame_trace),
+    )
+    for name, header, rows in traces:
+        if rows is not None:
+            with open(os.path.join(out_dir, name), "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(header)
+                w.writerows(rows)
 
 
 # -- campaign ----------------------------------------------------------------
+
+
+PARTIAL_SUFFIX = ".partial"
 
 
 def _sanitize(label: str) -> str:
@@ -200,14 +201,21 @@ def _sanitize(label: str) -> str:
 
 def _campaign_worker(args) -> tuple[str, int, Optional[str], float]:
     cfg, seed, run_dir = args
+    # Write into a fresh sibling, then swap it in whole: a re-run keeps no
+    # stale file, and an interrupted one leaves no complete-looking run_dir.
+    partial_dir = run_dir + PARTIAL_SUFFIX
+    shutil.rmtree(partial_dir, ignore_errors=True)
     try:
-        result = run_once(cfg, seed, out_dir=run_dir)
-        return (cfg.label, seed, None, result.wall_s)
+        result = run_once(cfg, seed, out_dir=partial_dir)
+        outcome = (cfg.label, seed, None, result.wall_s)
     except Exception as exc:  # keep the campaign alive on per-run crashes
-        os.makedirs(run_dir, exist_ok=True)
-        with open(os.path.join(run_dir, "error.txt"), "w") as fh:
+        os.makedirs(partial_dir, exist_ok=True)
+        with open(os.path.join(partial_dir, "error.txt"), "w") as fh:
             fh.write(f"{type(exc).__name__}: {exc}\n")
-        return (cfg.label, seed, f"{type(exc).__name__}: {exc}", 0.0)
+        outcome = (cfg.label, seed, f"{type(exc).__name__}: {exc}", 0.0)
+    shutil.rmtree(run_dir, ignore_errors=True)
+    os.replace(partial_dir, run_dir)
+    return outcome
 
 
 def run_campaign(
@@ -250,7 +258,8 @@ def emit_report(in_dir: str, out_csv: str) -> None:
         if not os.path.isdir(run_dir):
             continue
         meta_path = os.path.join(run_dir, "run.json")
-        if os.path.exists(os.path.join(run_dir, "error.txt")) or not os.path.isfile(meta_path):
+        failed = os.path.exists(os.path.join(run_dir, "error.txt"))
+        if failed or name.endswith(PARTIAL_SUFFIX) or not os.path.isfile(meta_path):
             # Pooling the remaining seeds would bias the box stats silently.
             raise ConfigError(f"run directory {run_dir} has no complete result")
         with open(meta_path) as fh:

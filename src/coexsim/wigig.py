@@ -77,6 +77,7 @@ class WigigAp(Backoff):
         self.stas: dict[str, "WigigSta"] = {}
         self.queue: deque[WigigFrame] = deque()
         self.cws = config.cws_min
+        self.ed_threshold_lin = db_to_lin(config.wigig_ed_threshold_dbm)
         self._ack_timer = None
         self._current: Optional[WigigFrame] = None
         self._ack_ok = False
@@ -95,7 +96,7 @@ class WigigAp(Backoff):
             if em.rat == "wigig" and p >= self.config.wigig_preamble_threshold_dbm:
                 return True
             total += db_to_lin(p)
-        return total >= db_to_lin(self.config.wigig_ed_threshold_dbm)
+        return total >= self.ed_threshold_lin
 
     # -- queueing -----------------------------------------------------------
 

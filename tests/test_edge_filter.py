@@ -1,0 +1,82 @@
+"""Edge-filtered sensing notifications: an emission start notifies only the
+listeners that sensed idle, an emission end only those that sensed busy.
+The filter must be exact, so a skipped listener would have sensed the same."""
+from dataclasses import replace
+
+import pytest
+
+from coexsim import CampaignConfig, run_once
+from coexsim.channel_access import Backoff
+from coexsim.radio import RadioEnvironment
+from tests.test_golden import NON_DEFAULT
+
+
+class Probe:
+    """A listener stub sitting in one Backoff state, counting notifications."""
+
+    WAIT_IDLE = Backoff.WAIT_IDLE
+
+    def __init__(self, state):
+        self.state = state
+        self.calls = 0
+
+    def medium_changed(self):
+        self.calls += 1
+
+
+def test_start_skips_busy_listeners_and_end_skips_idle_ones(rig):
+    a = rig.place("a", 0.0)
+    intf = rig.place("intf", 1.0, operator="B")
+    rig.force_link(a, intf)
+    probes = {s: Probe(s) for s in (Backoff.WAIT_IDLE, Backoff.DEFER, Backoff.COUNT)}
+    for probe in probes.values():
+        rig.env.add_listener(probe)
+
+    rig.emit(intf, 17.0, 5_000)
+    assert {s: p.calls for s, p in probes.items()} == {
+        Backoff.WAIT_IDLE: 0, Backoff.DEFER: 1, Backoff.COUNT: 1
+    }
+    rig.engine.run_until(5_000)  # the emission ends
+    assert {s: p.calls for s, p in probes.items()} == {
+        Backoff.WAIT_IDLE: 1, Backoff.DEFER: 1, Backoff.COUNT: 1
+    }
+
+
+@pytest.fixture
+def checked_notify(monkeypatch):
+    """Check every listener `_notify` skips: its sensing right after the edge
+    must still match its state (busy exactly in WAIT_IDLE)."""
+    notify, changed = RadioEnvironment._notify, Backoff.medium_changed
+    called = []
+    seen = {"skipped": 0, "notified": 0}
+
+    def recording_changed(listener):
+        called.append(listener)
+        changed(listener)
+
+    def checking_notify(env, rising):
+        listeners = list(env._listeners)
+        called.clear()
+        notify(env, rising)
+        seen["notified"] += len(called)
+        for obj in listeners:
+            if not any(obj is c for c in called):
+                seen["skipped"] += 1
+                assert obj.medium_busy() == (obj.state == Backoff.WAIT_IDLE), (
+                    f"{obj.device.id} skipped on a {'rising' if rising else 'falling'} edge"
+                )
+
+    monkeypatch.setattr(Backoff, "medium_changed", recording_changed)
+    monkeypatch.setattr(RadioEnvironment, "_notify", checking_notify)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "label, params",
+    [("WiGig-only", {}), ("Cat4/Cat2", {}), ("On/On", {}), ("Cat4/Cat2", NON_DEFAULT)],
+    ids=["WiGig-only", "Cat4-Cat2", "On-On", "Cat4-Cat2-non-default"],
+)
+def test_skipped_listeners_would_not_have_changed(checked_notify, label, params):
+    cfg = replace(CampaignConfig().for_label(label), duration_s=0.05, **params)
+    run_once(cfg, 1)
+    assert checked_notify["skipped"] > 1000 and checked_notify["notified"] > 1000

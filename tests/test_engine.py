@@ -97,3 +97,29 @@ def test_rng_streams_distinct_components_differ():
     s = RngStreams(7)
     assert s.stream("cam", "x").random() != s.stream("drop", "x").random()
     assert s.stream("cam", "x") is s.stream("cam", "x")
+
+
+def test_cancel_after_the_event_fired_returns_false():
+    engine = Engine()
+    fired = []
+    h = engine.schedule(lambda: fired.append(1), 10)
+    engine.run_until(10)
+    assert fired == [1]
+    assert engine.cancel(h) is False
+
+
+def test_callback_cancels_a_later_event_due_at_the_same_time():
+    engine = Engine()
+    order = []
+    handles = {}
+
+    def first():
+        order.append("a")
+        assert engine.cancel(handles["b"]) is True
+
+    engine.schedule(first, 10)
+    handles["b"] = engine.schedule(lambda: order.append("b"), 10)
+    engine.schedule(lambda: order.append("c"), 10)
+    assert engine.run_until(10) == 2
+    assert order == ["a", "c"]
+    assert engine.executed == 2

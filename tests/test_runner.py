@@ -1,10 +1,11 @@
 import json
 import os
+import shutil
 from dataclasses import replace
 
 import pytest
 
-from coexsim import CampaignConfig, emit_report, run_campaign, run_once
+from coexsim import CampaignConfig, ConfigError, emit_report, run_campaign, run_once
 from coexsim.cli import main
 from coexsim.metrics import packet_conservation
 
@@ -153,4 +154,21 @@ def test_gnb_with_fifteen_ues_is_rejected_before_the_run(tmp_path):
     error = (tmp_path / "runs" / "Cat4-Cat2_seed1" / "error.txt").read_text()
     assert error.startswith("ConfigError:") and "users_per_operator" in error
     with pytest.raises(ConfigError, match="Cat4-Cat2_seed1"):
+        emit_report(str(tmp_path), str(tmp_path / "box.csv"))
+
+
+def test_rerun_into_the_same_campaign_dir_replaces_the_failed_run(tmp_path):
+    [(_l, _s, err, _w)] = run_campaign(
+        reduced(users_per_operator=15, duration_s=0.002), [1], str(tmp_path), verbose=False
+    )
+    assert err is not None
+    [(_l, _s, err, _w)] = run_campaign(reduced(duration_s=0.002), [1], str(tmp_path), verbose=False)
+    assert err is None
+    assert sorted(os.listdir(tmp_path / "runs")) == ["Cat4-Cat2_seed1"]
+    assert not (tmp_path / "runs" / "Cat4-Cat2_seed1" / "error.txt").exists()
+    emit_report(str(tmp_path), str(tmp_path / "box.csv"))
+    # A run interrupted before its swap leaves its partial sibling behind.
+    runs = tmp_path / "runs"
+    shutil.copytree(runs / "Cat4-Cat2_seed1", runs / "Cat4-Cat2_seed1.partial")
+    with pytest.raises(ConfigError, match="seed1.partial"):
         emit_report(str(tmp_path), str(tmp_path / "box.csv"))
