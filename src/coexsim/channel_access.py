@@ -148,10 +148,9 @@ class Backoff:
     WiGig DCF run this one procedure.
 
     The procedure is event-driven: an idle medium runs an 8 us deferral
-    timer, then one 5 us CCA-slot timer per remaining backoff count. An
-    emission edge that can flip the sensed state re-evaluates sensing; a busy
-    medium cancels the pending timer, preserves the counter, and re-defers
-    once idle again.
+    timer, then one 5 us CCA-slot timer per remaining backoff count. An edge
+    to busy cancels the pending timer, keeps the counter, and re-defers once
+    the medium is idle again.
 
     A subclass provides `engine`, `env`, `rng`, `config` (`defer_ns`,
     `cca_slot_ns`), its contention window `cws`, the busy predicate

@@ -127,7 +127,12 @@ class NruUe:
             return
         batch = FeedbackBatch(self.device.id, items)
         em = Emission(
-            self.device, self.gnb.config.tx_power_dbm, self.gnb.device, engine.now, t_end, "nru",
+            self.device,
+            self.gnb.config.tx_power_dbm,
+            self.gnb.device,
+            engine.now,
+            t_end,
+            "nru",
             payload=batch,
         )
         cap = self.gnb.env.add_emission(em, capture=True)

@@ -374,7 +374,9 @@ class RadioEnvironment:
         ]
         if not ems:
             return -math.inf
-        points = sorted({max(em.start, w_start) for em in ems})
+        points = sorted(
+            {max(em.start, w_start) for em in ems}
+        )
         best = 0.0
         for t in points:
             total = 0.0

@@ -275,14 +275,16 @@ class WigigSta:
                 self.engine.schedule_in(self._associate_attempt, 100 * US)
             return
         self._busy_waits = 0
-        rate = WIGIG_MCS[0][1]
-        end = self.engine.now + frame_duration_ns(PROBE_BYTES, rate)
+        self._probe(self.device, self.ap.device, "probe", self._probe_at_ap)
+
+    def _probe(self, source: Device, target: Device, payload: str, at_end) -> None:
+        """Send one association frame at the floor rate; at_end(cap) at its end."""
+        end = self.engine.now + frame_duration_ns(PROBE_BYTES, WIGIG_MCS[0][1])
         em = Emission(
-            self.device, self.config.tx_power_dbm, self.ap.device,
-            self.engine.now, end, "wigig", payload="probe",
+            source, self.config.tx_power_dbm, target, self.engine.now, end, "wigig", payload=payload
         )
         cap = self.env.add_emission(em, capture=True)
-        self.engine.schedule(lambda: self._probe_at_ap(cap), end)
+        self.engine.schedule(lambda: at_end(cap), end)
 
     def _probe_at_ap(self, cap) -> None:
         sinr = self.env.effective_sinr_db(cap, self.ap.device, rx_beam_toward=None)
@@ -292,14 +294,7 @@ class WigigSta:
         self.engine.schedule_in(self._probe_response, self.config.sifs_ns)
 
     def _probe_response(self) -> None:
-        rate = WIGIG_MCS[0][1]
-        end = self.engine.now + frame_duration_ns(PROBE_BYTES, rate)
-        em = Emission(
-            self.ap.device, self.config.tx_power_dbm, self.device,
-            self.engine.now, end, "wigig", payload="probe_resp",
-        )
-        cap = self.env.add_emission(em, capture=True)
-        self.engine.schedule(lambda: self._response_at_sta(cap), end)
+        self._probe(self.ap.device, self.device, "probe_resp", self._response_at_sta)
 
     def _response_at_sta(self, cap) -> None:
         sinr = self.env.effective_sinr_db(cap, self.device, rx_beam_toward=self.ap.device)
