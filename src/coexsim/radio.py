@@ -331,10 +331,10 @@ class RadioEnvironment:
             self._listeners.remove(obj)
 
     def _notify(self, rising: bool) -> None:
-        """medium_changed() on each `Backoff` listener whose sensing can flip:
-        an emission start can only make an idle one busy (WAIT_IDLE), an end
-        only a busy one idle. Exact, as an eid-order float sum over a subset
-        of the emissions never exceeds the full sum."""
+        """Call medium_changed() on each `Backoff` listener whose sensing can
+        flip: a start can only make an idle one busy, an end a busy (WAIT_IDLE)
+        one idle. Exact, since an eid-order float sum over a subset of the
+        emissions never exceeds the full sum. medium_changed() must not (un)register."""
         for obj in self._listeners:
             if (obj.state == obj.WAIT_IDLE) != rising:
                 obj.medium_changed()
