@@ -50,7 +50,9 @@ class Cam:
     """Base sensing behaviour shared by all categories.
 
     A UE senses along its beam at the UE ED threshold; any other device
-    senses omni at the gNB threshold.
+    senses omni at the gNB threshold. LBT managers grant asynchronously
+    through `request(on_grant)`; every other one answers `attempt(deadline)`
+    at once, with None or a grant that ends by `deadline` when one is given.
     """
 
     def __init__(
@@ -103,14 +105,10 @@ class Cam:
 
 
 class AlwaysOnCam(Cam):
-    """Cat1: immediate grant, unbounded COT."""
+    """Cat1: immediate grant, unbounded unless an initiator's deadline bounds it."""
 
-    def request(self, on_grant: Callable[[ChannelGrant], None]) -> None:
-        on_grant(self._grant(None))
-
-    def responder_grant(self, gnb_deadline: Optional[int]) -> ChannelGrant:
-        """Inside a gNB-initiated COT the grant inherits the gNB deadline."""
-        return self._grant(gnb_deadline)
+    def attempt(self, deadline: Optional[int] = None) -> ChannelGrant:
+        return self._grant(deadline)
 
 
 class Cat2Cam(Cam):

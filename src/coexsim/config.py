@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 from .engine import MS, SEC, US
+from .traffic import interarrival_ns
 
 ACCESS_MODES = {
     "On/On": ("Cat1", "Cat1"),
@@ -24,6 +25,9 @@ ACCESS_MODES = {
 }
 
 TECHNOLOGIES = ("WiGig", "NR-U")
+
+# Site row of each operator (y, metres); sites spread along x on the floor.
+ROW_Y = {"A": 6.67, "B": 13.33}
 
 
 class ConfigError(ValueError):
@@ -192,6 +196,11 @@ def validate(cfg: CampaignConfig) -> CampaignConfig:
         )
     if cfg.cws_min > cfg.cws_max:
         raise ConfigError("value for key 'cws_min' exceeds 'cws_max'")
+    if interarrival_ns(cfg.packet_bytes, cfg.load_mbps * 1e6) < 1:
+        raise ConfigError(f"value for key 'load_mbps' sends {cfg.packet_bytes} B packets 0 ns apart")
+    # A user drop is redrawn until it lies within reach of an own site row.
+    if max(ROW_Y.values()) - cfg.floor_y >= cfg.max_site_distance_m:
+        raise ConfigError("value for key 'max_site_distance_m' reaches no floor point from a site row")
     for label in cfg.sweep_labels():
         if label != "WiGig-only" and label not in ACCESS_MODES:
             raise ConfigError(f"unknown label in key 'access_sweep': '{label}'")

@@ -12,10 +12,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .channel_access import CAT1, CAT4, ONOFF, AlwaysOnCam, Cam, Cat2Cam, LbtCam, OnOffCam
+from .channel_access import CAT4, Cam, LbtCam
 from .config import CampaignConfig
 from .engine import Engine
-from .radio import Device, Emission, RadioEnvironment, db_to_lin, lin_to_db
+from .radio import Device, RadioEnvironment, db_to_lin, lin_to_db
 from .traffic import PacketRecord
 
 # 120 kHz subcarrier spacing: 8.92 us symbols, 14 per slot. The slot is taken
@@ -122,32 +122,14 @@ class NruUe:
         if not items:
             return
         t_end = engine.now + SYMBOL_NS
-        grant = self._responder_grant()
+        # Inside the gNB's COT the UE's grant inherits the gNB deadline.
+        gnb_grant = self.gnb.current_grant_if_active()
+        grant = self.cam.attempt(gnb_grant.cot_deadline if gnb_grant else None)
         if grant is None or not grant.covers(t_end):
             return
         batch = FeedbackBatch(self.device.id, items)
-        em = Emission(
-            self.device,
-            self.gnb.config.tx_power_dbm,
-            self.gnb.device,
-            engine.now,
-            t_end,
-            "nru",
-            payload=batch,
-        )
-        cap = self.gnb.env.add_emission(em, capture=True)
+        cap = self.gnb.env.transmit(self.device, self.gnb.device, t_end, "nru", batch)
         engine.schedule(lambda: self.gnb.receive_feedback(batch, cap, self), t_end)
-
-    def _responder_grant(self):
-        gnb_grant = self.gnb.current_grant_if_active()
-        deadline = gnb_grant.cot_deadline if gnb_grant else None
-        if isinstance(self.cam, AlwaysOnCam):
-            return self.cam.responder_grant(deadline)
-        if isinstance(self.cam, Cat2Cam):
-            return self.cam.attempt(deadline=deadline)
-        if isinstance(self.cam, OnOffCam):
-            return self.cam.attempt()
-        raise RuntimeError(f"unsupported uplink CAM {self.cam.category}")
 
 
 class NruGnb:
@@ -202,16 +184,10 @@ class NruGnb:
 
     # -- link adaptation ------------------------------------------------------
 
-    def _clean_snr_db(self, ue: NruUe) -> float:
-        p = self.config.tx_power_dbm
-        p += self.env.gain_db(self.device, ue.device, ue.device)
-        p += self.env.gain_db(ue.device, self.device, self.device)
-        p -= self.env.link_pathloss_db(self.device, ue.device)
-        return p - self.env.noise_dbm
-
     def last_sinr_db(self, ue: NruUe) -> float:
-        if ue.last_sinr_db is None:
-            ue.last_sinr_db = self._clean_snr_db(ue)
+        if ue.last_sinr_db is None:  # interference-free until the first feedback
+            env = self.env
+            ue.last_sinr_db = env.aligned_rx_power_dbm(self.device, ue.device) - env.noise_dbm
         return ue.last_sinr_db
 
     # -- scheduling -----------------------------------------------------------
@@ -303,19 +279,15 @@ class NruGnb:
         self.cot_id += 1
 
     def _access_ok(self, emissions_end: int) -> bool:
-        cat = self.cam.category
-        if cat == CAT1:
-            self.cam.request(self._on_grant)
-            return True
-        if cat == ONOFF:
-            g = self.cam.attempt()
-            if g is not None and g.covers(emissions_end):
-                self.current_grant = g
-                self.cot_id += 1
-                return True
+        # LBT grants arrive ahead of the slot; any other CAM answers at once.
+        if isinstance(self.cam, LbtCam):
+            g = self.current_grant_if_active()
+            return g is not None and g.covers(emissions_end)
+        g = self.cam.attempt()
+        if g is None or not g.covers(emissions_end):
             return False
-        g = self.current_grant_if_active()
-        return g is not None and g.covers(emissions_end)
+        self._on_grant(g)
+        return True
 
     # -- per-slot execution -------------------------------------------------------
 
@@ -373,11 +345,7 @@ class NruGnb:
             )
 
     def _air_tb(self, ue: NruUe, tb: TransportBlock, end: int) -> None:
-        em = Emission(
-            self.device, self.config.tx_power_dbm, ue.device, self.engine.now, end, "nru",
-            payload=tb,
-        )
-        cap = self.env.add_emission(em, capture=True)
+        cap = self.env.transmit(self.device, ue.device, end, "nru", tb)
         self.engine.schedule(lambda: ue.receive_tb(tb, cap), end)
 
     # -- HARQ resolution -----------------------------------------------------------

@@ -290,9 +290,23 @@ class RadioEnvironment:
             self._rx_cache[key] = p
         return p
 
+    def aligned_rx_power_dbm(self, site: Device, user: Device) -> float:
+        """Power `user` receives from `site` at full power, beams aimed at each other."""
+        return (
+            self.config.tx_power_dbm
+            + self.gain_db(site, user, user)
+            + self.gain_db(user, site, site)
+            - self.link_pathloss_db(site, user)
+        )
+
     # -- emissions --------------------------------------------------------
 
-    def add_emission(self, em: Emission, capture: bool = False) -> Optional[Capture]:
+    def transmit(self, source: Device, target: Device, end: int, rat: str, payload) -> Capture:
+        """Emit at full power from `source`, beamed at `target`, from now to `end`."""
+        em = Emission(source, self.config.tx_power_dbm, target, self.engine.now, end, rat, payload)
+        return self.add_emission(em)
+
+    def add_emission(self, em: Emission) -> Capture:
         """Register an emission starting now; schedules its removal at end."""
         assert em.end > em.start
         em.eid = self._next_eid
@@ -305,18 +319,15 @@ class RadioEnvironment:
             obs(em)
         for open_cap in self._open_captures:
             open_cap.interferers.append(em)
-        cap = None
-        if capture:
-            cap = Capture(em, [e for e in self.active.values() if e is not em])
-            self._open_captures.append(cap)
+        cap = Capture(em, [e for e in self.active.values() if e is not em])
+        self._open_captures.append(cap)
         self.engine.schedule(lambda: self._end_emission(em, cap), em.end)
         self._notify(rising=True)
         return cap
 
-    def _end_emission(self, em: Emission, cap: Optional[Capture]) -> None:
+    def _end_emission(self, em: Emission, cap: Capture) -> None:
         self.active.pop(em.eid, None)
-        if cap is not None:
-            self._open_captures.remove(cap)
+        self._open_captures.remove(cap)
         horizon = self.engine.now - self.RETAIN_NS
         if self._recent and self._recent[0].end < horizon:
             self._recent = [e for e in self._recent if e.end >= horizon]

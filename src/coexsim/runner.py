@@ -7,6 +7,7 @@ directories stay byte-identical across parallelism degrees.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -43,8 +44,6 @@ class RunResult:
     # Heavyweight handles for in-process inspection (not serialized).
     flows: list = field(default_factory=list, repr=False)
     env: object = field(default=None, repr=False)
-    scenario: object = field(default=None, repr=False)
-    gnbs: list = field(default_factory=list, repr=False)
     aps: list = field(default_factory=list, repr=False)
     ledger: object = field(default=None, repr=False)
     cam_trace: object = field(default=None, repr=False)
@@ -75,7 +74,6 @@ def run_once(
     )
 
     flows: list[CbrFlow] = []
-    gnbs: list[NruGnb] = []
     aps: list[WigigAp] = []
     cams = []
 
@@ -101,7 +99,6 @@ def run_once(
                 )
                 cams.append(cam)
                 gnb = NruGnb(site, cam, env, engine, cfg, t_end, mac_trace)
-                gnbs.append(gnb)
                 for user in users:
                     ue_cam = make_cam(
                         ue_cat, user, cfg, env, engine, streams.stream("cam", user.id), cam_trace
@@ -139,8 +136,6 @@ def run_once(
         wall_s=wall_s,
         flows=flows,
         env=env,
-        scenario=scn,
-        gnbs=gnbs,
         aps=aps,
         ledger=ledger,
         cam_trace=cam_trace,
@@ -182,11 +177,15 @@ def _write_run(result, scn, cfg, out_dir, cam_trace, mac_trace, frame_trace) -> 
         ("frame_trace.csv", ["time_ns", "ap", "sta", "bytes", "mcs", "retries", "outcome"], frame_trace),
     )
     for name, header, rows in traces:
-        if rows is not None:
-            with open(os.path.join(out_dir, name), "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(header)
-                w.writerows(rows)
+        path = os.path.join(out_dir, name)
+        if rows is None:  # a trace left by an earlier run into out_dir is stale
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+            continue
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
 
 
 # -- campaign ----------------------------------------------------------------
@@ -272,6 +271,8 @@ def emit_report(in_dir: str, out_csv: str) -> None:
         hashes[label] = meta["config_hash"]
         tech = meta["technologies"]
         found += 1
+        with open(os.path.join(run_dir, "scenario.csv")) as fh:
+            dev_tech = {row["device"]: tech[row["operator"]] for row in csv.DictReader(fh)}
         per_dev_latency: dict[str, list[float]] = {}
         with open(os.path.join(run_dir, "metrics.csv")) as fh:
             for row in csv.DictReader(fh):
@@ -279,13 +280,11 @@ def emit_report(in_dir: str, out_csv: str) -> None:
                 if metric == "occupancy":
                     samples.setdefault((label, "occupancy", tech[scope]), []).append(value)
                 elif metric == "goodput_mbps":
-                    op = scope.split("-", 1)[0]
-                    samples.setdefault((label, "goodput_mbps", tech[op]), []).append(value)
+                    samples.setdefault((label, "goodput_mbps", dev_tech[scope]), []).append(value)
                 elif metric == "latency_us":
                     per_dev_latency.setdefault(scope, []).append(value)
         for dev, delays in per_dev_latency.items():
-            op = dev.split("-", 1)[0]
-            samples.setdefault((label, "latency_us", tech[op]), []).append(median(delays))
+            samples.setdefault((label, "latency_us", dev_tech[dev]), []).append(median(delays))
     if not found:
         raise ConfigError(f"no run results found under {in_dir}")
     with open(out_csv, "w", newline="") as fh:

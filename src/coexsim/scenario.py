@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import CampaignConfig
+from .config import ROW_Y, CampaignConfig
 from .engine import RngStreams
 from .radio import AntennaArray, Device, Position, RadioEnvironment
 
@@ -17,7 +17,6 @@ SITE_ARRAY = AntennaArray(rows=8, cols=8)
 USER_ARRAY = AntennaArray(rows=4, cols=4)
 SITE_HEIGHT = 3.0
 USER_HEIGHT = 1.5
-ROW_Y = {"A": 6.67, "B": 13.33}
 
 
 def site_positions(cfg: CampaignConfig, operator: str) -> list[Position]:
@@ -74,21 +73,9 @@ def build_scenario(
                     break
             dev = Device(f"{op}-{user_role}{i}", op, user_role, pos, USER_ARRAY)
             env.add_device(dev)
-            dev.serving = _serving_site(env, dev, sites[op]).id
+            dev.serving = max(sites[op], key=lambda s: env.aligned_rx_power_dbm(s, dev)).id
             users[op].append(dev)
     return Scenario(sites, users)
-
-
-def _serving_site(env: RadioEnvironment, user: Device, sites: list[Device]) -> Device:
-    def rx_power(site: Device) -> float:
-        return (
-            env.config.tx_power_dbm
-            + env.gain_db(site, user, user)
-            + env.gain_db(user, site, site)
-            - env.link_pathloss_db(site, user)
-        )
-
-    return max(sites, key=rx_power)
 
 
 def scenario_csv(scn: Scenario) -> str:

@@ -29,6 +29,11 @@ class PacketRecord:
             self.delivered_at = t
 
 
+def interarrival_ns(packet_bytes: int, rate_bps: float) -> int:
+    """Packet spacing of a CBR flow, rounded to the integer-nanosecond grid."""
+    return round(packet_bytes * 8 * SEC / rate_bps)
+
+
 class CbrFlow:
     """Constant-bit-rate source: one packet every packet_bits/rate seconds.
 
@@ -49,7 +54,7 @@ class CbrFlow:
         self.flow_id = flow_id
         self.destination = destination
         self.packet_bytes = packet_bytes
-        self.interarrival_ns = round(packet_bytes * 8 * SEC / rate_bps)
+        self.interarrival_ns = interarrival_ns(packet_bytes, rate_bps)
         self.engine = engine
         self.sink = sink
         self.t_end = t_end

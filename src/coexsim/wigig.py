@@ -15,7 +15,7 @@ from typing import Optional
 from .channel_access import Backoff
 from .config import CampaignConfig
 from .engine import MS, US, Engine
-from .radio import Device, Emission, RadioEnvironment, db_to_lin
+from .radio import Device, RadioEnvironment, db_to_lin
 from .traffic import PacketRecord
 
 # (decode threshold dB, PHY rate bit/s), single-carrier 802.11ad-like set.
@@ -140,11 +140,7 @@ class WigigAp(Backoff):
         sta = self.stas[frame.sta_id]
         dur = frame_duration_ns(frame.packet.size_bytes, WIGIG_MCS[frame.mcs][1])
         end = self.engine.now + dur
-        em = Emission(
-            self.device, self.config.tx_power_dbm, sta.device,
-            self.engine.now, end, "wigig", payload=frame,
-        )
-        cap = self.env.add_emission(em, capture=True)
+        cap = self.env.transmit(self.device, sta.device, end, "wigig", frame)
         self._ack_ok = False
         self.engine.schedule(lambda: sta.receive_frame(frame, cap, end), end)
         self.state = self.WAIT_ACK
@@ -220,16 +216,9 @@ class WigigSta:
         return self.ap.config
 
     def start(self) -> None:
-        self.last_sinr_db = self._clean_snr_db()
+        env = self.env
+        self.last_sinr_db = env.aligned_rx_power_dbm(self.ap.device, self.device) - env.noise_dbm
         self.engine.schedule(self._associate_attempt, self._t0)
-
-    def _clean_snr_db(self) -> float:
-        env, ap = self.env, self.ap.device
-        p = self.config.tx_power_dbm
-        p += env.gain_db(ap, self.device, self.device)
-        p += env.gain_db(self.device, ap, ap)
-        p -= env.link_pathloss_db(ap, self.device)
-        return p - env.noise_dbm
 
     # -- data path ------------------------------------------------------------
 
@@ -244,11 +233,7 @@ class WigigSta:
 
     def _send_ack(self, frame: WigigFrame, measured_sinr_db: float) -> None:
         end = self.engine.now + self.config.ack_ns
-        em = Emission(
-            self.device, self.config.tx_power_dbm, self.ap.device,
-            self.engine.now, end, "wigig", payload=("ack", frame),
-        )
-        cap = self.env.add_emission(em, capture=True)
+        cap = self.env.transmit(self.device, self.ap.device, end, "wigig", ("ack", frame))
         self.engine.schedule(
             lambda: self._deliver_ack(frame, cap, measured_sinr_db), end
         )
@@ -280,10 +265,7 @@ class WigigSta:
     def _probe(self, source: Device, target: Device, payload: str, at_end) -> None:
         """Send one association frame at the floor rate; at_end(cap) at its end."""
         end = self.engine.now + frame_duration_ns(PROBE_BYTES, WIGIG_MCS[0][1])
-        em = Emission(
-            source, self.config.tx_power_dbm, target, self.engine.now, end, "wigig", payload=payload
-        )
-        cap = self.env.add_emission(em, capture=True)
+        cap = self.env.transmit(source, target, end, "wigig", payload)
         self.engine.schedule(lambda: at_end(cap), end)
 
     def _probe_at_ap(self, cap) -> None:

@@ -37,11 +37,10 @@ class Rig:
             a.position.distance_2d(b.position),
         )
 
-    def emit(self, source, tx_power_dbm, duration_ns, rat="nru", beam_target=None,
-             capture=False):
+    def emit(self, source, tx_power_dbm, duration_ns, rat="nru", beam_target=None):
         now = self.engine.now
         em = Emission(source, tx_power_dbm, beam_target, now, now + duration_ns, rat)
-        return em, self.env.add_emission(em, capture=capture)
+        return em, self.env.add_emission(em)
 
 
 class FixedRng:

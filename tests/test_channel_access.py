@@ -4,10 +4,12 @@ from dataclasses import replace
 import pytest
 
 from coexsim.channel_access import (
+    CAT1,
     CAT2,
     CAT3,
     CAT4,
     CAT4_CWS_LADDER,
+    ONOFF,
     CamTrace,
     make_cam,
 )
@@ -30,12 +32,29 @@ def _interferer(rig, dev_id="intf", x=1.0):
 
 def test_cat1_grants_immediately_without_deadline(rig):
     dev = rig.place("dev", 0.0)
-    cam = _cam(rig, "Cat1", dev)
-    grants = []
-    cam.request(grants.append)
-    assert len(grants) == 1
-    assert grants[0].cot_deadline is None
-    assert grants[0].covers(10**12)
+    cam = _cam(rig, CAT1, dev)
+    g = cam.attempt()
+    assert g.granted_at == 0
+    assert g.cot_deadline is None
+    assert g.covers(10**12)
+
+
+# -- deadlines of immediate access -------------------------------------------------
+
+@pytest.mark.parametrize(
+    "category, deadline",
+    [(CAT1, 60_000), (CAT2, 60_000), (ONOFF, 4 * MS)],
+    ids=[CAT1, CAT2, ONOFF],
+)
+def test_attempt_inherits_initiator_deadline(rig, category, deadline):
+    """Inside an initiator's COT an immediate grant ends at its deadline
+    (OnOff: the earlier of the deadline and the on-period end at 9 ms)."""
+    dev = rig.place("dev", 0.0)
+    cam = _cam(rig, category, dev)
+    rig.engine.run_until(50_000)
+    g = cam.attempt(deadline=deadline)
+    assert g.cot_deadline == deadline
+    assert g.covers(deadline) and not g.covers(deadline + 1)
 
 
 # -- Cat2 ---------------------------------------------------------------------
@@ -61,15 +80,6 @@ def test_cat2_window_boundary_is_half_open(rig):
     assert cam.attempt() is not None  # window [10000, 35000) is clean
 
 
-def test_cat2_inherits_initiator_deadline(rig):
-    dev = rig.place("dev", 0.0)
-    cam = _cam(rig, CAT2, dev)
-    rig.engine.run_until(50_000)
-    g = cam.attempt(deadline=60_000)
-    assert g.cot_deadline == 60_000
-    assert not g.covers(60_001)
-
-
 # -- OnOff ---------------------------------------------------------------------
 
 def test_onoff_duty_cycle_edges(rig):
@@ -87,13 +97,6 @@ def test_onoff_duty_cycle_edges(rig):
     rig.engine.run_until(18 * MS + 500_000)
     g = cam.attempt()
     assert g.cot_deadline == 27 * MS
-
-
-def test_onoff_attempt_clipped_by_deadline(rig):
-    dev = rig.place("dev", 0.0)
-    cam = _cam(rig, "OnOff", dev)
-    g = cam.attempt(deadline=4 * MS)
-    assert g.cot_deadline == 4 * MS
 
 
 # -- Cat3/Cat4 backoff -----------------------------------------------------------

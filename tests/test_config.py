@@ -118,3 +118,20 @@ def test_config_hash_ignores_sweep_but_not_parameters():
 
 def test_duration_ns_integer():
     assert CampaignConfig(duration_s=1.5).duration_ns == 1_500_000_000
+
+
+def test_load_that_rounds_packet_spacing_to_zero_rejected(tmp_path):
+    # 1 B at 100 Gbit/s is 0.08 ns apart: the flow would loop at t = 0.
+    path = write(tmp_path, "load_mbps = 100000\npacket_bytes = 1\n")
+    with pytest.raises(ConfigError, match="load_mbps"):
+        parse_config(path)
+    validate(CampaignConfig(load_mbps=100000.0, packet_bytes=7))  # 0.56 ns rounds to 1
+
+
+def test_site_rows_out_of_reach_of_the_floor_rejected():
+    # Rows at y = 6.67 / 13.33 m; on a 1 m deep floor no drop is within reach.
+    with pytest.raises(ConfigError, match="max_site_distance_m"):
+        validate(CampaignConfig(floor_y=1.0, max_site_distance_m=1.0))
+    with pytest.raises(ConfigError, match="max_site_distance_m"):
+        validate(CampaignConfig(floor_y=1.0, max_site_distance_m=12.33))  # only a tangent point
+    validate(CampaignConfig(floor_y=1.0, max_site_distance_m=13.0))

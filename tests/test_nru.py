@@ -135,7 +135,7 @@ def test_chase_combining_adds_linear_snr(rig):
         em = Emission(
             gnb.device, 17.0, ue.device, rig.engine.now, rig.engine.now + SYMBOL_NS, "nru"
         )
-        cap = rig.env.add_emission(em, capture=True)
+        cap = rig.env.add_emission(em)
         ue.receive_tb(tb, cap)
 
     one_tx()

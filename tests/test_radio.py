@@ -169,7 +169,7 @@ def test_effective_sinr_piecewise_average(rig):
     jam = rig.place("jam", 2.0)  # also 1 m from rx, so it arrives at power s
     rig.force_link(tx, rx)
     rig.force_link(jam, rx)
-    _, cap = rig.emit(tx, 17.0, 1000, capture=True)
+    _, cap = rig.emit(tx, 17.0, 1000)
     # Interferer covers only the second half of the signal.
     rig.engine.schedule(lambda: rig.emit(jam, 17.0, 600), 500)
     rig.engine.run_until(2000)
@@ -185,7 +185,7 @@ def test_capture_includes_later_overlapping_emission(rig):
     tx = rig.place("tx", 0.0, 0.0)
     rx = rig.place("rx", 1.0, 0.0)
     rig.force_link(tx, rx)
-    _, cap = rig.emit(tx, 17.0, 1000, capture=True)
+    _, cap = rig.emit(tx, 17.0, 1000)
     late = rig.place("late", 0.0, 2.0)
     rig.force_link(late, rx)
     rig.engine.schedule(lambda: rig.emit(late, 17.0, 100), 900)
@@ -197,7 +197,7 @@ def test_receiver_own_emission_excluded_from_sinr(rig):
     tx = rig.place("tx", 0.0, 0.0)
     rx = rig.place("rx", 1.0, 0.0)
     rig.force_link(tx, rx)
-    _, cap = rig.emit(tx, 17.0, 1000, capture=True)
+    _, cap = rig.emit(tx, 17.0, 1000)
     rig.emit(rx, 17.0, 1000)  # full-duplex artefact must not self-jam
     clean = 17.0 - 67.6686 - rig.env.noise_dbm
     assert rig.env.effective_sinr_db(cap, rx) == pytest.approx(clean, abs=1e-3)

@@ -118,6 +118,31 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert (tmp_path / "box.csv").exists()
 
 
+def test_rerun_without_a_trace_removes_the_stale_trace_file(tmp_path):
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text("sites_per_operator = 1\nusers_per_operator = 2\nduration_s = 0.002\n")
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    run = ["run", "--config", str(cfg_path), "--seed", "1", "--out", str(out)]
+    assert main(run + ["--trace", "cam"]) == 0
+    assert (out / "cam_trace.csv").exists()
+    assert main(run) == 0
+    assert sorted(os.listdir(out)) == ["metrics.csv", "notes.txt", "run.json", "scenario.csv"]
+
+
+def test_report_takes_each_device_operator_from_scenario_csv(tmp_path):
+    run_campaign(reduced("Cat4/Cat2", duration_s=0.01), [1, 2], str(tmp_path), verbose=False)
+    emit_report(str(tmp_path), str(tmp_path / "want.csv"))
+    # Rename every device to an id that carries no operator prefix.
+    for run_dir in (tmp_path / "runs").iterdir():
+        for name in ("metrics.csv", "scenario.csv"):
+            path = run_dir / name
+            path.write_text(path.read_text().replace("A-", "dev-a-").replace("B-", "dev-b-"))
+    emit_report(str(tmp_path), str(tmp_path / "got.csv"))
+    assert (tmp_path / "got.csv").read_text() == (tmp_path / "want.csv").read_text()
+
+
 def test_cli_rejects_bad_config(tmp_path, capsys):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text("tx_power_dbm = 40\n")
