@@ -37,8 +37,6 @@ class ChannelGrant:
 class CamTrace:
     """Optional event log: (time, device, category, event)."""
 
-    EVENTS = ("defer_start", "counter_frozen", "grant", "cot_end", "onoff_edge")
-
     def __init__(self) -> None:
         self.rows: list[tuple[int, str, str, str]] = []
 
@@ -76,20 +74,25 @@ class Cam:
         self.ed_threshold_dbm = (
             config.ue_ed_threshold_dbm if self.directional else config.gnb_ed_threshold_dbm
         )
-        # Directional sensing looks along the current transmit beam.
-        self.sense_toward: Optional[Device] = None
+        self.sense_toward = None
 
-    def _rx_beam(self) -> Optional[Device]:
-        return self.sense_toward if self.directional else None
+    @property
+    def sense_toward(self) -> Optional[Device]:
+        """Directional sensing looks along the current transmit beam."""
+        return self._sense_toward
+
+    @sense_toward.setter
+    def sense_toward(self, target: Optional[Device]) -> None:
+        self._sense_toward = target
+        self.table = self.env.link_table(self.device, target if self.directional else None)
 
     def medium_busy(self) -> bool:
-        p = self.env.sensed_power_dbm(self.device, self._rx_beam())
-        return p >= self.ed_threshold_dbm
+        return self.table.sensed_dbm() >= self.ed_threshold_dbm
 
     def sense_window(self, w_start: int, w_end: int) -> bool:
         """True (busy) iff aggregate power reaches the ED threshold anywhere
         in the half-open window [w_start, w_end)."""
-        p = self.env.max_sensed_power_dbm(self.device, w_start, w_end, self._rx_beam())
+        p = self.env.max_sensed_power_dbm(self.device, w_start, w_end, self.table.rx_beam)
         return p >= self.ed_threshold_dbm
 
     def _emit(self, event: str) -> None:

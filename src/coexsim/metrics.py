@@ -23,6 +23,12 @@ class OccupancyLedger:
         if end <= start:
             raise ValueError("interval end must exceed start")
         ivs = self._intervals.setdefault(key, [])
+        if not ivs or ivs[-1][0] <= start:  # in start order: only the last one can merge
+            if ivs and ivs[-1][1] >= start:
+                ivs[-1] = (ivs[-1][0], max(end, ivs[-1][1]))
+            else:
+                ivs.append((start, end))
+            return
         i = bisect.bisect_left(ivs, (start, start))
         # Merge with a predecessor that reaches into [start, end).
         if i > 0 and ivs[i - 1][1] >= start:

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .config import CampaignConfig
 from .engine import Engine, RngStreams
+from .metrics import OccupancyLedger
 
 SHADOW_SIGMA_LOS_DB = 3.0
 SHADOW_SIGMA_NLOS_DB = 8.03
@@ -162,6 +163,7 @@ class Emission:
     rat: str  # "nru" | "wigig"
     payload: object = None
     eid: int = -1
+    link_key: str = ""  # source, beam target, power and rat; set by add_emission
 
 
 class Capture:
@@ -174,12 +176,41 @@ class Capture:
         self.interferers = interferers
 
 
+class LinkTable(dict):
+    """Received power at one (receiver, rx beam) per emission link key, as
+    (dBm, linear); an entry is filled from `rx_power_dbm` on first lookup."""
+
+    def __init__(self, env: "RadioEnvironment", receiver: Device, rx_beam: Optional[Device]):
+        super().__init__()
+        self.env = env
+        self.receiver = receiver
+        self.rx_beam = rx_beam
+
+    def __missing__(self, key: str) -> tuple[float, float]:
+        env = self.env
+        p = env.rx_power_dbm(env._link_emissions[key], self.receiver, self.rx_beam)
+        entry = self[key] = (p, db_to_lin(p))
+        return entry
+
+    def sensed_dbm(self) -> float:
+        """Aggregate power of the active emissions not sourced by the receiver,
+        summed in eid order."""
+        receiver = self.receiver
+        total = 0.0
+        for em in self.env.active.values():
+            if em.source is not receiver:
+                total += self[em.link_key][1]
+        return lin_to_db(total) if total > 0 else -math.inf
+
+
 class RadioEnvironment:
     """Static geometry plus the set of emissions currently on the air.
 
     Link states (LOS flag, shadowing) are drawn lazily, once per undirected
     link per run, from the "link" RNG stream, which makes pathloss reciprocal
-    by construction.
+    by construction. Sensing and SINR read received powers from one
+    `LinkTable` per (receiver, rx beam), and every emission is recorded in
+    the per-operator occupancy `ledger`.
     """
 
     # Emissions that ended longer ago than this are pruned from the recent
@@ -201,12 +232,14 @@ class RadioEnvironment:
         self._links: dict[frozenset, LinkState] = {}
         self._gain_cache: dict[tuple, float] = {}
         self._rx_cache: dict[tuple, float] = {}
+        self._tables: dict[tuple[str, Optional[str]], LinkTable] = {}
+        self._link_emissions: dict[str, Emission] = {}  # link key -> first emission
         self._dirs: dict[tuple[str, str], tuple[float, float, float]] = {}
         self.active: dict[int, Emission] = {}
         self._recent: list[Emission] = []
         self._open_captures: list[Capture] = []
         self._listeners: list = []  # objects with .medium_changed()
-        self.emission_observers: list[Callable[[Emission], None]] = []
+        self.ledger = OccupancyLedger()
         self.emission_log: Optional[list[Emission]] = None  # set to [] to record
         self._next_eid = 0
 
@@ -290,6 +323,13 @@ class RadioEnvironment:
             self._rx_cache[key] = p
         return p
 
+    def link_table(self, receiver: Device, rx_beam_toward: Optional[Device] = None) -> LinkTable:
+        key = (receiver.id, rx_beam_toward.id if rx_beam_toward is not None else None)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = LinkTable(self, receiver, rx_beam_toward)
+        return table
+
     def aligned_rx_power_dbm(self, site: Device, user: Device) -> float:
         """Power `user` receives from `site` at full power, beams aimed at each other."""
         return (
@@ -311,12 +351,15 @@ class RadioEnvironment:
         assert em.end > em.start
         em.eid = self._next_eid
         self._next_eid += 1
+        target = em.beam_target.id if em.beam_target is not None else ""
+        em.link_key = key = f"{em.source.id}|{target}|{em.tx_power_dbm!r}|{em.rat}"
+        if key not in self._link_emissions:
+            self._link_emissions[key] = em
         self.active[em.eid] = em
         self._recent.append(em)
         if self.emission_log is not None:
             self.emission_log.append(em)
-        for obs in self.emission_observers:
-            obs(em)
+        self.ledger.record(em.source.operator, em.start, em.end)
         for open_cap in self._open_captures:
             open_cap.interferers.append(em)
         cap = Capture(em, [e for e in self.active.values() if e is not em])
@@ -356,19 +399,13 @@ class RadioEnvironment:
         self, device: Device, rx_beam_toward: Optional[Device] = None
     ) -> list[tuple[Emission, float]]:
         """(emission, rx dBm) for every active emission not sourced by device."""
-        return [
-            (em, self.rx_power_dbm(em, device, rx_beam_toward))
-            for em in self.active.values()
-            if em.source is not device
-        ]
+        table = self.link_table(device, rx_beam_toward)
+        return [(em, table[em.link_key][0]) for em in self.active.values() if em.source is not device]
 
     def sensed_power_dbm(
         self, device: Device, rx_beam_toward: Optional[Device] = None
     ) -> float:
-        total = 0.0
-        for _em, p in self.received_now(device, rx_beam_toward):
-            total += db_to_lin(p)
-        return lin_to_db(total) if total > 0 else -math.inf
+        return self.link_table(device, rx_beam_toward).sensed_dbm()
 
     def max_sensed_power_dbm(
         self,
@@ -378,22 +415,21 @@ class RadioEnvironment:
         rx_beam_toward: Optional[Device] = None,
     ) -> float:
         """Max aggregate power over the half-open window [w_start, w_end)."""
+        table = self.link_table(device, rx_beam_toward)
         ems = [
-            em
+            (em, table[em.link_key][1])
             for em in self._recent
             if em.start < w_end and em.end > w_start and em.source is not device
         ]
         if not ems:
             return -math.inf
-        points = sorted(
-            {max(em.start, w_start) for em in ems}
-        )
+        points = sorted({max(em.start, w_start) for em, _lin in ems})
         best = 0.0
         for t in points:
             total = 0.0
-            for em in ems:
+            for em, lin in ems:
                 if em.start <= t < em.end:
-                    total += db_to_lin(self.rx_power_dbm(em, device, rx_beam_toward))
+                    total += lin
             best = max(best, total)
         return lin_to_db(best) if best > 0 else -math.inf
 
@@ -409,9 +445,10 @@ class RadioEnvironment:
         segment is exact.
         """
         sig = cap.signal
-        s_lin = db_to_lin(self.rx_power_dbm(sig, receiver, rx_beam_toward))
+        table = self.link_table(receiver, rx_beam_toward)
+        s_lin = table[sig.link_key][1]
         infs = [
-            em
+            (em, table[em.link_key][1])
             for em in cap.interferers
             if em.source is not receiver and em.end > sig.start and em.start < sig.end
         ]
@@ -419,17 +456,13 @@ class RadioEnvironment:
             return lin_to_db(s_lin / self.noise_lin)
         points = sorted(
             {sig.start, sig.end}
-            | {max(em.start, sig.start) for em in infs}
-            | {min(em.end, sig.end) for em in infs}
+            | {max(em.start, sig.start) for em, _lin in infs}
+            | {min(em.end, sig.end) for em, _lin in infs}
         )
         acc = 0.0
         for t0, t1 in zip(points, points[1:]):
             if t1 <= t0:
                 continue
-            i_lin = sum(
-                db_to_lin(self.rx_power_dbm(em, receiver, rx_beam_toward))
-                for em in infs
-                if em.start <= t0 and em.end >= t1
-            )
+            i_lin = sum(lin for em, lin in infs if em.start <= t0 and em.end >= t1)
             acc += (t1 - t0) * s_lin / (self.noise_lin + i_lin)
         return lin_to_db(acc / (sig.end - sig.start))

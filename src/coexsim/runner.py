@@ -22,7 +22,7 @@ from typing import Optional
 from .channel_access import CamTrace, make_cam
 from .config import ACCESS_MODES, CampaignConfig, ConfigError
 from .engine import US, Engine, RngStreams
-from .metrics import OccupancyLedger, box_stats, goodput_per_device_bps, latency_samples_ns
+from .metrics import box_stats, goodput_per_device_bps, latency_samples_ns
 from .nru import SYMBOLS_PER_SLOT, NruGnb, NruUe
 from .radio import RadioEnvironment
 from .scenario import build_scenario, scenario_csv
@@ -68,10 +68,6 @@ def run_once(
         env.emission_log = []
 
     scn = build_scenario(cfg, streams, env)
-    ledger = OccupancyLedger()
-    env.emission_observers.append(
-        lambda em: ledger.record(em.source.operator, em.start, em.end)
-    )
 
     flows: list[CbrFlow] = []
     aps: list[WigigAp] = []
@@ -122,7 +118,7 @@ def run_once(
     wall_s = time.perf_counter() - t_wall
 
     occupancy = {
-        op: ledger.occupied_within(op, 0, t_end) / t_end for op in ("A", "B")
+        op: env.ledger.occupied_within(op, 0, t_end) / t_end for op in ("A", "B")
     }
     result = RunResult(
         label=cfg.label,
@@ -137,7 +133,7 @@ def run_once(
         flows=flows,
         env=env,
         aps=aps,
-        ledger=ledger,
+        ledger=env.ledger,
         cam_trace=cam_trace,
         cams=cams,
     )

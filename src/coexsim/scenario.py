@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import ROW_Y, CampaignConfig
+from .config import ROW_Y, CampaignConfig, ConfigError
 from .engine import RngStreams
 from .radio import AntennaArray, Device, Position, RadioEnvironment
 
@@ -17,6 +17,7 @@ SITE_ARRAY = AntennaArray(rows=8, cols=8)
 USER_ARRAY = AntennaArray(rows=4, cols=4)
 SITE_HEIGHT = 3.0
 USER_HEIGHT = 1.5
+MAX_DROP_DRAWS = 10_000  # per user; a floor this hard to hit is a config error
 
 
 def site_positions(cfg: CampaignConfig, operator: str) -> list[Position]:
@@ -63,7 +64,7 @@ def build_scenario(
         rng = streams.stream("drop", op)
         users[op] = []
         for i in range(cfg.users_per_operator):
-            while True:
+            for _draw in range(MAX_DROP_DRAWS):
                 pos = Position(
                     rng.uniform(0.0, cfg.floor_x),
                     rng.uniform(0.0, cfg.floor_y),
@@ -71,6 +72,9 @@ def build_scenario(
                 )
                 if min(pos.distance_2d(s.position) for s in sites[op]) <= cfg.max_site_distance_m:
                     break
+            else:
+                raise ConfigError(f"value for key 'max_site_distance_m' leaves operator {op} "
+                                  f"almost no floor: no user drop in {MAX_DROP_DRAWS} draws")
             dev = Device(f"{op}-{user_role}{i}", op, user_role, pos, USER_ARRAY)
             env.add_device(dev)
             dev.serving = max(sites[op], key=lambda s: env.aligned_rx_power_dbm(s, dev)).id

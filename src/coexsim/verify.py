@@ -50,7 +50,7 @@ def verify_lbt_safety(
     for dev_id, rows in per_device.items():
         cam = by_id[dev_id]
         thr = db_to_lin(cam.ed_threshold_dbm)
-        times, levels = _power_steps(env, cam.device, emissions, cam._rx_beam())
+        times, levels = _power_steps(env, cam.device, emissions, cam.table.rx_beam)
         windows: list[tuple[int, int]] = []
         open_at: Optional[int] = None
         for t, event in rows:

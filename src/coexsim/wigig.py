@@ -78,6 +78,7 @@ class WigigAp(Backoff):
         self.queue: deque[WigigFrame] = deque()
         self.cws = config.cws_min
         self.ed_threshold_lin = db_to_lin(config.wigig_ed_threshold_dbm)
+        self.table = env.link_table(device)  # omni reception at the AP
         self._ack_timer = None
         self._current: Optional[WigigFrame] = None
         self._ack_ok = False
@@ -90,12 +91,16 @@ class WigigAp(Backoff):
 
     def medium_busy(self, device: Optional[Device] = None) -> bool:
         """Busy on same-technology preamble detection or on aggregate energy."""
-        device = device or self.device
+        table = self.table if device is None else self.env.link_table(device)
+        receiver = table.receiver
+        preamble_dbm = self.config.wigig_preamble_threshold_dbm
         total = 0.0
-        for em, p in self.env.received_now(device):
-            if em.rat == "wigig" and p >= self.config.wigig_preamble_threshold_dbm:
-                return True
-            total += db_to_lin(p)
+        for em in self.env.active.values():
+            if em.source is not receiver:
+                p, lin = table[em.link_key]
+                if em.rat == "wigig" and p >= preamble_dbm:
+                    return True
+                total += lin
         return total >= self.ed_threshold_lin
 
     # -- queueing -----------------------------------------------------------

@@ -73,6 +73,39 @@ def test_union_matches_grid_oracle(intervals):
     assert all(a[1] < b[0] for a, b in zip(ivs, ivs[1:]))  # disjoint, sorted
 
 
+def union_from_scratch(intervals):
+    """Sort by start, then merge every interval that overlaps or touches."""
+    out = []
+    for s, e in sorted(intervals):
+        if out and out[-1][1] >= s:
+            out[-1] = (out[-1][0], max(out[-1][1], e))
+        else:
+            out.append((s, e))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 500), st.integers(1, 40)).map(
+            lambda p: (p[0], p[0] + p[1])
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_record_in_start_order_or_shuffled_gives_the_union(intervals, rnd):
+    shuffled = list(intervals)
+    rnd.shuffle(shuffled)
+    # In start order every record takes the append/extend path.
+    for order in (sorted(intervals, key=lambda iv: iv[0]), shuffled):
+        led = OccupancyLedger()
+        for s, e in order:
+            led.record("A", s, e)
+        assert led.intervals("A") == union_from_scratch(intervals)
+
+
 def test_nearest_rank_small_sample():
     b = box_stats([5.0, 1.0, 3.0, 2.0, 4.0])
     # ceil(0.5 * 5) = 3rd smallest

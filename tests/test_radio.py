@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from coexsim.radio import (
     beam_gain_db,
     db_to_lin,
     element_gain_db,
+    lin_to_db,
     los_probability,
     noise_power_dbm,
     pathloss_db,
@@ -208,3 +210,135 @@ def test_position_distances():
     q = Position(4.0, 0.0, 12.0)
     assert p.distance_2d(q) == 5.0
     assert p.distance_3d(q) == 13.0
+
+
+# -- link tables ------------------------------------------------------------
+# Reference sums read rx_power_dbm + db_to_lin afresh for every emission, in
+# eid order, as sensing did before the tables; every comparison is exact.
+
+def _ref_sensed_dbm(env, device, beam, ems):
+    total = 0.0
+    for em in ems:
+        if em.source is not device:
+            total += db_to_lin(env.rx_power_dbm(em, device, beam))
+    return lin_to_db(total) if total > 0 else -math.inf
+
+
+def _ref_wigig_busy(env, device, config, ems):
+    total = 0.0
+    for em in ems:
+        if em.source is device:
+            continue
+        p = env.rx_power_dbm(em, device)
+        if em.rat == "wigig" and p >= config.wigig_preamble_threshold_dbm:
+            return True
+        total += db_to_lin(p)
+    return total >= db_to_lin(config.wigig_ed_threshold_dbm)
+
+
+def _ref_window_dbm(env, device, beam, ems, w_start, w_end):
+    ems = [e for e in ems if e.start < w_end and e.end > w_start and e.source is not device]
+    best = 0.0
+    for t in sorted({max(e.start, w_start) for e in ems}):
+        total = 0.0
+        for e in ems:
+            if e.start <= t < e.end:
+                total += db_to_lin(env.rx_power_dbm(e, device, beam))
+        best = max(best, total)
+    return lin_to_db(best) if best > 0 else -math.inf
+
+
+def _ref_sinr_db(env, cap, receiver, beam):
+    sig = cap.signal
+    s_lin = db_to_lin(env.rx_power_dbm(sig, receiver, beam))
+    infs = [e for e in cap.interferers
+            if e.source is not receiver and e.end > sig.start and e.start < sig.end]
+    if not infs:
+        return lin_to_db(s_lin / env.noise_lin)
+    points = sorted({sig.start, sig.end} | {max(e.start, sig.start) for e in infs}
+                    | {min(e.end, sig.end) for e in infs})
+    acc = 0.0
+    for t0, t1 in zip(points, points[1:]):
+        i_lin = sum(db_to_lin(env.rx_power_dbm(e, receiver, beam))
+                    for e in infs if e.start <= t0 and e.end >= t1)
+        acc += (t1 - t0) * s_lin / (env.noise_lin + i_lin)
+    return lin_to_db(acc / (sig.end - sig.start))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_link_tables_match_fresh_rx_power_sums(rig, seed):
+    from coexsim.channel_access import CAT2, make_cam
+    from coexsim.wigig import WigigAp
+    from tests.conftest import FixedRng
+
+    rng = random.Random(seed)
+    env, engine, config = rig.env, rig.engine, rig.config
+    env.emission_log = []
+    ap = WigigAp(rig.place("ap", 0.0, 0.0, z=3.0, role="ap", array=SITE), env, engine, config, rng)
+    gnb = rig.place("gnb", 6.0, 4.0, z=3.0, operator="B", role="gnb", array=SITE)
+    ue = rig.place("ue", 9.0, 1.0, operator="B", role="ue", array=USER)
+    omni_cam = make_cam(CAT2, gnb, config, env, engine, FixedRng(0))
+    beam_cam = make_cam(CAT2, ue, config, env, engine, FixedRng(0))
+    beam_cam.sense_toward = gnb
+    devices = [ap.device, gnb, ue] + [
+        rig.place(f"d{i}", rng.uniform(-15, 15), rng.uniform(-15, 15), array=USER)
+        for i in range(5)
+    ]
+    caps = []
+
+    def emit():
+        src = rng.choice(devices)
+        target = rng.choice([None] + [d for d in devices if d is not src])
+        _em, cap = rig.emit(src, rng.choice([17.0, 5.0, -3.5]), rng.randrange(1_000, 40_000),
+                            rat=rng.choice(["nru", "wigig"]), beam_target=target)
+        caps.append((cap, rng.choice(devices), rng.choice([None] + devices)))
+
+    outcomes = set()
+
+    def check():
+        ems = list(env.active.values())
+        assert ap.medium_busy() == _ref_wigig_busy(env, ap.device, config, ems)
+        assert ap.medium_busy(ue) == _ref_wigig_busy(env, ue, config, ems)
+        outcomes.add(ap.medium_busy())
+        for cam, beam in ((omni_cam, None), (beam_cam, gnb)):
+            ref = _ref_sensed_dbm(env, cam.device, beam, ems)
+            assert env.sensed_power_dbm(cam.device, beam) == ref
+            assert cam.medium_busy() == (ref >= cam.ed_threshold_dbm)
+            t = engine.now
+            window = _ref_window_dbm(env, cam.device, beam, env.emission_log, t - 25_000, t)
+            assert env.max_sensed_power_dbm(cam.device, t - 25_000, t, beam) == window
+            assert cam.sense_window(t - 25_000, t) == (window >= cam.ed_threshold_dbm)
+
+    for _ in range(120):
+        engine.schedule(emit, rng.randrange(0, 400_000))
+    for _ in range(200):
+        engine.schedule(check, rng.randrange(0, 450_000))
+    engine.run_until(500_000)
+    assert outcomes == {True, False}
+    for cap, receiver, beam in caps:
+        assert env.effective_sinr_db(cap, receiver, beam) == _ref_sinr_db(env, cap, receiver, beam)
+
+
+def test_emissions_differing_in_target_power_or_rat_get_their_own_entries(rig):
+    src = rig.place("src", 0.0, array=SITE)
+    near = rig.place("near", 3.0, 1.0)
+    far = rig.place("far", -5.0, 2.0)
+    rx = rig.place("rx", 4.0, -2.0)
+    base = dict(rat="nru", beam_target=near)
+    variants = [
+        rig.emit(src, 17.0, 1_000, **base)[0],
+        rig.emit(src, 17.0, 1_000, rat="nru", beam_target=far)[0],
+        rig.emit(src, 10.0, 1_000, **base)[0],
+        rig.emit(src, 17.0, 1_000, rat="wigig", beam_target=near)[0],
+        rig.emit(src, 17.0, 1_000, rat="nru", beam_target=None)[0],
+    ]
+    assert len({em.link_key for em in variants}) == len(variants)
+    table = rig.env.link_table(rx)
+    for em in variants:
+        p = rig.env.rx_power_dbm(em, rx)
+        assert table[em.link_key] == (p, db_to_lin(p))
+    powers = [table[em.link_key][0] for em in variants]
+    assert len({powers[0], powers[1], powers[2], powers[4]}) == 4
+    # A repeat of an earlier emission shares its entry.
+    again = rig.emit(src, 17.0, 1_000, **base)[0]
+    assert again.link_key == variants[0].link_key

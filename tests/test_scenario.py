@@ -1,6 +1,9 @@
+import time
 from dataclasses import replace
 
-from coexsim.config import CampaignConfig
+import pytest
+
+from coexsim.config import CampaignConfig, ConfigError, validate
 from coexsim.engine import Engine, RngStreams
 from coexsim.radio import RadioEnvironment
 from coexsim.scenario import ROW_Y, build_scenario, scenario_csv, site_positions
@@ -73,3 +76,14 @@ def test_scenario_csv_lists_every_device():
     lines = text.strip().splitlines()
     assert lines[0] == "device,operator,role,x,y,z,serving"
     assert len(lines) == 1 + 2 + 4
+
+
+def test_floor_almost_out_of_reach_is_refused_quickly():
+    # Valid, but only a sliver of about 1e-7 of the floor lies within
+    # 12.3301 m of the B site row at y = 13.33 m.
+    overrides = dict(floor_y=1.0, max_site_distance_m=12.3301, users_per_operator=2)
+    validate(replace(CampaignConfig(), **overrides))
+    t0 = time.perf_counter()
+    with pytest.raises(ConfigError, match="max_site_distance_m"):
+        build(**overrides)
+    assert time.perf_counter() - t0 < 1.0
