@@ -164,6 +164,10 @@ class Backoff:
     state = IDLE
     counter = 0
     _timer = None
+    # An on-air emission that alone keeps medium_busy() true, or None; see
+    # RadioEnvironment._notify. A subclass that never sets it is re-sensed on
+    # every falling edge while it waits.
+    _witness = None
 
     def _emit(self, event: str) -> None:
         """Trace hook for defer_start/counter_frozen; silent by default."""
@@ -191,21 +195,24 @@ class Backoff:
     def _start_defer(self) -> None:
         self.state = self.DEFER
         self._emit("defer_start")
-        self._timer = self.engine.schedule_in(self._defer_done, self.config.defer_ns)
+        engine = self.engine
+        self._timer = engine.schedule(self._defer_done, engine.now + self.config.defer_ns)
 
     def _defer_done(self) -> None:
         if self.counter == 0:
             self._finish()
         else:
             self.state = self.COUNT
-            self._timer = self.engine.schedule_in(self._slot_done, self.config.cca_slot_ns)
+            engine = self.engine
+            self._timer = engine.schedule(self._slot_done, engine.now + self.config.cca_slot_ns)
 
     def _slot_done(self) -> None:
         self.counter -= 1
         if self.counter == 0:
             self._finish()
         else:
-            self._timer = self.engine.schedule_in(self._slot_done, self.config.cca_slot_ns)
+            engine = self.engine
+            self._timer = engine.schedule(self._slot_done, engine.now + self.config.cca_slot_ns)
 
     def _finish(self) -> None:
         self.state = self.IDLE

@@ -156,6 +156,8 @@ class NruGnb:
         self.ue_by_id: dict[str, NruUe] = {}
         self.buffers: dict[str, deque] = {}  # ue_id -> deque of [pkt, remaining]
         self.buffered_bytes: dict[str, int] = {}
+        # ue_id -> (SINR, its MCS, bytes per symbol); recomputed when the SINR changes
+        self._adapted: dict[str, tuple[float, McsChoice, int]] = {}
         self.retx: deque[TransportBlock] = deque()
         self.processes: dict[int, TransportBlock] = {}
         self.fb_reservations: dict[int, list[tuple[NruUe, list[int]]]] = {}
@@ -212,17 +214,22 @@ class NruGnb:
             if used >= budget:
                 break
             ue = self.ues[(self._rr + k) % n]
-            buf = self.buffered_bytes[ue.device.id]
+            ue_id = ue.device.id
+            buf = self.buffered_bytes[ue_id]
             if buf <= 0:
                 continue
-            choice = select_mcs(self.last_sinr_db(ue), self.config.mcs_margin_db)
-            cap = symbol_capacity_bytes(
-                choice.spectral_efficiency, self.config.bandwidth_hz, self.config.nru_overhead
-            )
+            sinr = self.last_sinr_db(ue)
+            adapted = self._adapted.get(ue_id)
+            if adapted is None or adapted[0] != sinr:
+                choice = select_mcs(sinr, self.config.mcs_margin_db)
+                adapted = self._adapted[ue_id] = (sinr, choice, symbol_capacity_bytes(
+                    choice.spectral_efficiency, self.config.bandwidth_hz, self.config.nru_overhead
+                ))
+            _sinr, choice, cap = adapted
             n_sym = min(-(-buf // cap), budget - used)
             tb_bytes = min(buf, n_sym * cap)
-            segments = self._take_bytes(ue.device.id, tb_bytes)
-            tb = TransportBlock(self._next_pid, ue.device.id, tb_bytes, segments, choice.index, n_sym)
+            segments = self._take_bytes(ue_id, tb_bytes)
+            tb = TransportBlock(self._next_pid, ue_id, tb_bytes, segments, choice.index, n_sym)
             self._next_pid += 1
             alloc.append((ue, n_sym, tb))
             used += n_sym

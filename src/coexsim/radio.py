@@ -8,6 +8,7 @@ pattern with the uniform-planar-array factor for conjugate steering.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -153,7 +154,7 @@ class LinkState:
     distance_2d: float
 
 
-@dataclass
+@dataclass(slots=True)
 class Emission:
     source: Device
     tx_power_dbm: float
@@ -213,8 +214,8 @@ class RadioEnvironment:
     the per-operator occupancy `ledger`.
     """
 
-    # Emissions that ended longer ago than this are pruned from the recent
-    # list; Cat2 only ever looks back 25 us.
+    # Ended emissions are kept at least this long, and at least as long as a
+    # Cat2 deferral window, for window sensing.
     RETAIN_NS = 200_000
 
     def __init__(
@@ -236,7 +237,8 @@ class RadioEnvironment:
         self._link_emissions: dict[str, Emission] = {}  # link key -> first emission
         self._dirs: dict[tuple[str, str], tuple[float, float, float]] = {}
         self.active: dict[int, Emission] = {}
-        self._recent: list[Emission] = []
+        self._ended: deque[Emission] = deque()  # in end order
+        self._retain_ns = max(self.RETAIN_NS, config.cat2_defer_ns)
         self._open_captures: list[Capture] = []
         self._listeners: list = []  # objects with .medium_changed()
         self.ledger = OccupancyLedger()
@@ -355,26 +357,27 @@ class RadioEnvironment:
         em.link_key = key = f"{em.source.id}|{target}|{em.tx_power_dbm!r}|{em.rat}"
         if key not in self._link_emissions:
             self._link_emissions[key] = em
+        cap = Capture(em, list(self.active.values()))
         self.active[em.eid] = em
-        self._recent.append(em)
         if self.emission_log is not None:
             self.emission_log.append(em)
         self.ledger.record(em.source.operator, em.start, em.end)
         for open_cap in self._open_captures:
             open_cap.interferers.append(em)
-        cap = Capture(em, [e for e in self.active.values() if e is not em])
         self._open_captures.append(cap)
         self.engine.schedule(lambda: self._end_emission(em, cap), em.end)
-        self._notify(rising=True)
+        self._notify(em, rising=True)
         return cap
 
     def _end_emission(self, em: Emission, cap: Capture) -> None:
         self.active.pop(em.eid, None)
         self._open_captures.remove(cap)
-        horizon = self.engine.now - self.RETAIN_NS
-        if self._recent and self._recent[0].end < horizon:
-            self._recent = [e for e in self._recent if e.end >= horizon]
-        self._notify(rising=False)
+        ended = self._ended
+        ended.append(em)
+        horizon = self.engine.now - self._retain_ns
+        while ended[0].end < horizon:
+            ended.popleft()
+        self._notify(em, rising=False)
 
     def add_listener(self, obj) -> None:
         if obj not in self._listeners:
@@ -384,14 +387,24 @@ class RadioEnvironment:
         if obj in self._listeners:
             self._listeners.remove(obj)
 
-    def _notify(self, rising: bool) -> None:
+    def _notify(self, em: Emission, rising: bool) -> None:
         """Call medium_changed() on each `Backoff` listener whose sensing can
-        flip: a start can only make an idle one busy, an end a busy (WAIT_IDLE)
-        one idle. Exact, since an eid-order float sum over a subset of the
-        emissions never exceeds the full sum. medium_changed() must not (un)register."""
-        for obj in self._listeners:
-            if (obj.state == obj.WAIT_IDLE) != rising:
-                obj.medium_changed()
+        flip as `em` starts or ends: a start can only make an idle one busy,
+        an end a busy (WAIT_IDLE) one idle, and not while its `_witness`, an
+        emission busy on its own, other than `em` is still on the air. Exact,
+        since an eid-order float sum over a subset of the emissions never
+        exceeds the full sum, nor falls below one of its terms.
+        medium_changed() must not (un)register."""
+        if rising:
+            for obj in self._listeners:
+                if obj.state != obj.WAIT_IDLE:
+                    obj.medium_changed()
+        else:
+            for obj in self._listeners:
+                if obj.state == obj.WAIT_IDLE:
+                    witness = obj._witness
+                    if witness is None or witness is em:
+                        obj.medium_changed()
 
     # -- sensing & SINR ---------------------------------------------------
 
@@ -414,21 +427,28 @@ class RadioEnvironment:
         w_end: int,
         rx_beam_toward: Optional[Device] = None,
     ) -> float:
-        """Max aggregate power over the half-open window [w_start, w_end)."""
+        """Max aggregate power over the half-open window [w_start, w_end),
+        which must start at most `_retain_ns` before now."""
         table = self.link_table(device, rx_beam_toward)
         ems = [
-            (em, table[em.link_key][1])
-            for em in self._recent
+            (em.eid, em.start, em.end, table[em.link_key][1])
+            for em in self.active.values()
             if em.start < w_end and em.end > w_start and em.source is not device
         ]
+        for em in reversed(self._ended):  # end order: stop at the first one out
+            if em.end <= w_start:
+                break
+            if em.start < w_end and em.source is not device:
+                ems.append((em.eid, em.start, em.end, table[em.link_key][1]))
         if not ems:
             return -math.inf
-        points = sorted({max(em.start, w_start) for em, _lin in ems})
+        ems.sort()  # eid order, as the emissions started
+        points = sorted({max(start, w_start) for _eid, start, _end, _lin in ems})
         best = 0.0
         for t in points:
             total = 0.0
-            for em, lin in ems:
-                if em.start <= t < em.end:
+            for _eid, start, end, lin in ems:
+                if start <= t < end:
                     total += lin
             best = max(best, total)
         return lin_to_db(best) if best > 0 else -math.inf
@@ -445,24 +465,28 @@ class RadioEnvironment:
         segment is exact.
         """
         sig = cap.signal
+        start, end = sig.start, sig.end
         table = self.link_table(receiver, rx_beam_toward)
         s_lin = table[sig.link_key][1]
         infs = [
-            (em, table[em.link_key][1])
+            (em.start, em.end, table[em.link_key][1])
             for em in cap.interferers
-            if em.source is not receiver and em.end > sig.start and em.start < sig.end
+            if em.source is not receiver and em.end > start and em.start < end
         ]
         if not infs:
             return lin_to_db(s_lin / self.noise_lin)
+        noise = self.noise_lin
+        if all(i_start <= start and i_end >= end for i_start, i_end, _lin in infs):
+            # One segment: the loop below would add it to 0.0, which is exact.
+            i_lin = sum([lin for _start, _end, lin in infs])
+            return lin_to_db((end - start) * s_lin / (noise + i_lin) / (end - start))
         points = sorted(
-            {sig.start, sig.end}
-            | {max(em.start, sig.start) for em, _lin in infs}
-            | {min(em.end, sig.end) for em, _lin in infs}
+            {start, end}
+            | {max(i_start, start) for i_start, _end, _lin in infs}
+            | {min(i_end, end) for _start, i_end, _lin in infs}
         )
         acc = 0.0
         for t0, t1 in zip(points, points[1:]):
-            if t1 <= t0:
-                continue
-            i_lin = sum(lin for em, lin in infs if em.start <= t0 and em.end >= t1)
-            acc += (t1 - t0) * s_lin / (self.noise_lin + i_lin)
-        return lin_to_db(acc / (sig.end - sig.start))
+            i_lin = sum([lin for i_start, i_end, lin in infs if i_start <= t0 and i_end >= t1])
+            acc += (t1 - t0) * s_lin / (noise + i_lin)
+        return lin_to_db(acc / (end - start))

@@ -242,11 +242,20 @@ def run_campaign(
 
 
 def emit_report(in_dir: str, out_csv: str) -> None:
+    """Pool every run directory under `in_dir` (or its `runs/`) per label into
+    box statistics in `out_csv`.
+
+    Raises ConfigError on a run directory without a complete result, on one
+    label run under two configurations, and on a label lacking a seed that
+    another label has. A seed missing from every label cannot be told apart
+    from one never run, since the report has no campaign manifest.
+    """
     runs_dir = os.path.join(in_dir, "runs")
     if not os.path.isdir(runs_dir):
         runs_dir = in_dir
     samples: dict[tuple[str, str, str], list[float]] = {}
     hashes: dict[str, str] = {}
+    seeds: dict[str, set[int]] = {}
     found = 0
     for name in sorted(os.listdir(runs_dir)):
         run_dir = os.path.join(runs_dir, name)
@@ -265,6 +274,7 @@ def emit_report(in_dir: str, out_csv: str) -> None:
                 f"mixed configurations for label '{label}' in {runs_dir}"
             )
         hashes[label] = meta["config_hash"]
+        seeds.setdefault(label, set()).add(meta["seed"])
         tech = meta["technologies"]
         found += 1
         with open(os.path.join(run_dir, "scenario.csv")) as fh:
@@ -283,6 +293,10 @@ def emit_report(in_dir: str, out_csv: str) -> None:
             samples.setdefault((label, "latency_us", dev_tech[dev]), []).append(median(delays))
     if not found:
         raise ConfigError(f"no run results found under {in_dir}")
+    every_seed = set().union(*seeds.values())
+    missing = [(label, seed) for label in sorted(seeds) for seed in sorted(every_seed - seeds[label])]
+    if missing:
+        raise ConfigError(f"missing runs (label, seed) in {runs_dir}: {missing}")
     with open(out_csv, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["config", "metric", "technology", "min", "p5", "p50", "p95", "max"])

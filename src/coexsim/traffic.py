@@ -7,7 +7,7 @@ from typing import Callable, Optional
 from .engine import SEC, Engine
 
 
-@dataclass
+@dataclass(slots=True)
 class PacketRecord:
     flow_id: str
     seq: int

@@ -3,9 +3,9 @@ under test. Not imported by the simulator itself.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from typing import Optional
-
-import numpy as np
 
 from .channel_access import CAT2, CAT3, CAT4, Cam, CamTrace
 from .radio import Device, RadioEnvironment, db_to_lin
@@ -21,10 +21,10 @@ def _power_steps(env: RadioEnvironment, device: Device, emissions, rx_beam):
         edges.append((em.start, p))
         edges.append((em.end, -p))
     if not edges:
-        return np.array([0]), np.array([0.0])
+        return [0], [0.0]
     edges.sort()
-    times = np.array([t for t, _ in edges])
-    levels = np.cumsum([p for _, p in edges])
+    times = [t for t, _ in edges]
+    levels = list(accumulate(p for _, p in edges))
     return times, levels
 
 
@@ -65,11 +65,11 @@ def verify_lbt_safety(
             if w1 <= w0:
                 continue
             # Max level over [w0, w1): level at w0 plus any steps inside.
-            i0 = int(np.searchsorted(times, w0, side="right")) - 1
-            i1 = int(np.searchsorted(times, w1, side="left"))
+            i0 = bisect_right(times, w0) - 1
+            i1 = bisect_left(times, w1)
             lo = max(i0, 0)
             seg = levels[lo:i1]
-            peak = float(seg.max()) if len(seg) else 0.0
+            peak = max(seg) if seg else 0.0
             if i0 < 0:
                 peak = max(peak, 0.0)
             if peak >= thr * (1 - 1e-12):

@@ -90,18 +90,29 @@ class WigigAp(Backoff):
     # -- sensing ------------------------------------------------------------
 
     def medium_busy(self, device: Optional[Device] = None) -> bool:
-        """Busy on same-technology preamble detection or on aggregate energy."""
+        """Busy on same-technology preamble detection or on aggregate energy.
+
+        Sensing at the AP itself records as `_witness` an emission that is
+        busy on its own (preamble detected, or energy at the threshold), or
+        None if none is: the float sum of non-negative terms never falls
+        below one of them, so the AP stays busy while its witness is on air.
+        """
         table = self.table if device is None else self.env.link_table(device)
         receiver = table.receiver
         preamble_dbm = self.config.wigig_preamble_threshold_dbm
+        threshold = self.ed_threshold_lin
         total = 0.0
         for em in self.env.active.values():
             if em.source is not receiver:
                 p, lin = table[em.link_key]
-                if em.rat == "wigig" and p >= preamble_dbm:
+                if (em.rat == "wigig" and p >= preamble_dbm) or lin >= threshold:
+                    if device is None:
+                        self._witness = em
                     return True
                 total += lin
-        return total >= self.ed_threshold_lin
+        if device is None:
+            self._witness = None
+        return total >= threshold
 
     # -- queueing -----------------------------------------------------------
 

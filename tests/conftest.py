@@ -17,10 +17,10 @@ OMNI = AntennaArray(rows=1, cols=1, element_gain_dbi=0.0)
 
 
 class Rig:
-    def __init__(self, seed: int = 1):
+    def __init__(self, seed: int = 1, config: CampaignConfig = CampaignConfig()):
         self.engine = Engine()
         self.streams = RngStreams(seed)
-        self.config = CampaignConfig()
+        self.config = config
         self.env = RadioEnvironment(self.engine, self.streams, self.config)
 
     def place(self, dev_id, x, y=0.0, z=1.5, operator="A", role="sta", array=OMNI):

@@ -80,6 +80,14 @@ def test_criterion_1_lbt_safety(heavy_cat4_run):
     print(f"\ncriterion 1 PASS: 0 violations across {windows} CCA windows")
 
 
+def test_criterion_1_cat2_window_longer_than_retention():
+    cfg = reduced("Cat4/Cat2", load_mbps=200.0, duration_s=0.2, cat2_defer_us=400.0)
+    r = run_once(cfg, 1, traces=("cam",))
+    grants = sum(1 for _t, _d, cat, e in r.cam_trace.rows if cat == "Cat2" and e == "grant")
+    assert grants > 10, "the run must grant Cat2 windows"
+    assert verify_lbt_safety(r.env, r.cams, r.cam_trace, r.env.emission_log) == []
+
+
 # 2 ---------------------------------------------------------------------------
 
 def test_criterion_2_cot_bound(heavy_cat4_run):

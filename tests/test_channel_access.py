@@ -13,9 +13,10 @@ from coexsim.channel_access import (
     CamTrace,
     make_cam,
 )
+from coexsim.config import CampaignConfig
 from coexsim.engine import MS, US
 from coexsim.verify import verify_lbt_safety
-from tests.conftest import FixedRng
+from tests.conftest import FixedRng, Rig
 
 
 def _cam(rig, category, dev, rng=None, trace=None):
@@ -78,6 +79,23 @@ def test_cat2_window_boundary_is_half_open(rig):
     assert cam.attempt() is None  # window [9999, 34999) touches the emission
     rig.engine.run_until(35_000)
     assert cam.attempt() is not None  # window [10000, 35000) is clean
+
+
+def test_cat2_window_longer_than_retention_sees_old_emissions():
+    rig = Rig(config=replace(CampaignConfig(), cat2_defer_us=400.0))
+    assert rig.config.cat2_defer_ns > rig.env.RETAIN_NS
+    dev = rig.place("dev", 0.0)
+    intf = _interferer(rig)
+    rig.force_link(dev, intf)
+    cam = _cam(rig, CAT2, dev)
+    rig.engine.schedule(lambda: rig.emit(intf, 17.0, 10_000), 100_000)  # [100, 110) us
+    # The device's own emission ends 220 us after the interferer: ended
+    # emissions are pruned here, and it does not count in its own window.
+    rig.engine.schedule(lambda: rig.emit(dev, 17.0, 10_000), 320_000)
+    rig.engine.run_until(410_000)
+    assert cam.attempt() is None  # window [10, 410) us; the interferer ended 300 us ago
+    rig.engine.run_until(510_000)
+    assert cam.attempt() is not None  # window [110, 510) us is clean
 
 
 # -- OnOff ---------------------------------------------------------------------

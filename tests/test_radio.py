@@ -265,8 +265,13 @@ def _ref_sinr_db(env, cap, receiver, beam):
     return lin_to_db(acc / (sig.end - sig.start))
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_link_tables_match_fresh_rx_power_sums(rig, seed):
+@pytest.mark.parametrize(
+    "seed, n_emissions, n_checks, span_ns",
+    [pytest.param(seed, 120, 200, 400_000, id=str(seed)) for seed in (1, 2, 3)]
+    # Long runs: most emissions have ended, many pruned, when a window is read.
+    + [pytest.param(seed, 1_000, 400, 2_000_000, id=f"long-{seed}") for seed in (4, 5)],
+)
+def test_link_tables_match_fresh_rx_power_sums(rig, seed, n_emissions, n_checks, span_ns):
     from coexsim.channel_access import CAT2, make_cam
     from coexsim.wigig import WigigAp
     from tests.conftest import FixedRng
@@ -305,18 +310,60 @@ def test_link_tables_match_fresh_rx_power_sums(rig, seed):
             assert env.sensed_power_dbm(cam.device, beam) == ref
             assert cam.medium_busy() == (ref >= cam.ed_threshold_dbm)
             t = engine.now
-            window = _ref_window_dbm(env, cam.device, beam, env.emission_log, t - 25_000, t)
-            assert env.max_sensed_power_dbm(cam.device, t - 25_000, t, beam) == window
-            assert cam.sense_window(t - 25_000, t) == (window >= cam.ed_threshold_dbm)
+            for w_start in (t - 25_000, t - env.RETAIN_NS):
+                window = _ref_window_dbm(env, cam.device, beam, env.emission_log, w_start, t)
+                assert env.max_sensed_power_dbm(cam.device, w_start, t, beam) == window
+                assert cam.sense_window(w_start, t) == (window >= cam.ed_threshold_dbm)
 
-    for _ in range(120):
-        engine.schedule(emit, rng.randrange(0, 400_000))
-    for _ in range(200):
-        engine.schedule(check, rng.randrange(0, 450_000))
-    engine.run_until(500_000)
+    for _ in range(n_emissions):
+        engine.schedule(emit, rng.randrange(0, span_ns))
+    for _ in range(n_checks):
+        engine.schedule(check, rng.randrange(0, span_ns + 50_000))
+    engine.run_until(span_ns + 100_000)
     assert outcomes == {True, False}
     for cap, receiver, beam in caps:
         assert env.effective_sinr_db(cap, receiver, beam) == _ref_sinr_db(env, cap, receiver, beam)
+
+
+def test_sinr_when_every_interferer_spans_the_signal(rig):
+    rng = random.Random(7)
+    env, engine = rig.env, rig.engine
+    devices = [
+        rig.place(f"d{i}", rng.uniform(-15, 15), rng.uniform(-15, 15), array=USER)
+        for i in range(6)
+    ]
+    caps = []
+
+    def burst():
+        # Interferers on the air from before the signal starts to after it
+        # ends (one starts with it), among them one from the signal's own
+        # source; each device in turn is the receiver, so its own emission
+        # is left out.
+        src = rng.choice(devices)
+        sources = [src] + [rng.choice(devices) for _ in range(rng.randint(1, 4))]
+        for k, dev in enumerate(sources):
+            target = rng.choice([None] + [d for d in devices if d is not dev])
+            engine.schedule(
+                lambda dev=dev, target=target: rig.emit(
+                    dev, rng.choice([17.0, 5.0, -3.5]), 40_000, beam_target=target),
+                engine.now + (10_000 if k == 1 else 0),
+            )
+        engine.schedule(lambda: caps.append(rig.emit(src, 17.0, 20_000, beam_target=rng.choice(
+            [d for d in devices if d is not src]))[1]), engine.now + 10_000)
+
+    for k in range(60):
+        engine.schedule(burst, k * 100_000)
+    engine.run_until(6_100_000)
+    assert len(caps) == 60
+    for cap in caps:
+        sig = cap.signal
+        assert all(e.start <= sig.start and e.end >= sig.end for e in cap.interferers)
+        assert any(e.source is sig.source for e in cap.interferers)
+        for receiver in devices:
+            for beam in [None] + devices:
+                if beam is not receiver:
+                    want = _ref_sinr_db(env, cap, receiver, beam)
+                    assert env.effective_sinr_db(cap, receiver, beam) == want
 
 
 def test_emissions_differing_in_target_power_or_rat_get_their_own_entries(rig):

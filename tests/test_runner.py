@@ -96,6 +96,14 @@ def test_report_rejects_mixed_configs_per_label(tmp_path):
         emit_report(out, str(tmp_path / "box.csv"))
 
 
+def test_report_names_each_label_missing_a_seed(tmp_path):
+    cfg = reduced(duration_s=0.005, access_sweep="Cat4/Cat2,WiGig-only")
+    run_campaign(cfg, [1, 2], str(tmp_path), verbose=False)
+    shutil.rmtree(tmp_path / "runs" / "Cat4-Cat2_seed2")
+    with pytest.raises(ConfigError, match=r"\[\('Cat4/Cat2', 2\)\]"):
+        emit_report(str(tmp_path), str(tmp_path / "box.csv"))
+
+
 def test_cli_run_and_report(tmp_path, capsys):
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(
