@@ -343,13 +343,17 @@ def test_sinr_when_every_interferer_spans_the_signal(rig):
         sources = [src] + [rng.choice(devices) for _ in range(rng.randint(1, 4))]
         for k, dev in enumerate(sources):
             target = rng.choice([None] + [d for d in devices if d is not dev])
+            power = rng.choice([17.0, 5.0, -3.5])
             engine.schedule(
-                lambda dev=dev, target=target: rig.emit(
-                    dev, rng.choice([17.0, 5.0, -3.5]), 40_000, beam_target=target),
+                lambda dev=dev, power=power, target=target: rig.emit(
+                    dev, power, 40_000, beam_target=target),
                 engine.now + (10_000 if k == 1 else 0),
             )
-        engine.schedule(lambda: caps.append(rig.emit(src, 17.0, 20_000, beam_target=rng.choice(
-            [d for d in devices if d is not src]))[1]), engine.now + 10_000)
+        target = rng.choice([d for d in devices if d is not src])
+        engine.schedule(
+            lambda: caps.append(rig.emit(src, 17.0, 20_000, beam_target=target)[1]),
+            engine.now + 10_000,
+        )
 
     for k in range(60):
         engine.schedule(burst, k * 100_000)
