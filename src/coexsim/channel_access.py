@@ -156,7 +156,8 @@ class Backoff:
     A subclass provides `engine`, `env`, `rng`, `config` (`defer_ns`,
     `cca_slot_ns`), its contention window `cws`, the busy predicate
     `medium_busy()`, and `_backoff_done()`, called once the counter runs out
-    and the device has stopped listening.
+    and the device has stopped listening. With a `trace` set, `_emit(event)`
+    logs defer_start and counter_frozen.
     """
 
     IDLE, WAIT_IDLE, DEFER, COUNT = range(4)
@@ -168,9 +169,7 @@ class Backoff:
     # RadioEnvironment._notify. A subclass that never sets it is re-sensed on
     # every falling edge while it waits.
     _witness = None
-
-    def _emit(self, event: str) -> None:
-        """Trace hook for defer_start/counter_frozen; silent by default."""
+    trace = None
 
     def _start_backoff(self) -> None:
         self.counter = self.rng.randint(0, self.cws)
@@ -188,13 +187,14 @@ class Backoff:
                 self._start_defer()
         elif (state == self.DEFER or state == self.COUNT) and self.medium_busy():
             self.engine.cancel(self._timer)
-            if state == self.COUNT:
+            if state == self.COUNT and self.trace is not None:
                 self._emit("counter_frozen")
             self.state = self.WAIT_IDLE
 
     def _start_defer(self) -> None:
         self.state = self.DEFER
-        self._emit("defer_start")
+        if self.trace is not None:
+            self._emit("defer_start")
         engine = self.engine
         self._timer = engine.schedule(self._defer_done, engine.now + self.config.defer_ns)
 

@@ -171,6 +171,8 @@ _RANGES = {
 
 
 def _convert(key: str, raw: str, target_type: type):
+    if not raw:
+        raise ConfigError(f"empty value for key '{key}'")
     token = raw.split()[0].replace("−", "-")
     try:
         if target_type is int:

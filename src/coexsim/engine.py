@@ -5,6 +5,7 @@ arithmetic (5 us CCA slots, 8.92 us OFDM symbols, 9 ms COTs) stays exact.
 """
 from __future__ import annotations
 
+import gc
 import heapq
 import random
 from typing import Callable
@@ -52,19 +53,26 @@ class Engine:
         return pending
 
     def run_until(self, t_end: int) -> int:
-        """Execute every event due at or before t_end; clock ends at t_end."""
+        """Execute every event due at or before t_end; clock ends at t_end.
+        The cyclic garbage collector is off meanwhile, then as it was before."""
         executed = 0
         heap = self._heap
         pop = heapq.heappop
-        while heap and heap[0][0] <= t_end:
-            entry = pop(heap)
-            action = entry[2]
-            if action is None:
-                continue  # cancelled
-            entry[2] = None
-            self.now = entry[0]
-            action()
-            executed += 1
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            while heap and heap[0][0] <= t_end:
+                entry = pop(heap)
+                action = entry[2]
+                if action is None:
+                    continue  # cancelled
+                entry[2] = None
+                self.now = entry[0]
+                action()
+                executed += 1
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         if t_end > self.now:
             self.now = t_end
         self.executed += executed

@@ -46,9 +46,6 @@ class OccupancyLedger:
     def total(self, key: str) -> int:
         return sum(e - s for s, e in self._intervals.get(key, []))
 
-    def fraction(self, key: str, t_end: int) -> float:
-        return self.total(key) / t_end if t_end > 0 else 0.0
-
     def occupied_within(self, key: str, w_start: int, w_end: int) -> int:
         """Occupied time clipped to [w_start, w_end)."""
         return sum(

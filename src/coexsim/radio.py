@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from math import log10
 from dataclasses import dataclass
 from typing import Optional
 
@@ -168,13 +169,30 @@ class Emission:
 
 
 class Capture:
-    """Decode context for one emission: the signal plus every overlapping one."""
+    """Decode context for one emission: the signal plus, in start order, every
+    other emission that overlaps it in time (one that only touches it end to
+    start is left out). Its bound `_end` is the emission's end event."""
 
-    __slots__ = ("signal", "interferers")
+    __slots__ = ("env", "signal", "interferers")
 
-    def __init__(self, signal: Emission, interferers: list[Emission]):
+    def __init__(self, env: "RadioEnvironment", signal: Emission, interferers: list[Emission]):
+        self.env = env
         self.signal = signal
         self.interferers = interferers
+
+    def _end(self) -> None:
+        """Take the signal off the air, keep it for window sensing, and
+        notify the listeners."""
+        env = self.env
+        em = self.signal
+        del env.active[em.eid]
+        del env._open_captures[em.eid]
+        ended = env._ended
+        ended.append(em)
+        horizon = env.engine.now - env._retain_ns
+        while ended[0].end < horizon:
+            ended.popleft()
+        env._notify(em, False)
 
 
 class LinkTable(dict):
@@ -239,7 +257,7 @@ class RadioEnvironment:
         self.active: dict[int, Emission] = {}
         self._ended: deque[Emission] = deque()  # in end order
         self._retain_ns = max(self.RETAIN_NS, config.cat2_defer_ns)
-        self._open_captures: list[Capture] = []
+        self._open_captures: dict[int, Capture] = {}  # by signal eid
         self._listeners: list = []  # objects with .medium_changed()
         self.ledger = OccupancyLedger()
         self.emission_log: Optional[list[Emission]] = None  # set to [] to record
@@ -349,35 +367,30 @@ class RadioEnvironment:
         return self.add_emission(em)
 
     def add_emission(self, em: Emission) -> Capture:
-        """Register an emission starting now; schedules its removal at end."""
-        assert em.end > em.start
-        em.eid = self._next_eid
-        self._next_eid += 1
+        """Register an emission starting now; its capture's `_end` removes it
+        at its end. An emission ending now (its end event may still be due)
+        does not overlap it, so neither capture lists the other."""
+        start = em.start
+        assert start == self.engine.now < em.end
+        em.eid = eid = self._next_eid
+        self._next_eid = eid + 1
         target = em.beam_target.id if em.beam_target is not None else ""
         em.link_key = key = f"{em.source.id}|{target}|{em.tx_power_dbm!r}|{em.rat}"
         if key not in self._link_emissions:
             self._link_emissions[key] = em
-        cap = Capture(em, list(self.active.values()))
-        self.active[em.eid] = em
+        active = self.active
+        cap = Capture(self, em, [other for other in active.values() if other.end > start])
+        active[eid] = em
         if self.emission_log is not None:
             self.emission_log.append(em)
-        self.ledger.record(em.source.operator, em.start, em.end)
-        for open_cap in self._open_captures:
-            open_cap.interferers.append(em)
-        self._open_captures.append(cap)
-        self.engine.schedule(lambda: self._end_emission(em, cap), em.end)
-        self._notify(em, rising=True)
+        self.ledger.record(em.source.operator, start, em.end)
+        for open_cap in self._open_captures.values():
+            if open_cap.signal.end > start:
+                open_cap.interferers.append(em)
+        self._open_captures[eid] = cap
+        self.engine.schedule(cap._end, em.end)
+        self._notify(em, True)
         return cap
-
-    def _end_emission(self, em: Emission, cap: Capture) -> None:
-        self.active.pop(em.eid, None)
-        self._open_captures.remove(cap)
-        ended = self._ended
-        ended.append(em)
-        horizon = self.engine.now - self._retain_ns
-        while ended[0].end < horizon:
-            ended.popleft()
-        self._notify(em, rising=False)
 
     def add_listener(self, obj) -> None:
         if obj not in self._listeners:
@@ -468,18 +481,21 @@ class RadioEnvironment:
         start, end = sig.start, sig.end
         table = self.link_table(receiver, rx_beam_toward)
         s_lin = table[sig.link_key][1]
-        infs = [
-            (em.start, em.end, table[em.link_key][1])
-            for em in cap.interferers
-            if em.source is not receiver and em.end > start and em.start < end
-        ]
-        if not infs:
-            return lin_to_db(s_lin / self.noise_lin)
         noise = self.noise_lin
-        if all(i_start <= start and i_end >= end for i_start, i_end, _lin in infs):
+        infs = []
+        spans = True  # every interferer on the air for the whole signal
+        for em in cap.interferers:  # all overlap the signal
+            if em.source is not receiver:
+                i_start, i_end = em.start, em.end
+                infs.append((i_start, i_end, table[em.link_key][1]))
+                if i_start > start or i_end < end:
+                    spans = False
+        if not infs:
+            return 10.0 * log10(s_lin / noise)
+        if spans:
             # One segment: the loop below would add it to 0.0, which is exact.
             i_lin = sum([lin for _start, _end, lin in infs])
-            return lin_to_db((end - start) * s_lin / (noise + i_lin) / (end - start))
+            return 10.0 * log10((end - start) * s_lin / (noise + i_lin) / (end - start))
         points = sorted(
             {start, end}
             | {max(i_start, start) for i_start, _end, _lin in infs}
@@ -489,4 +505,4 @@ class RadioEnvironment:
         for t0, t1 in zip(points, points[1:]):
             i_lin = sum([lin for i_start, i_end, lin in infs if i_start <= t0 and i_end >= t1])
             acc += (t1 - t0) * s_lin / (noise + i_lin)
-        return lin_to_db(acc / (end - start))
+        return 10.0 * log10(acc / (end - start))

@@ -228,7 +228,8 @@ def run_campaign(
             tasks.append((label_cfg, seed, run_dir))
     if parallelism > 1:
         with get_context("spawn").Pool(parallelism) as pool:
-            outcomes = pool.map(_campaign_worker, tasks)
+            # One run per task: no worker idles while another ends a chunk.
+            outcomes = pool.map(_campaign_worker, tasks, chunksize=1)
     else:
         outcomes = [_campaign_worker(t) for t in tasks]
     if verbose:

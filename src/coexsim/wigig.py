@@ -213,6 +213,8 @@ class WigigSta:
     ) -> None:
         self.device = device
         self.ap = ap
+        self.env = ap.env
+        self.config = ap.config
         self.engine = engine
         self.rng = rng
         self.association = "pending"  # pending | associated | failed
@@ -222,14 +224,6 @@ class WigigSta:
         self._busy_waits = 0
         self._t0 = t0_offset
         ap.add_sta(self)
-
-    @property
-    def env(self) -> RadioEnvironment:
-        return self.ap.env
-
-    @property
-    def config(self) -> CampaignConfig:
-        return self.ap.config
 
     def start(self) -> None:
         env = self.env

@@ -63,6 +63,13 @@ def test_malformed_value_names_the_key(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("key", ["load_mbps", "operator_b"])
+def test_empty_value_names_the_key(tmp_path, key):
+    path = write(tmp_path, f"{key} =\n")
+    with pytest.raises(ConfigError, match=f"empty value for key '{key}'"):
+        parse_config(path)
+
+
 def test_out_of_range_value_rejected(tmp_path):
     path = write(tmp_path, "gnb_ed_threshold_dbm = -200\n")
     with pytest.raises(ConfigError, match="gnb_ed_threshold_dbm"):

@@ -1,7 +1,17 @@
+import gc
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+from coexsim import parse_config, run_once
 from coexsim.engine import Engine, RngStreams, SchedulingInPastError
+
+FULL_FLOOR = replace(
+    parse_config(str(Path(__file__).resolve().parent.parent / "scripts" / "full_campaign.cfg")),
+    duration_s=0.05,
+)
 
 
 def test_events_execute_in_time_order():
@@ -123,3 +133,44 @@ def test_callback_cancels_a_later_event_due_at_the_same_time():
     assert engine.run_until(10) == 2
     assert order == ["a", "c"]
     assert engine.executed == 2
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_run_until_restores_the_callers_gc_state(enabled):
+    engine = Engine()
+    seen = []
+
+    def boom():
+        raise RuntimeError("callback failed")
+
+    engine.schedule(lambda: seen.append(gc.isenabled()), 10)
+    engine.schedule(boom, 20)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        engine.run_until(10)
+        after_run = gc.isenabled()
+        with pytest.raises(RuntimeError, match="callback failed"):
+            engine.run_until(30)
+        after_raise = gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [False]  # off while the loop runs
+    assert after_run is enabled and after_raise is enabled
+
+
+@pytest.mark.parametrize("label", FULL_FLOOR.sweep_labels())
+def test_a_full_floor_run_leaves_no_cyclic_garbage(label):
+    """The premise of running the loop with the collector off: a run, set-up
+    included, leaves the collector nothing to free while its result lives."""
+    cfg = FULL_FLOOR.for_label(label)
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_once(cfg, 1)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert result.event_count > 0

@@ -36,7 +36,6 @@ def test_operator_union_counts_simultaneous_emissions_once():
     led.record("B", 0, 50)
     assert led.total("A") == 150
     assert led.total("B") == 50
-    assert led.fraction("A", 1000) == 0.15
 
 
 def test_record_rejects_empty_interval():

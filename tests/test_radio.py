@@ -370,6 +370,43 @@ def test_sinr_when_every_interferer_spans_the_signal(rig):
                     assert env.effective_sinr_db(cap, receiver, beam) == want
 
 
+@pytest.mark.parametrize("end_event_first", [True, False], ids=["ended", "still-on-air"])
+def test_back_to_back_emissions_stay_out_of_each_others_captures(rig, end_event_first):
+    env, engine = rig.env, rig.engine
+    rx = rig.place("rx", 1.0)
+    devices = [rx] + [
+        rig.place(name, x, y, operator="B")
+        for name, x, y in (("first", 0.0, 0.0), ("next", 2.0, 0.0), ("mid", 1.0, 2.0))
+    ]
+    caps = {}
+
+    def emit(source, duration_ns):
+        if source.id == "next":  # the first emission ends now: is its end event still due?
+            caps["first_on_air"] = len(env.active) == 2
+        caps[source.id] = rig.emit(source, 17.0, duration_ns, beam_target=rx)[1]
+
+    first, nxt, mid = devices[1:]
+    if not end_event_first:  # queued ahead of the first emission's end event
+        engine.schedule(lambda: emit(nxt, 1_000), 1_000)
+    emit(first, 1_000)
+    if end_event_first:
+        engine.schedule(lambda: emit(nxt, 1_000), 1_000)
+    engine.schedule(lambda: emit(mid, 1_000), 500)
+    engine.run_until(3_000)
+
+    assert caps["first_on_air"] is not end_event_first
+    sig = {name: caps[name].signal for name in ("first", "next", "mid")}
+    assert caps["first"].interferers == [sig["mid"]]
+    assert caps["next"].interferers == [sig["mid"]]
+    assert caps["mid"].interferers == [sig["first"], sig["next"]]
+    for name in ("first", "next", "mid"):
+        for receiver in devices:
+            for beam in [None] + devices:
+                if beam is not receiver:
+                    want = _ref_sinr_db(env, caps[name], receiver, beam)
+                    assert env.effective_sinr_db(caps[name], receiver, beam) == want
+
+
 def test_emissions_differing_in_target_power_or_rat_get_their_own_entries(rig):
     src = rig.place("src", 0.0, array=SITE)
     near = rig.place("near", 3.0, 1.0)
