@@ -173,15 +173,14 @@ _RANGES = {
 def _convert(key: str, raw: str, target_type: type):
     if not raw:
         raise ConfigError(f"empty value for key '{key}'")
-    token = raw.split()[0].replace("−", "-")
+    if target_type is str:
+        return raw
     try:
-        if target_type is int:
-            return int(token)
-        if target_type is float:
-            return float(token)
+        # int() and float() take one number and nothing else, so a trailing
+        # unit or a second number is refused, not dropped.
+        return target_type(raw.replace("−", "-"))
     except ValueError:
         raise ConfigError(f"malformed value for key '{key}': {raw!r}") from None
-    return raw.strip()
 
 
 def validate(cfg: CampaignConfig) -> CampaignConfig:

@@ -15,8 +15,6 @@ import shutil
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from multiprocessing import get_context
-from statistics import median
 from typing import Optional
 
 from .channel_access import CamTrace, make_cam
@@ -28,6 +26,9 @@ from .radio import RadioEnvironment
 from .scenario import build_scenario, scenario_csv
 from .traffic import CbrFlow
 from .wigig import WigigAp, WigigSta
+
+
+METRICS_HEADER = ["metric", "scope", "value"]
 
 
 @dataclass
@@ -146,7 +147,7 @@ def _write_run(result, scn, cfg, out_dir, cam_trace, mac_trace, frame_trace) -> 
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "metrics.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["metric", "scope", "value"])
+        w.writerow(METRICS_HEADER)
         for op in sorted(result.occupancy):
             w.writerow(["occupancy", op, f"{result.occupancy[op]:.9f}"])
         for dev in sorted(result.latency_ns):
@@ -227,7 +228,11 @@ def run_campaign(
             run_dir = os.path.join(out_dir, "runs", f"{_sanitize(label)}_seed{seed}")
             tasks.append((label_cfg, seed, run_dir))
     if parallelism > 1:
-        with get_context("spawn").Pool(parallelism) as pool:
+        from multiprocessing import get_context  # here: `import coexsim` needs no pool
+
+        # Forked workers start with coexsim imported. They inherit no run
+        # state: run_once builds every object afresh from its task.
+        with get_context("fork").Pool(parallelism) as pool:
             # One run per task: no worker idles while another ends a chunk.
             outcomes = pool.map(_campaign_worker, tasks, chunksize=1)
     else:
@@ -246,11 +251,13 @@ def emit_report(in_dir: str, out_csv: str) -> None:
     """Pool every run directory under `in_dir` (or its `runs/`) per label into
     box statistics in `out_csv`.
 
-    Raises ConfigError on a run directory without a complete result, on one
-    label run under two configurations, and on a label lacking a seed that
-    another label has. A seed missing from every label cannot be told apart
+    Raises ConfigError on a run directory without a complete result, on a
+    `metrics.csv` with another header, on one label run under two
+    configurations, and on a label lacking a seed that another label has. A seed missing from every label cannot be told apart
     from one never run, since the report has no campaign manifest.
     """
+    from statistics import median  # here: `import coexsim` needs no report
+
     runs_dir = os.path.join(in_dir, "runs")
     if not os.path.isdir(runs_dir):
         runs_dir = in_dir
@@ -281,15 +288,20 @@ def emit_report(in_dir: str, out_csv: str) -> None:
         with open(os.path.join(run_dir, "scenario.csv")) as fh:
             dev_tech = {row["device"]: tech[row["operator"]] for row in csv.DictReader(fh)}
         per_dev_latency: dict[str, list[float]] = {}
-        with open(os.path.join(run_dir, "metrics.csv")) as fh:
-            for row in csv.DictReader(fh):
-                metric, scope, value = row["metric"], row["scope"], float(row["value"])
-                if metric == "occupancy":
-                    samples.setdefault((label, "occupancy", tech[scope]), []).append(value)
+        metrics_path = os.path.join(run_dir, "metrics.csv")
+        with open(metrics_path, newline="") as fh:
+            rows = csv.reader(fh)
+            if next(rows, None) != METRICS_HEADER:
+                raise ConfigError(
+                    f"{metrics_path} does not start with the header {','.join(METRICS_HEADER)}"
+                )
+            for metric, scope, value in rows:
+                if metric == "latency_us":
+                    per_dev_latency.setdefault(scope, []).append(float(value))
+                elif metric == "occupancy":
+                    samples.setdefault((label, metric, tech[scope]), []).append(float(value))
                 elif metric == "goodput_mbps":
-                    samples.setdefault((label, "goodput_mbps", dev_tech[scope]), []).append(value)
-                elif metric == "latency_us":
-                    per_dev_latency.setdefault(scope, []).append(value)
+                    samples.setdefault((label, metric, dev_tech[scope]), []).append(float(value))
         for dev, delays in per_dev_latency.items():
             samples.setdefault((label, "latency_us", dev_tech[dev]), []).append(median(delays))
     if not found:

@@ -36,7 +36,7 @@ def test_parse_applies_overrides_and_comments(tmp_path):
         sites_per_operator = 1
         users_per_operator = 4   # per operator
         load_mbps = 25
-        gnb_ed_threshold_dbm = −79 dBm
+        gnb_ed_threshold_dbm = −79
         """,
     )
     cfg = parse_config(path)
@@ -60,6 +60,16 @@ def test_malformed_line_reports_location(tmp_path):
 def test_malformed_value_names_the_key(tmp_path):
     path = write(tmp_path, "load_mbps = fast\n")
     with pytest.raises(ConfigError, match="load_mbps"):
+        parse_config(path)
+
+
+@pytest.mark.parametrize(
+    "line", ["load_mbps = 50 200", "duration_s = 1.5 s", "gnb_ed_threshold_dbm = −79 dBm"]
+)
+def test_numeric_value_must_be_one_token(tmp_path, line):
+    key = line.split()[0]
+    path = write(tmp_path, line + "\n")
+    with pytest.raises(ConfigError, match=f"malformed value for key '{key}'"):
         parse_config(path)
 
 

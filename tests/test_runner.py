@@ -1,7 +1,12 @@
 import json
 import os
+import re
 import shutil
+import signal
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +15,14 @@ from coexsim.cli import main
 from coexsim.metrics import packet_conservation
 
 REDUCED = dict(sites_per_operator=1, users_per_operator=4, duration_s=0.02)
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env():
+    """This environment with the checkout's sources first on the import path."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+    )}
 
 
 def reduced(label="Cat4/Cat2", **kw):
@@ -205,3 +218,51 @@ def test_rerun_into_the_same_campaign_dir_replaces_the_failed_run(tmp_path):
     shutil.copytree(runs / "Cat4-Cat2_seed1", runs / "Cat4-Cat2_seed1.partial")
     with pytest.raises(ConfigError, match="seed1.partial"):
         emit_report(str(tmp_path), str(tmp_path / "box.csv"))
+
+
+def test_report_rejects_a_metrics_file_with_another_header(tmp_path):
+    run_campaign(reduced(duration_s=0.002), [1], str(tmp_path), verbose=False)
+    path = tmp_path / "runs" / "Cat4-Cat2_seed1" / "metrics.csv"
+    path.write_text(path.read_text().replace("metric,scope,value", "metric,value,scope", 1))
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
+        emit_report(str(tmp_path), str(tmp_path / "box.csv"))
+
+
+def test_import_loads_no_pool_and_no_statistics():
+    code = "import sys, coexsim; print(sorted({'multiprocessing', 'statistics'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
+def test_forked_workers_inherit_no_run_state(tmp_path):
+    cfg = reduced(duration_s=0.01, access_sweep="Cat4/Cat2,WiGig-only")
+    run_once(cfg.for_label("Cat4/Cat2"), 1)  # so the workers fork from a process that has run
+    trees = {}
+    for par in (2, 1):
+        run_campaign(cfg, [1, 2], str(tmp_path / f"par{par}"), parallelism=par, verbose=False)
+        trees[par] = read_tree(tmp_path / f"par{par}")
+    assert len(trees[1]) == 4 * 3
+    assert trees[2] == trees[1]
+
+
+def test_parallel_campaign_runs_from_a_stdin_script(tmp_path):
+    # A worker that re-imports the main module cannot start from `python -`.
+    script = f"""
+import sys
+from dataclasses import replace
+from coexsim import CampaignConfig, run_campaign
+cfg = replace(CampaignConfig(), sites_per_operator=1, users_per_operator=2, duration_s=0.005)
+outcomes = run_campaign(cfg, [1, 2], {str(tmp_path)!r}, parallelism=2, verbose=False)
+sys.exit(sum(err is not None for _l, _s, err, _w in outcomes))
+"""
+    proc = subprocess.Popen([sys.executable, "-"], stdin=subprocess.PIPE, env=src_env(),
+                            text=True, start_new_session=True)
+    try:
+        proc.communicate(script, timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the script and its workers
+        proc.communicate()
+        raise
+    assert proc.returncode == 0
+    assert sorted(os.listdir(tmp_path / "runs")) == ["Cat4-Cat2_seed1", "Cat4-Cat2_seed2"]
