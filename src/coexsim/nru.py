@@ -75,12 +75,6 @@ class TransportBlock:
     cot_id: int = -1
 
 
-@dataclass
-class FeedbackBatch:
-    ue_id: str
-    items: list[tuple[int, bool, Optional[float]]]  # (pid, ack, measured sinr)
-
-
 class NruUe:
     """Receiver side: decode with Chase combining, queue HARQ feedback."""
 
@@ -90,8 +84,9 @@ class NruUe:
         self.gnb = gnb
         cam.sense_toward = gnb.device  # dir-LBT along the transmit beam
         self.acc_sinr_lin: dict[int, float] = {}
-        self.fb_pending: dict[int, tuple[bool, Optional[float]]] = {}
-        self.last_sinr_db: Optional[float] = None  # set at the gNB's first link adaptation
+        self.fb_pending: dict[int, tuple[bool, float]] = {}
+        env = gnb.env  # the SINR is interference-free until the first feedback
+        self.last_sinr_db = env.aligned_rx_power_dbm(gnb.device, device) - env.noise_dbm
 
     def receive_tb(self, tb: TransportBlock, cap) -> None:
         env = self.gnb.env
@@ -127,9 +122,8 @@ class NruUe:
         grant = self.cam.attempt(gnb_grant.cot_deadline if gnb_grant else None)
         if grant is None or not grant.covers(t_end):
             return
-        batch = FeedbackBatch(self.device.id, items)
-        cap = self.gnb.env.transmit(self.device, self.gnb.device, t_end, "nru", batch)
-        engine.schedule(lambda: self.gnb.receive_feedback(batch, cap, self), t_end)
+        cap = self.gnb.env.transmit(self.device, self.gnb.device, t_end, "nru")
+        engine.schedule(lambda: self.gnb.receive_feedback(items, cap, self), t_end)
 
 
 class NruGnb:
@@ -160,7 +154,8 @@ class NruGnb:
         self._adapted: dict[str, tuple[float, McsChoice, int]] = {}
         self.retx: deque[TransportBlock] = deque()
         self.processes: dict[int, TransportBlock] = {}
-        self.fb_reservations: dict[int, list[tuple[NruUe, list[int]]]] = {}
+        # slot -> UE -> pids; insertion order is the feedback symbol order
+        self.fb_reservations: dict[int, dict[NruUe, list[int]]] = {}
         self._resolved: set[int] = set()
         self._next_pid = 0
         self._rr = 0
@@ -184,21 +179,13 @@ class NruGnb:
         lead = self.config.mac_lead_slots
         self.engine.schedule(lambda: self._plan(lead), 0)
 
-    # -- link adaptation ------------------------------------------------------
-
-    def last_sinr_db(self, ue: NruUe) -> float:
-        if ue.last_sinr_db is None:  # interference-free until the first feedback
-            env = self.env
-            ue.last_sinr_db = env.aligned_rx_power_dbm(self.device, ue.device) - env.noise_dbm
-        return ue.last_sinr_db
-
     # -- scheduling -----------------------------------------------------------
 
     def _plan(self, slot: int) -> None:
         t_slot = slot * SLOT_NS
         if t_slot < self.t_end:
             self.engine.schedule(lambda: self._plan(slot + 1), self.engine.now + SLOT_NS)
-        fb_entries = self.fb_reservations.pop(slot, [])
+        fb_entries = self.fb_reservations.pop(slot, {})
         n_fb = len(fb_entries)
         budget = SYMBOLS_PER_SLOT - n_fb - (FB_GAP_SYMBOLS if n_fb else 0)
         alloc: list[tuple[NruUe, int, TransportBlock]] = []  # (ue, n_sym, tb)
@@ -218,7 +205,7 @@ class NruGnb:
             buf = self.buffered_bytes[ue_id]
             if buf <= 0:
                 continue
-            sinr = self.last_sinr_db(ue)
+            sinr = ue.last_sinr_db
             adapted = self._adapted.get(ue_id)
             if adapted is None or adapted[0] != sinr:
                 choice = select_mcs(sinr, self.config.mcs_margin_db)
@@ -237,7 +224,7 @@ class NruGnb:
 
         if alloc and isinstance(self.cam, LbtCam):
             self._ensure_lbt()
-        self.engine.schedule(lambda: self._commit(slot, alloc, fb_entries, n_fb), t_slot)
+        self.engine.schedule(lambda: self._commit(slot, alloc, fb_entries), t_slot)
 
     def _take_bytes(self, ue_id: str, n_bytes: int) -> list[tuple[PacketRecord, int]]:
         buf = self.buffers[ue_id]
@@ -298,14 +285,16 @@ class NruGnb:
 
     # -- per-slot execution -------------------------------------------------------
 
-    def _commit(self, slot: int, alloc, fb_entries, n_fb: int) -> None:
+    def _commit(self, slot: int, alloc, fb_entries: dict[NruUe, list[int]]) -> None:
         t_slot = self.engine.now
         if alloc:
             total_sym = sum(n for _ue, n, _tb in alloc)
             emissions_end = t_slot + total_sym * SYMBOL_NS
             if self._access_ok(emissions_end):
+                fb_slot = slot + FB_DELAY_SLOTS
+                fb_slot += (-fb_slot) % FB_BATCH_SLOTS
+                fb = self.fb_reservations.setdefault(fb_slot, {})
                 offset = 0
-                fb_by_ue: dict[str, list[int]] = {}
                 for ue, n_sym, tb in alloc:
                     start = t_slot + offset * SYMBOL_NS
                     end = start + n_sym * SYMBOL_NS
@@ -316,21 +305,11 @@ class NruGnb:
                     self.engine.schedule(
                         lambda ue=ue, tb=tb, end=end: self._air_tb(ue, tb, end), start
                     )
-                    fb_by_ue.setdefault(ue.device.id, []).append(tb.pid)
+                    fb.setdefault(ue, []).append(tb.pid)
                     if self.mac_trace is not None:
                         self.mac_trace.append(
                             (t_slot, ue.device.id, n_sym, tb.mcs, tb.total_bytes, "tx")
                         )
-                fb_slot = slot + FB_DELAY_SLOTS
-                fb_slot += (-fb_slot) % FB_BATCH_SLOTS
-                res = self.fb_reservations.setdefault(fb_slot, [])
-                for ue_id, pids in fb_by_ue.items():
-                    for entry in res:
-                        if entry[0].device.id == ue_id:
-                            entry[1].extend(pids)
-                            break
-                    else:
-                        res.append((self.ue_by_id[ue_id], pids))
             else:
                 for _ue, _n, tb in alloc:
                     if tb.tx_count == 0:
@@ -343,65 +322,51 @@ class NruGnb:
                     self._ensure_lbt()
 
         if fb_entries:
-            for k, (ue, pids) in enumerate(fb_entries):
-                t_sym = t_slot + (SYMBOLS_PER_SLOT - n_fb + k) * SYMBOL_NS
+            for k, (ue, pids) in enumerate(fb_entries.items()):
+                t_sym = t_slot + (SYMBOLS_PER_SLOT - len(fb_entries) + k) * SYMBOL_NS
                 self.engine.schedule(lambda ue=ue, pids=pids: ue.send_feedback(pids), t_sym)
-            all_pids = [pid for _ue, pids in fb_entries for pid in pids]
+            all_pids = [pid for pids in fb_entries.values() for pid in pids]
             self.engine.schedule(
                 lambda pids=all_pids: self._feedback_timeout(pids), t_slot + SLOT_NS
             )
 
     def _air_tb(self, ue: NruUe, tb: TransportBlock, end: int) -> None:
-        cap = self.env.transmit(self.device, ue.device, end, "nru", tb)
+        cap = self.env.transmit(self.device, ue.device, end, "nru")
         self.engine.schedule(lambda: ue.receive_tb(tb, cap), end)
 
     # -- HARQ resolution -----------------------------------------------------------
 
-    def receive_feedback(self, batch: FeedbackBatch, cap, ue: NruUe) -> None:
+    def receive_feedback(self, items: list[tuple[int, bool, float]], cap, ue: NruUe) -> None:
         sinr = self.env.effective_sinr_db(cap, self.device, rx_beam_toward=ue.device)
-        if sinr < FB_DECODE_THRESHOLD_DB:
-            return  # undecodable; the slot-end timeout turns this into NACKs
-        nacks: list[bool] = []
-        cot = None
-        for pid, ack, measured in batch.items:
-            if pid in self._resolved:
-                continue
-            self._resolved.add(pid)
-            nacks.append(not ack)
-            tb = self.processes.get(pid)
-            if tb is not None:
-                cot = tb.cot_id if cot is None else cot
-                if measured is not None and tb.tx_count == 1:
-                    self.ue_by_id[tb.ue_id].last_sinr_db = measured
-            self._settle(pid, ack, ue)
-        self._feed_cws(nacks, cot)
+        if sinr >= FB_DECODE_THRESHOLD_DB:  # else the slot-end timeout NACKs them
+            self._resolve(items)
 
     def _feedback_timeout(self, pids: list[int]) -> None:
+        self._resolve([(pid, False, None) for pid in pids])
+
+    def _resolve(self, items: list[tuple[int, bool, Optional[float]]]) -> None:
+        """Settle each still-open HARQ process of (pid, ack, measured SINR):
+        requeue a NACKed block or, at the transmission limit, drop it."""
         nacks: list[bool] = []
         cot = None
-        for pid in pids:
+        for pid, ack, measured in items:
             if pid in self._resolved:
                 continue
             self._resolved.add(pid)
-            tb = self.processes.get(pid)
-            if tb is None:
-                continue
+            tb = self.processes.pop(pid)
+            nacks.append(not ack)
             cot = tb.cot_id if cot is None else cot
-            nacks.append(True)
-            self._settle(pid, ack=False, ue=self.ue_by_id[tb.ue_id])
-        if nacks:
-            self._feed_cws(nacks, cot)
-
-    def _settle(self, pid: int, ack: bool, ue: NruUe) -> None:
-        tb = self.processes.pop(pid, None)
-        if tb is None or ack:
-            return
-        if tb.tx_count < self.config.harq_max_tx:
-            self.retx.append(tb)
-        else:
-            for pkt, _n in tb.segments:
-                pkt.lost = True
-            ue.drop_process(pid)
+            if measured is not None and tb.tx_count == 1:
+                self.ue_by_id[tb.ue_id].last_sinr_db = measured
+            if ack:
+                continue
+            if tb.tx_count < self.config.harq_max_tx:
+                self.retx.append(tb)
+            else:
+                for pkt, _n in tb.segments:
+                    pkt.lost = True
+                self.ue_by_id[tb.ue_id].drop_process(pid)
+        self._feed_cws(nacks, cot)
 
     def _feed_cws(self, nacks: list[bool], cot_id: Optional[int]) -> None:
         """First feedback batch seen for each COT drives the Cat4 window."""

@@ -163,7 +163,6 @@ class Emission:
     start: int
     end: int
     rat: str  # "nru" | "wigig"
-    payload: object = None
     eid: int = -1
     link_key: str = ""  # source, beam target, power and rat; set by add_emission
 
@@ -361,9 +360,9 @@ class RadioEnvironment:
 
     # -- emissions --------------------------------------------------------
 
-    def transmit(self, source: Device, target: Device, end: int, rat: str, payload) -> Capture:
+    def transmit(self, source: Device, target: Device, end: int, rat: str) -> Capture:
         """Emit at full power from `source`, beamed at `target`, from now to `end`."""
-        em = Emission(source, self.config.tx_power_dbm, target, self.engine.now, end, rat, payload)
+        em = Emission(source, self.config.tx_power_dbm, target, self.engine.now, end, rat)
         return self.add_emission(em)
 
     def add_emission(self, em: Emission) -> Capture:

@@ -46,7 +46,6 @@ class RunResult:
     flows: list = field(default_factory=list, repr=False)
     env: object = field(default=None, repr=False)
     aps: list = field(default_factory=list, repr=False)
-    ledger: object = field(default=None, repr=False)
     cam_trace: object = field(default=None, repr=False)
     cams: list = field(default_factory=list, repr=False)
 
@@ -134,7 +133,6 @@ def run_once(
         flows=flows,
         env=env,
         aps=aps,
-        ledger=env.ledger,
         cam_trace=cam_trace,
         cams=cams,
     )
@@ -253,8 +251,9 @@ def emit_report(in_dir: str, out_csv: str) -> None:
 
     Raises ConfigError on a run directory without a complete result, on a
     `metrics.csv` with another header, on one label run under two
-    configurations, and on a label lacking a seed that another label has. A seed missing from every label cannot be told apart
-    from one never run, since the report has no campaign manifest.
+    configurations, and on a label lacking a seed that another label has.
+    A seed missing from every label cannot be told apart from one never
+    run, since the report has no campaign manifest.
     """
     from statistics import median  # here: `import coexsim` needs no report
 

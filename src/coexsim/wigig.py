@@ -156,7 +156,7 @@ class WigigAp(Backoff):
         sta = self.stas[frame.sta_id]
         dur = frame_duration_ns(frame.packet.size_bytes, WIGIG_MCS[frame.mcs][1])
         end = self.engine.now + dur
-        cap = self.env.transmit(self.device, sta.device, end, "wigig", frame)
+        cap = self.env.transmit(self.device, sta.device, end, "wigig")
         self._ack_ok = False
         self.engine.schedule(lambda: sta.receive_frame(frame, cap, end), end)
         self.state = self.WAIT_ACK
@@ -243,7 +243,7 @@ class WigigSta:
 
     def _send_ack(self, frame: WigigFrame, measured_sinr_db: float) -> None:
         end = self.engine.now + self.config.ack_ns
-        cap = self.env.transmit(self.device, self.ap.device, end, "wigig", ("ack", frame))
+        cap = self.env.transmit(self.device, self.ap.device, end, "wigig")
         self.engine.schedule(
             lambda: self._deliver_ack(frame, cap, measured_sinr_db), end
         )
@@ -270,12 +270,12 @@ class WigigSta:
                 self.engine.schedule_in(self._associate_attempt, 100 * US)
             return
         self._busy_waits = 0
-        self._probe(self.device, self.ap.device, "probe", self._probe_at_ap)
+        self._probe(self.device, self.ap.device, self._probe_at_ap)
 
-    def _probe(self, source: Device, target: Device, payload: str, at_end) -> None:
+    def _probe(self, source: Device, target: Device, at_end) -> None:
         """Send one association frame at the floor rate; at_end(cap) at its end."""
         end = self.engine.now + frame_duration_ns(PROBE_BYTES, WIGIG_MCS[0][1])
-        cap = self.env.transmit(source, target, end, "wigig", payload)
+        cap = self.env.transmit(source, target, end, "wigig")
         self.engine.schedule(lambda: at_end(cap), end)
 
     def _probe_at_ap(self, cap) -> None:
@@ -286,7 +286,7 @@ class WigigSta:
         self.engine.schedule_in(self._probe_response, self.config.sifs_ns)
 
     def _probe_response(self) -> None:
-        self._probe(self.ap.device, self.device, "probe_resp", self._response_at_sta)
+        self._probe(self.ap.device, self.device, self._response_at_sta)
 
     def _response_at_sta(self, cap) -> None:
         sinr = self.env.effective_sinr_db(cap, self.device, rx_beam_toward=self.ap.device)

@@ -116,13 +116,13 @@ def test_criterion_3_duty_cycle_cap():
     r = run_once(cfg, 1)
     W = 180 * MS
     T = cfg.duration_ns
-    edges = [t for iv in r.ledger.intervals("B") for t in iv]
+    edges = [t for iv in r.env.ledger.intervals("B") for t in iv]
     starts = sorted(
         {0, T - W}
         | {min(max(t, 0), T - W) for t in edges}
         | {min(max(t - W, 0), T - W) for t in edges}
     )
-    fracs = [r.ledger.occupied_within("B", s, s + W) / W for s in starts]
+    fracs = [r.env.ledger.occupied_within("B", s, s + W) / W for s in starts]
     assert min(fracs) >= 0.45
     assert max(fracs) <= 0.505
     print(

@@ -105,7 +105,7 @@ def test_round_robin_rotates_first_service(rig):
 def test_whole_symbol_count_is_ceiling_of_bytes(rig):
     gnb, ues, trace = _gnb_rig(rig, n_ues=1)
     cap = symbol_capacity_bytes(
-        MCS_TABLE[select_mcs(gnb.last_sinr_db(ues[0])).index][1], 2.16e9
+        MCS_TABLE[select_mcs(ues[0].last_sinr_db).index][1], 2.16e9
     )
     n_bytes = cap + 1  # spills exactly one byte into a second symbol
     gnb.offer_packet("ue0", _pkt(size=n_bytes))
@@ -151,7 +151,7 @@ def test_harq_drops_after_max_transmissions(rig):
     pkt = _pkt()
     tb = TransportBlock(7, "ue0", 1500, [(pkt, 1500)], mcs=0, n_symbols=1, tx_count=4)
     gnb.processes[7] = tb
-    gnb._settle(7, ack=False, ue=ues[0])
+    gnb._feedback_timeout([7])
     assert pkt.lost
     assert not gnb.retx
 
@@ -160,8 +160,27 @@ def test_harq_requeues_below_max_transmissions(rig):
     gnb, ues, _ = _gnb_rig(rig, n_ues=1)
     tb = TransportBlock(8, "ue0", 1500, [(_pkt(), 1500)], mcs=0, n_symbols=1, tx_count=1)
     gnb.processes[8] = tb
-    gnb._settle(8, ack=False, ue=ues[0])
+    gnb._feedback_timeout([8])
     assert list(gnb.retx) == [tb]
+
+
+@pytest.mark.xfail(strict=True, reason="F6")
+def test_harq_retransmissions_resolve_up_to_the_limit(rig):
+    """A block that no transmission decodes is dropped once it has been sent
+    harq_max_tx times. F6: a retransmission reuses its process id, which its
+    first feedback already resolved, so its own feedback and timeout are
+    skipped and the process stays open."""
+    gnb, ues, trace = _gnb_rig(rig, n_ues=1)  # about 14 dB SNR at 3 m
+    gnb.t_end = 100 * SLOT_NS
+    ues[0].last_sinr_db = 40.0  # top MCS (28 dB): even 4 combined copies fail
+    pkt = _pkt()
+    gnb.offer_packet("ue0", pkt)
+    gnb.start()
+    rig.engine.run_until(100 * SLOT_NS)
+    assert [r[3] for r in trace if r[5] == "tx"][0] == len(MCS_TABLE) - 1
+    assert not pkt.delivered
+    assert gnb.processes == {}
+    assert pkt.lost
 
 
 def test_feedback_reserves_tail_symbols_with_gap(rig):

@@ -266,3 +266,24 @@ sys.exit(sum(err is not None for _l, _s, err, _w in outcomes))
         raise
     assert proc.returncode == 0
     assert sorted(os.listdir(tmp_path / "runs")) == ["Cat4-Cat2_seed1", "Cat4-Cat2_seed2"]
+
+
+def test_perfbench_tracer_still_traces_every_event():
+    # perfbench's `run.py --trace 1` patches simulator names; a rename must fail here.
+    code = """
+from dataclasses import replace
+import trace_layers
+from coexsim import CampaignConfig, runner
+tracer = trace_layers.Tracer()
+tracer.install()
+cfg = replace(CampaignConfig().for_label("Cat4/Cat2"), sites_per_operator=1, duration_s=0.005)
+result = runner.run_once(cfg, 1)
+print(result.event_count, tracer.check_events(result.event_count))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(SRC), str(SRC.parent / "perfbench")))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    events, failures = out.stdout.split(" ", 1)
+    assert int(events) > 0
+    assert failures.strip() == "[]"
