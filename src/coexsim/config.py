@@ -1,15 +1,16 @@
 """Campaign configuration: plain key=value files with audited defaults.
 
 `CampaignConfig` is the only parameter source: every scenario parameter has
-its one default here, and the simulator components read it directly, with
-time and frequency values taken from the derived integer-nanosecond and Hz
-properties below. A config file only needs to list deviations. Unknown keys
-and out-of-range values are rejected with a diagnostic naming the key.
+its one default and its bound on its field line, and the simulator
+components read it directly, with time and frequency values taken from the
+derived integer-nanosecond and Hz properties below. A config file only needs
+to list deviations. Unknown keys and out-of-range values are rejected with a
+diagnostic naming the key.
 """
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 from .engine import MS, SEC, US
@@ -34,58 +35,65 @@ class ConfigError(ValueError):
     pass
 
 
-def _ns(field: str, unit: int) -> cached_property:
-    """`field` converted to integer nanoseconds, computed once per config."""
-    return cached_property(lambda cfg: round(getattr(cfg, field) * unit))
+def _key(default, *bound):
+    """A field with its default and its bound: (lo, hi) for a number, the
+    accepted values for a string. `validate` checks every bound."""
+    return field(default=default, metadata={"bound": bound})
+
+
+def _ns(name: str, unit: int) -> cached_property:
+    """Field `name` converted to integer nanoseconds, computed once per config."""
+    return cached_property(lambda cfg: round(getattr(cfg, name) * unit))
 
 
 @dataclass(frozen=True)
 class CampaignConfig:
     # Deployment
-    floor_x: float = 60.0
-    floor_y: float = 20.0
-    sites_per_operator: int = 3
-    users_per_operator: int = 12
-    max_site_distance_m: float = 20.0
-    operator_a: str = "WiGig"
-    operator_b: str = "NR-U"
-    nru_access: str = "Cat4/Cat2"
+    floor_x: float = _key(60.0, 1.0, 1000.0)
+    floor_y: float = _key(20.0, 1.0, 1000.0)
+    sites_per_operator: int = _key(3, 1, 3)
+    users_per_operator: int = _key(12, 1, 100)
+    max_site_distance_m: float = _key(20.0, 1.0, 1000.0)
+    operator_a: str = _key("WiGig", *TECHNOLOGIES)
+    operator_b: str = _key("NR-U", *TECHNOLOGIES)
+    nru_access: str = _key("Cat4/Cat2", *ACCESS_MODES)
     access_sweep: str = ""  # comma list of labels, may include "WiGig-only"
     # Radio
-    center_frequency_ghz: float = 58.0
-    bandwidth_ghz: float = 2.16
-    tx_power_dbm: float = 17.0
-    noise_figure_db: float = 7.0
+    center_frequency_ghz: float = _key(58.0, 0.1, 100.0)
+    bandwidth_ghz: float = _key(2.16, 0.001, 15.0)
+    tx_power_dbm: float = _key(17.0, -30.0, 17.0)  # 17 dBm regulatory maximum
+    noise_figure_db: float = _key(7.0, 0.0, 20.0)
     # Traffic
-    load_mbps: float = 50.0
-    packet_bytes: int = 1500
-    duration_s: float = 1.5
+    load_mbps: float = _key(50.0, 0.001, 100000.0)
+    packet_bytes: int = _key(1500, 1, 65535)
+    duration_s: float = _key(1.5, 0.001, 100.0)
     # Channel access
-    gnb_ed_threshold_dbm: float = -79.0
-    ue_ed_threshold_dbm: float = -69.0
-    wigig_ed_threshold_dbm: float = -79.0
-    wigig_preamble_threshold_dbm: float = -89.0
-    cca_slot_us: float = 5.0
-    defer_us: float = 8.0
-    max_cot_ms: float = 9.0
-    cws_min: int = 15
-    cws_max: int = 1023
-    cat3_cws: int = 15
-    cat2_defer_us: float = 25.0
-    duty_on_ms: float = 9.0
-    duty_off_ms: float = 9.0
+    gnb_ed_threshold_dbm: float = _key(-79.0, -120.0, 0.0)
+    ue_ed_threshold_dbm: float = _key(-69.0, -120.0, 0.0)
+    wigig_ed_threshold_dbm: float = _key(-79.0, -120.0, 0.0)
+    wigig_preamble_threshold_dbm: float = _key(-89.0, -120.0, 0.0)
+    cca_slot_us: float = _key(5.0, 1.0, 100.0)
+    defer_us: float = _key(8.0, 1.0, 100.0)
+    max_cot_ms: float = _key(9.0, 0.1, 9.0)
+    cws_min: int = _key(15, 0, 1023)
+    cws_max: int = _key(1023, 1, 4095)
+    cat3_cws: int = _key(15, 0, 1023)
+    cat2_defer_us: float = _key(25.0, 1.0, 1000.0)
+    duty_on_ms: float = _key(9.0, 0.1, 1000.0)
+    duty_off_ms: float = _key(9.0, 0.1, 1000.0)
     # NR-U MAC
-    mac_lead_slots: int = 2
-    harq_max_tx: int = 4
-    mcs_margin_db: float = 1.0
-    nru_overhead: float = 0.75
+    # At most nru.FB_DELAY_SLOTS (config cannot import nru): a longer lead
+    # reserves HARQ feedback in slots already planned, so it is never sent.
+    mac_lead_slots: int = _key(2, 1, 4)
+    harq_max_tx: int = _key(4, 1, 16)
+    mcs_margin_db: float = _key(1.0, 0.0, 10.0)
+    nru_overhead: float = _key(0.75, 0.1, 1.0)
     # WiGig MAC
-    wigig_retry_limit: int = 7
-    sifs_us: float = 3.0
-    ack_us: float = 1.0
-    ack_timeout_us: float = 10.0
-    assoc_attempts: int = 5
-
+    wigig_retry_limit: int = _key(7, 1, 32)
+    sifs_us: float = _key(3.0, 0.1, 100.0)
+    ack_us: float = _key(1.0, 0.1, 100.0)
+    ack_timeout_us: float = _key(10.0, 1.0, 1000.0)
+    assoc_attempts: int = _key(5, 1, 100)
     # Derived values: not fields, so config_hash, == and replace ignore them.
     duration_ns = _ns("duration_s", SEC)
     cca_slot_ns = _ns("cca_slot_us", US)
@@ -132,44 +140,6 @@ class CampaignConfig:
         return replace(self, operator_b="NR-U", nru_access=label, access_sweep="")
 
 
-_RANGES = {
-    "floor_x": (1.0, 1000.0),
-    "floor_y": (1.0, 1000.0),
-    "sites_per_operator": (1, 3),
-    "users_per_operator": (1, 100),
-    "max_site_distance_m": (1.0, 1000.0),
-    "center_frequency_ghz": (0.1, 100.0),
-    "bandwidth_ghz": (0.001, 15.0),
-    "tx_power_dbm": (-30.0, 17.0),  # 17 dBm regulatory maximum
-    "noise_figure_db": (0.0, 20.0),
-    "load_mbps": (0.001, 100000.0),
-    "packet_bytes": (1, 65535),
-    "duration_s": (0.001, 100.0),
-    "gnb_ed_threshold_dbm": (-120.0, 0.0),
-    "ue_ed_threshold_dbm": (-120.0, 0.0),
-    "wigig_ed_threshold_dbm": (-120.0, 0.0),
-    "wigig_preamble_threshold_dbm": (-120.0, 0.0),
-    "cca_slot_us": (1.0, 100.0),
-    "defer_us": (1.0, 100.0),
-    "max_cot_ms": (0.1, 9.0),
-    "cws_min": (0, 1023),
-    "cws_max": (1, 4095),
-    "cat3_cws": (0, 1023),
-    "cat2_defer_us": (1.0, 1000.0),
-    "duty_on_ms": (0.1, 1000.0),
-    "duty_off_ms": (0.1, 1000.0),
-    "mac_lead_slots": (1, 16),
-    "harq_max_tx": (1, 16),
-    "mcs_margin_db": (0.0, 10.0),
-    "nru_overhead": (0.1, 1.0),
-    "wigig_retry_limit": (1, 32),
-    "sifs_us": (0.1, 100.0),
-    "ack_us": (0.1, 100.0),
-    "ack_timeout_us": (1.0, 1000.0),
-    "assoc_attempts": (1, 100),
-}
-
-
 def _convert(key: str, raw: str, target_type: type):
     if not raw:
         raise ConfigError(f"empty value for key '{key}'")
@@ -184,17 +154,15 @@ def _convert(key: str, raw: str, target_type: type):
 
 
 def validate(cfg: CampaignConfig) -> CampaignConfig:
-    for key, (lo, hi) in _RANGES.items():
-        v = getattr(cfg, key)
-        if not lo <= v <= hi:
-            raise ConfigError(f"value for key '{key}' out of range [{lo}, {hi}]: {v}")
-    for key in ("operator_a", "operator_b"):
-        if getattr(cfg, key) not in TECHNOLOGIES:
-            raise ConfigError(f"value for key '{key}' must be one of {TECHNOLOGIES}")
-    if cfg.nru_access not in ACCESS_MODES:
-        raise ConfigError(
-            f"value for key 'nru_access' must be one of {sorted(ACCESS_MODES)}"
-        )
+    for f in fields(cfg):
+        v, bound = getattr(cfg, f.name), f.metadata.get("bound")
+        if bound is None:
+            continue
+        if isinstance(f.default, str):
+            if v not in bound:
+                raise ConfigError(f"value for key '{f.name}' must be one of {bound}")
+        elif not bound[0] <= v <= bound[1]:
+            raise ConfigError(f"value for key '{f.name}' out of range [{bound[0]}, {bound[1]}]: {v}")
     if cfg.cws_min > cfg.cws_max:
         raise ConfigError("value for key 'cws_min' exceeds 'cws_max'")
     if interarrival_ns(cfg.packet_bytes, cfg.load_mbps * 1e6) < 1:

@@ -246,7 +246,6 @@ class RadioEnvironment:
         self.config = config
         self.noise_dbm = noise_power_dbm(config.bandwidth_hz, config.noise_figure_db)
         self.noise_lin = db_to_lin(self.noise_dbm)
-        self.devices: dict[str, Device] = {}
         self._links: dict[frozenset, LinkState] = {}
         self._gain_cache: dict[tuple, float] = {}
         self._rx_cache: dict[tuple, float] = {}
@@ -263,9 +262,6 @@ class RadioEnvironment:
         self._next_eid = 0
 
     # -- geometry ---------------------------------------------------------
-
-    def add_device(self, dev: Device) -> None:
-        self.devices[dev.id] = dev
 
     def link(self, a: Device, b: Device) -> LinkState:
         key = frozenset((a.id, b.id))

@@ -29,6 +29,12 @@ from .wigig import WigigAp, WigigSta
 
 
 METRICS_HEADER = ["metric", "scope", "value"]
+# Trace selector -> (file name, header).
+TRACES = {
+    "cam": ("cam_trace.csv", ["time_ns", "device", "category", "event"]),
+    "mac": ("mac_trace.csv", ["slot_start_ns", "ue", "symbols", "mcs", "tb_bytes", "outcome"]),
+    "frames": ("frame_trace.csv", ["time_ns", "ap", "sta", "bytes", "mcs", "retries", "outcome"]),
+}
 
 
 @dataclass
@@ -56,6 +62,9 @@ def run_once(
     out_dir: Optional[str] = None,
     traces: tuple[str, ...] = (),
 ) -> RunResult:
+    unknown = sorted(set(traces) - TRACES.keys())
+    if unknown:
+        raise ConfigError(f"unknown trace selector(s): {unknown}")
     t_wall = time.perf_counter()
     t_end = cfg.duration_ns
     engine = Engine()
@@ -137,11 +146,13 @@ def run_once(
         cams=cams,
     )
     if out_dir is not None:
-        _write_run(result, scn, cfg, out_dir, cam_trace, mac_trace, frame_trace)
+        cam_rows = None if cam_trace is None else cam_trace.rows
+        _write_run(result, scn, out_dir, {"cam": cam_rows, "mac": mac_trace, "frames": frame_trace})
     return result
 
 
-def _write_run(result, scn, cfg, out_dir, cam_trace, mac_trace, frame_trace) -> None:
+def _write_run(result, scn, out_dir, trace_rows) -> None:
+    """`trace_rows` maps each trace selector to its rows, None if not selected."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "metrics.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
@@ -165,13 +176,8 @@ def _write_run(result, scn, cfg, out_dir, cam_trace, mac_trace, frame_trace) -> 
     with open(os.path.join(out_dir, "run.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    traces = (
-        ("cam_trace.csv", ["time_ns", "device", "category", "event"],
-         None if cam_trace is None else cam_trace.rows),
-        ("mac_trace.csv", ["slot_start_ns", "ue", "symbols", "mcs", "tb_bytes", "outcome"], mac_trace),
-        ("frame_trace.csv", ["time_ns", "ap", "sta", "bytes", "mcs", "retries", "outcome"], frame_trace),
-    )
-    for name, header, rows in traces:
+    for selector, (name, header) in TRACES.items():
+        rows = trace_rows[selector]
         path = os.path.join(out_dir, name)
         if rows is None:  # a trace left by an earlier run into out_dir is stale
             with contextlib.suppress(FileNotFoundError):

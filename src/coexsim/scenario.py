@@ -60,7 +60,6 @@ def build_scenario(
         for i, pos in enumerate(site_positions(cfg, op)):
             dev = Device(f"{op}-{site_role}{i}", op, site_role, pos, SITE_ARRAY)
             sites[op].append(dev)
-            env.add_device(dev)
         rng = streams.stream("drop", op)
         users[op] = []
         for i in range(cfg.users_per_operator):
@@ -76,7 +75,6 @@ def build_scenario(
                 raise ConfigError(f"value for key 'max_site_distance_m' leaves operator {op} "
                                   f"almost no floor: no user drop in {MAX_DROP_DRAWS} draws")
             dev = Device(f"{op}-{user_role}{i}", op, user_role, pos, USER_ARRAY)
-            env.add_device(dev)
             dev.serving = max(sites[op], key=lambda s: env.aligned_rx_power_dbm(s, dev)).id
             users[op].append(dev)
     return Scenario(sites, users)

@@ -24,9 +24,7 @@ class Rig:
         self.env = RadioEnvironment(self.engine, self.streams, self.config)
 
     def place(self, dev_id, x, y=0.0, z=1.5, operator="A", role="sta", array=OMNI):
-        dev = Device(dev_id, operator, role, Position(x, y, z), array)
-        self.env.add_device(dev)
-        return dev
+        return Device(dev_id, operator, role, Position(x, y, z), array)
 
     def force_link(self, a, b, los=True, shadowing_db=0.0):
         """Pin the LOS flag and shadowing so pathloss is deterministic."""

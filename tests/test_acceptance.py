@@ -192,7 +192,6 @@ def test_criterion_7_cat4_cws_trajectory():
     from coexsim.radio import AntennaArray, Device, Position
 
     dev = Device("gnb", "B", "gnb", Position(0, 0, 3), AntennaArray(8, 8))
-    env.add_device(dev)
     cam = make_cam("Cat4", dev, env.config, env, engine, streams.stream("cam", dev.id))
     trajectory = [cam.cws]
     for _ in range(7):

@@ -1,6 +1,12 @@
+import math
+from dataclasses import fields
+
 import pytest
 
+from coexsim import nru
 from coexsim.config import ACCESS_MODES, CampaignConfig, ConfigError, parse_config, validate
+
+BOUNDED = [f for f in fields(CampaignConfig) if f.name != "access_sweep"]
 
 
 def write(tmp_path, text):
@@ -152,3 +158,34 @@ def test_site_rows_out_of_reach_of_the_floor_rejected():
     with pytest.raises(ConfigError, match="max_site_distance_m"):
         validate(CampaignConfig(floor_y=1.0, max_site_distance_m=12.33))  # only a tangent point
     validate(CampaignConfig(floor_y=1.0, max_site_distance_m=13.0))
+
+
+@pytest.mark.parametrize("f", BOUNDED, ids=lambda f: f.name)
+def test_every_key_declares_a_bound_that_validate_enforces(f):
+    bound = f.metadata.get("bound")
+    assert bound, f"key '{f.name}' declares no bound"
+    if isinstance(f.default, str):
+        assert f.default in bound
+        outside = ["bogus"]
+    else:
+        lo, hi = bound
+        assert lo <= f.default <= hi
+        if isinstance(f.default, int):
+            outside = [lo - 1, hi + 1]
+        else:
+            outside = [math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]
+    for value in outside:
+        with pytest.raises(ConfigError, match=f"key '{f.name}'"):
+            validate(CampaignConfig(**{f.name: value}))
+
+
+def test_mac_lead_bound_is_the_feedback_delay():
+    (lead,) = (f for f in fields(CampaignConfig) if f.name == "mac_lead_slots")
+    assert lead.metadata["bound"][1] == nru.FB_DELAY_SLOTS
+
+
+def test_mac_lead_beyond_the_feedback_delay_rejected():
+    # A lead of 5 reserves HARQ feedback in slots that are already planned.
+    with pytest.raises(ConfigError, match="mac_lead_slots"):
+        validate(CampaignConfig(mac_lead_slots=5))
+    validate(CampaignConfig(mac_lead_slots=4))

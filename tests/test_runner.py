@@ -182,6 +182,13 @@ def test_cli_rejects_unknown_trace(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_run_once_rejects_unknown_trace_before_running(tmp_path):
+    out = tmp_path / "o"
+    with pytest.raises(ConfigError, match=r"\['bogus', 'zzz'\]"):
+        run_once(reduced(), 1, out_dir=str(out), traces=("cam", "zzz", "bogus"))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("label", ["Cat4/Cat2", "On/On", "OnOff/OnOff"])
 def test_gnb_with_fourteen_ues_runs(label):
     # One HARQ feedback symbol per UE: 14 fill a slot exactly.
