@@ -1,13 +1,14 @@
 """Golden-output gate: the reduced 7-label campaign must reproduce the
-committed per-run-directory digests byte for byte, once at the default
+committed digest of every output file byte for byte, once at the default
 parameters and once with every component parameter moved off its default.
+A manifest key is `<run dir>/<file>` (or `boxstats.csv`), so a missing or
+extra file shows as a key difference and a mismatch names each file.
 
 Regenerate ``golden_manifest.json`` only for an intended behaviour change,
 and say why in CHANGES.md; the failure message prints the new manifest.
 """
 import hashlib
 import json
-import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,24 +35,19 @@ def _file_sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _dir_sha(run_dir: Path) -> str:
-    """Digest over the sorted file names and their bytes."""
-    h = hashlib.sha256()
-    for path in sorted(p for p in run_dir.rglob("*") if p.is_file()):
-        h.update(path.relative_to(run_dir).as_posix().encode() + b"\0")
-        h.update(path.read_bytes() + b"\0")
-    return h.hexdigest()
+def _file_shas(root: Path) -> dict:
+    """sha256 of every file under `root`, keyed by its path relative to it."""
+    return {
+        path.relative_to(root).as_posix(): _file_sha(path)
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
 
 
 def golden_manifest(out: Path) -> dict:
     cfg = replace(parse_config(str(ROOT / "scripts" / "reduced_campaign.cfg")), duration_s=0.2)
     run_campaign(cfg, SEEDS, str(out), parallelism=2, verbose=False)
     emit_report(str(out), str(out / "boxstats.csv"))
-    runs = out / "runs"
-    return {
-        "runs": {name: _dir_sha(runs / name) for name in sorted(os.listdir(runs))},
-        "boxstats.csv": _file_sha(out / "boxstats.csv"),
-    }
+    return {**_file_shas(out / "runs"), "boxstats.csv": _file_sha(out / "boxstats.csv")}
 
 
 def non_default_manifest(out: Path) -> dict:
@@ -59,12 +55,10 @@ def non_default_manifest(out: Path) -> dict:
     cfg = replace(
         parse_config(str(ROOT / "scripts" / "reduced_campaign.cfg")), duration_s=0.05, **NON_DEFAULT
     )
-    runs = {}
     for label in cfg.sweep_labels():
         run_dir = out / label.replace("/", "-")
         run_once(cfg.for_label(label), 1, out_dir=str(run_dir), traces=("cam", "mac", "frames"))
-        runs[run_dir.name] = _dir_sha(run_dir)
-    return runs
+    return _file_shas(out)
 
 
 def _assert_matches(got: dict, want: dict) -> None:
@@ -76,12 +70,8 @@ def _assert_matches(got: dict, want: dict) -> None:
 
 
 def test_reduced_campaign_matches_golden_manifest(tmp_path):
-    got = golden_manifest(tmp_path / "campaign")
-    want = json.loads(MANIFEST.read_text())
-    _assert_matches(
-        {**got["runs"], "boxstats.csv": got["boxstats.csv"]},
-        {**want["runs"], "boxstats.csv": want["boxstats.csv"]},
-    )
+    want = json.loads(MANIFEST.read_text())["campaign"]
+    _assert_matches(golden_manifest(tmp_path / "campaign"), want)
 
 
 def test_non_default_parameters_match_golden_manifest(tmp_path):
