@@ -18,7 +18,7 @@ from functools import partial
 from typing import Optional
 
 from .channel_access import CamTrace, make_cam
-from .config import ACCESS_MODES, CampaignConfig, ConfigError
+from .config import ACCESS_MODES, CampaignConfig, ConfigError, validate
 from .engine import US, Engine, RngStreams
 from .metrics import box_stats, goodput_per_device_bps, latency_samples_ns
 from .nru import SYMBOLS_PER_SLOT, NruGnb, NruUe
@@ -62,6 +62,7 @@ def run_once(
     out_dir: Optional[str] = None,
     traces: tuple[str, ...] = (),
 ) -> RunResult:
+    validate(cfg)
     unknown = sorted(set(traces) - TRACES.keys())
     if unknown:
         raise ConfigError(f"unknown trace selector(s): {unknown}")
@@ -225,6 +226,7 @@ def run_campaign(
     parallelism: int = 1,
     verbose: bool = True,
 ) -> list[tuple[str, int, Optional[str], float]]:
+    validate(cfg)  # once here, not once per task
     tasks = []
     for label in cfg.sweep_labels():
         label_cfg = cfg.for_label(label)

@@ -189,6 +189,21 @@ def test_run_once_rejects_unknown_trace_before_running(tmp_path):
     assert not out.exists()
 
 
+def test_run_once_validates_its_config_before_building_anything(tmp_path):
+    # A lead beyond the feedback delay would lose every HARQ feedback (F7).
+    out = tmp_path / "o"
+    with pytest.raises(ConfigError, match="mac_lead_slots"):
+        run_once(reduced(mac_lead_slots=8), 1, out_dir=str(out))
+    assert not out.exists()
+
+
+def test_campaign_refuses_an_invalid_config_before_writing_any_run(tmp_path):
+    out = tmp_path / "campaign"
+    with pytest.raises(ConfigError, match="mac_lead_slots"):
+        run_campaign(reduced(mac_lead_slots=8), [1, 2], str(out), parallelism=2, verbose=False)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("label", ["Cat4/Cat2", "On/On", "OnOff/OnOff"])
 def test_gnb_with_fourteen_ues_runs(label):
     # One HARQ feedback symbol per UE: 14 fill a slot exactly.
