@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .channel_access import CAT4, Cam, LbtCam
@@ -108,22 +109,17 @@ class NruUe:
     def send_feedback(self, pids: list[int]) -> None:
         """Attempt the one-symbol uplink feedback emission at the reserved
         symbol; a failed CAM attempt drops the feedback (gNB times out)."""
-        engine = self.gnb.engine
-        items = [
-            (pid, *self.fb_pending.pop(pid))
-            for pid in pids
-            if pid in self.fb_pending
-        ]
+        items = [(pid, *self.fb_pending.pop(pid)) for pid in pids if pid in self.fb_pending]
         if not items:
             return
-        t_end = engine.now + SYMBOL_NS
+        t_end = self.gnb.engine.now + SYMBOL_NS
         # Inside the gNB's COT the UE's grant inherits the gNB deadline.
         gnb_grant = self.gnb.current_grant_if_active()
         grant = self.cam.attempt(gnb_grant.cot_deadline if gnb_grant else None)
         if grant is None or not grant.covers(t_end):
             return
-        cap = self.gnb.env.transmit(self.device, self.gnb.device, t_end, "nru")
-        engine.schedule(lambda: self.gnb.receive_feedback(items, cap, self), t_end)
+        at_end = partial(self.gnb.receive_feedback, items, self)
+        self.gnb.env.transmit(self.device, self.gnb.device, t_end, "nru", at_end)
 
 
 class NruGnb:
@@ -224,7 +220,8 @@ class NruGnb:
 
         if alloc and isinstance(self.cam, LbtCam):
             self._ensure_lbt()
-        self.engine.schedule(lambda: self._commit(slot, alloc, fb_entries), t_slot)
+        if alloc or fb_entries:  # an empty commit would change nothing
+            self.engine.schedule(lambda: self._commit(slot, alloc, fb_entries), t_slot)
 
     def _take_bytes(self, ue_id: str, n_bytes: int) -> list[tuple[PacketRecord, int]]:
         buf = self.buffers[ue_id]
@@ -331,12 +328,11 @@ class NruGnb:
             )
 
     def _air_tb(self, ue: NruUe, tb: TransportBlock, end: int) -> None:
-        cap = self.env.transmit(self.device, ue.device, end, "nru")
-        self.engine.schedule(lambda: ue.receive_tb(tb, cap), end)
+        self.env.transmit(self.device, ue.device, end, "nru", partial(ue.receive_tb, tb))
 
     # -- HARQ resolution -----------------------------------------------------------
 
-    def receive_feedback(self, items: list[tuple[int, bool, float]], cap, ue: NruUe) -> None:
+    def receive_feedback(self, items: list[tuple[int, bool, float]], ue: NruUe, cap) -> None:
         sinr = self.env.effective_sinr_db(cap, self.device, rx_beam_toward=ue.device)
         if sinr >= FB_DECODE_THRESHOLD_DB:  # else the slot-end timeout NACKs them
             self._resolve(items)

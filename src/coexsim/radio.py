@@ -11,7 +11,7 @@ import math
 from collections import deque
 from math import log10
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .config import CampaignConfig
 from .engine import Engine, RngStreams
@@ -172,16 +172,18 @@ class Capture:
     other emission that overlaps it in time (one that only touches it end to
     start is left out). Its bound `_end` is the emission's end event."""
 
-    __slots__ = ("env", "signal", "interferers")
+    __slots__ = ("env", "signal", "interferers", "at_end")
 
-    def __init__(self, env: "RadioEnvironment", signal: Emission, interferers: list[Emission]):
+    def __init__(self, env: "RadioEnvironment", signal: Emission, interferers: list[Emission],
+                 at_end: Optional[Callable[["Capture"], None]]):
         self.env = env
         self.signal = signal
         self.interferers = interferers
+        self.at_end = at_end
 
     def _end(self) -> None:
-        """Take the signal off the air, keep it for window sensing, and
-        notify the listeners."""
+        """Take the signal off the air, keep it for window sensing, notify
+        the listeners, then hand this capture to the receiver's `at_end`."""
         env = self.env
         em = self.signal
         del env.active[em.eid]
@@ -192,6 +194,8 @@ class Capture:
         while ended[0].end < horizon:
             ended.popleft()
         env._notify(em, False)
+        if self.at_end is not None:
+            self.at_end(self)
 
 
 class LinkTable(dict):
@@ -356,15 +360,17 @@ class RadioEnvironment:
 
     # -- emissions --------------------------------------------------------
 
-    def transmit(self, source: Device, target: Device, end: int, rat: str) -> Capture:
-        """Emit at full power from `source`, beamed at `target`, from now to `end`."""
+    def transmit(self, source: Device, target: Device, end: int, rat: str,
+                 at_end: Callable[[Capture], None]) -> Capture:
+        """Emit at full power from `source`, beamed at `target`, from now to
+        `end`; the receiver's `at_end(capture)` runs in the end event."""
         em = Emission(source, self.config.tx_power_dbm, target, self.engine.now, end, rat)
-        return self.add_emission(em)
+        return self.add_emission(em, at_end)
 
-    def add_emission(self, em: Emission) -> Capture:
-        """Register an emission starting now; its capture's `_end` removes it
-        at its end. An emission ending now (its end event may still be due)
-        does not overlap it, so neither capture lists the other."""
+    def add_emission(self, em: Emission, at_end: Optional[Callable[[Capture], None]] = None) -> Capture:
+        """Register an emission starting now; its capture's `_end` ends it and
+        calls `at_end`. An emission ending now (its end event may still be
+        due) does not overlap it, so neither capture lists the other."""
         start = em.start
         assert start == self.engine.now < em.end
         em.eid = eid = self._next_eid
@@ -374,7 +380,7 @@ class RadioEnvironment:
         if key not in self._link_emissions:
             self._link_emissions[key] = em
         active = self.active
-        cap = Capture(self, em, [other for other in active.values() if other.end > start])
+        cap = Capture(self, em, [other for other in active.values() if other.end > start], at_end)
         active[eid] = em
         if self.emission_log is not None:
             self.emission_log.append(em)

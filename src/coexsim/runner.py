@@ -24,7 +24,7 @@ from .metrics import box_stats, goodput_per_device_bps, latency_samples_ns
 from .nru import SYMBOLS_PER_SLOT, NruGnb, NruUe
 from .radio import RadioEnvironment
 from .scenario import build_scenario, scenario_csv
-from .traffic import CbrFlow
+from .traffic import CbrArrivals, CbrFlow
 from .wigig import WigigAp, WigigSta
 
 
@@ -84,9 +84,7 @@ def run_once(
     cams = []
 
     def add_flow(user, sink) -> None:
-        flows.append(CbrFlow(
-            f"flow-{user.id}", user.id, cfg.load_mbps * 1e6, cfg.packet_bytes, engine, sink, t_end
-        ))
+        flows.append(CbrFlow(f"flow-{user.id}", user.id, cfg.load_mbps * 1e6, cfg.packet_bytes, sink))
 
     for op in ("A", "B"):
         tech = cfg.technologies()[op]
@@ -122,8 +120,7 @@ def run_once(
                     sta.start()
                     add_flow(user, partial(ap.offer_packet, user.id))
 
-    for flow in flows:
-        flow.start(0)
+    CbrArrivals(engine, flows, t_end).start(0)
     events = engine.run_until(t_end)
     wall_s = time.perf_counter() - t_wall
 

@@ -47,28 +47,40 @@ class CbrFlow:
         destination: str,
         rate_bps: float,
         packet_bytes: int,
-        engine: Engine,
         sink: Callable[[PacketRecord], None],
-        t_end: int,
     ) -> None:
         self.flow_id = flow_id
         self.destination = destination
         self.packet_bytes = packet_bytes
         self.interarrival_ns = interarrival_ns(packet_bytes, rate_bps)
-        self.engine = engine
         self.sink = sink
-        self.t_end = t_end
         self.records: list[PacketRecord] = []
+
+    def arrive(self, now: int) -> None:
+        pkt = PacketRecord(self.flow_id, len(self.records), self.packet_bytes, now)
+        self.records.append(pkt)
+        self.sink(pkt)
+
+
+class CbrArrivals:
+    """Drives flows that share one spacing: one event per arrival instant
+    hands each flow its packet, in flow order, as one event per flow would
+    unless a sink schedules an event exactly one spacing ahead."""
+
+    def __init__(self, engine: Engine, flows: list[CbrFlow], t_end: int) -> None:
+        self.engine = engine
+        self.flows = flows
+        self.t_end = t_end
+        self.interarrival_ns = flows[0].interarrival_ns
+        assert all(f.interarrival_ns == self.interarrival_ns for f in flows)
 
     def start(self, t0: int = 0) -> None:
         self.engine.schedule(self._arrive, t0)
 
     def _arrive(self) -> None:
-        pkt = PacketRecord(
-            self.flow_id, len(self.records), self.packet_bytes, self.engine.now
-        )
-        self.records.append(pkt)
-        self.sink(pkt)
-        nxt = self.engine.now + self.interarrival_ns
+        now = self.engine.now
+        for flow in self.flows:
+            flow.arrive(now)
+        nxt = now + self.interarrival_ns
         if nxt < self.t_end:
             self.engine.schedule(self._arrive, nxt)

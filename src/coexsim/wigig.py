@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .channel_access import Backoff
@@ -156,9 +157,8 @@ class WigigAp(Backoff):
         sta = self.stas[frame.sta_id]
         dur = frame_duration_ns(frame.packet.size_bytes, WIGIG_MCS[frame.mcs][1])
         end = self.engine.now + dur
-        cap = self.env.transmit(self.device, sta.device, end, "wigig")
+        self.env.transmit(self.device, sta.device, end, "wigig", partial(sta.receive_frame, frame))
         self._ack_ok = False
-        self.engine.schedule(lambda: sta.receive_frame(frame, cap, end), end)
         self.state = self.WAIT_ACK
         self._ack_timer = self.engine.schedule(
             lambda: self._settle(frame), end + self.config.ack_timeout_ns
@@ -232,23 +232,19 @@ class WigigSta:
 
     # -- data path ------------------------------------------------------------
 
-    def receive_frame(self, frame: WigigFrame, cap, frame_end: int) -> None:
+    def receive_frame(self, frame: WigigFrame, cap) -> None:
         sinr = self.env.effective_sinr_db(cap, self.device, rx_beam_toward=self.ap.device)
         if sinr < WIGIG_MCS[frame.mcs][0]:
             return  # undecodable; AP times out
-        frame.packet.credit(frame.packet.size_bytes, frame_end)
-        self.engine.schedule(
-            lambda: self._send_ack(frame, sinr), frame_end + self.config.sifs_ns
-        )
+        frame.packet.credit(frame.packet.size_bytes, self.engine.now)  # the frame's end
+        self.engine.schedule_in(lambda: self._send_ack(frame, sinr), self.config.sifs_ns)
 
     def _send_ack(self, frame: WigigFrame, measured_sinr_db: float) -> None:
         end = self.engine.now + self.config.ack_ns
-        cap = self.env.transmit(self.device, self.ap.device, end, "wigig")
-        self.engine.schedule(
-            lambda: self._deliver_ack(frame, cap, measured_sinr_db), end
-        )
+        at_end = partial(self._deliver_ack, frame, measured_sinr_db)
+        self.env.transmit(self.device, self.ap.device, end, "wigig", at_end)
 
-    def _deliver_ack(self, frame: WigigFrame, cap, measured_sinr_db: float) -> None:
+    def _deliver_ack(self, frame: WigigFrame, measured_sinr_db: float, cap) -> None:
         # Quasi-omnidirectional reception at the AP in the uplink.
         sinr = self.env.effective_sinr_db(cap, self.ap.device, rx_beam_toward=None)
         if sinr >= ACK_THRESHOLD_DB:
@@ -275,8 +271,7 @@ class WigigSta:
     def _probe(self, source: Device, target: Device, at_end) -> None:
         """Send one association frame at the floor rate; at_end(cap) at its end."""
         end = self.engine.now + frame_duration_ns(PROBE_BYTES, WIGIG_MCS[0][1])
-        cap = self.env.transmit(source, target, end, "wigig")
-        self.engine.schedule(lambda: at_end(cap), end)
+        self.env.transmit(source, target, end, "wigig", at_end)
 
     def _probe_at_ap(self, cap) -> None:
         sinr = self.env.effective_sinr_db(cap, self.ap.device, rx_beam_toward=None)

@@ -9,7 +9,7 @@ from coexsim.metrics import (
     latency_samples_ns,
     packet_conservation,
 )
-from coexsim.traffic import CbrFlow
+from coexsim.traffic import CbrArrivals, CbrFlow
 
 
 def brute_force_union(intervals, horizon):
@@ -125,9 +125,9 @@ def test_box_stats_rejects_empty():
 
 def _delivered_flow(n_delivered, n_lost, n_pending):
     engine = Engine()
-    flow = CbrFlow("f", "dev", 50e6, 1500, engine, lambda p: None, SEC)
+    flow = CbrFlow("f", "dev", 50e6, 1500, lambda p: None)
     total = n_delivered + n_lost + n_pending
-    flow.start(0)
+    CbrArrivals(engine, [flow], SEC).start(0)
     engine.run_until((total - 1) * 240_000)
     for pkt in flow.records[:n_delivered]:
         pkt.credit(1500, pkt.created_at + 500_000)

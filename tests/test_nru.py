@@ -87,6 +87,18 @@ def test_single_packet_takes_one_whole_symbol(rig):
     assert tx_rows[0][4] == 1500
 
 
+def test_an_idle_cell_schedules_no_commit(rig, monkeypatch):
+    gnb, _ues, trace = _gnb_rig(rig, n_ues=2)
+    commits = []
+    monkeypatch.setattr(gnb, "_commit", lambda slot, *_args: commits.append(slot))
+    gnb.start()
+    rig.engine.run_until(6 * SLOT_NS)
+    assert commits == [] and trace == []
+    gnb.offer_packet("ue0", _pkt())  # the next slot planned has a block to send
+    rig.engine.run_until(10 * SLOT_NS)
+    assert commits == [9]
+
+
 def test_round_robin_rotates_first_service(rig):
     gnb, ues, trace = _gnb_rig(rig, n_ues=2)
     for i in range(40):

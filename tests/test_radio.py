@@ -195,6 +195,39 @@ def test_capture_includes_later_overlapping_emission(rig):
     assert any(e.source is late for e in cap.interferers)
 
 
+class _WaitingListener:
+    """A listener stub waiting for an idle medium, logging notifications."""
+
+    WAIT_IDLE = state = 1
+    _witness = None
+
+    def __init__(self, log):
+        self.log = log
+
+    def medium_changed(self):
+        self.log.append("listener")
+
+
+def test_transmit_hands_its_capture_to_at_end_in_its_one_end_event(rig):
+    a, b, c = rig.place("a", 0.0), rig.place("b", 1.0), rig.place("c", 2.0)
+    env, engine = rig.env, rig.engine
+    log, caps = [], {}
+    env.add_listener(_WaitingListener(log))
+    # Queued first: an emission starting at the exact nanosecond `a`'s ends.
+    engine.schedule(lambda: caps.setdefault("next", rig.emit(c, 17.0, 500)[1]), 1_000)
+
+    def at_end(cap):
+        log.append(("at_end", engine.now, cap.signal.eid in env.active))
+
+    queued = len(engine._heap)
+    caps["tx"] = env.transmit(a, b, 1_000, "wigig", at_end)
+    assert len(engine._heap) == queued + 1  # the end event, nothing else
+    assert engine.run_until(1_000) == 2  # the queued start, then that end event
+    # at_end ran last in the end event: off the air, listener notified first.
+    assert log == ["listener", ("at_end", 1_000, False)]
+    assert caps["tx"].interferers == [] and caps["next"].interferers == []
+
+
 def test_receiver_own_emission_excluded_from_sinr(rig):
     tx = rig.place("tx", 0.0, 0.0)
     rx = rig.place("rx", 1.0, 0.0)
