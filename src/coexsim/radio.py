@@ -175,7 +175,7 @@ class Capture:
     __slots__ = ("env", "signal", "interferers", "at_end")
 
     def __init__(self, env: "RadioEnvironment", signal: Emission, interferers: list[Emission],
-                 at_end: Optional[Callable[["Capture"], None]]):
+                 at_end: Callable[["Capture"], None]):
         self.env = env
         self.signal = signal
         self.interferers = interferers
@@ -194,8 +194,7 @@ class Capture:
         while ended[0].end < horizon:
             ended.popleft()
         env._notify(em, False)
-        if self.at_end is not None:
-            self.at_end(self)
+        self.at_end(self)
 
 
 class LinkTable(dict):
@@ -367,7 +366,7 @@ class RadioEnvironment:
         em = Emission(source, self.config.tx_power_dbm, target, self.engine.now, end, rat)
         return self.add_emission(em, at_end)
 
-    def add_emission(self, em: Emission, at_end: Optional[Callable[[Capture], None]] = None) -> Capture:
+    def add_emission(self, em: Emission, at_end: Callable[[Capture], None]) -> Capture:
         """Register an emission starting now; its capture's `_end` ends it and
         calls `at_end`. An emission ending now (its end event may still be
         due) does not overlap it, so neither capture lists the other."""

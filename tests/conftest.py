@@ -38,7 +38,7 @@ class Rig:
     def emit(self, source, tx_power_dbm, duration_ns, rat="nru", beam_target=None):
         now = self.engine.now
         em = Emission(source, tx_power_dbm, beam_target, now, now + duration_ns, rat)
-        return em, self.env.add_emission(em)
+        return em, self.env.add_emission(em, lambda cap: None)  # no receiver decodes it
 
 
 class FixedRng:
