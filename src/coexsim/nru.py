@@ -7,7 +7,6 @@ to the UE's own channel access manager.
 """
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -16,7 +15,7 @@ from typing import Optional
 from .channel_access import CAT4, Cam, LbtCam
 from .config import CampaignConfig
 from .engine import Engine
-from .radio import Device, RadioEnvironment, db_to_lin, lin_to_db
+from .radio import Device, RadioEnvironment, db_to_lin, lin_to_db, select_mcs
 from .traffic import PacketRecord
 
 # 120 kHz subcarrier spacing: 8.92 us symbols, 14 per slot. The slot is taken
@@ -39,35 +38,14 @@ MCS_TABLE: list[tuple[float, float]] = [
 ]
 
 
-@dataclass(frozen=True)
-class McsChoice:
-    index: int
-    spectral_efficiency: float
-    outage: bool = False
-
-
-def select_mcs(effective_sinr_db: float, margin_db: float = 1.0) -> McsChoice:
-    """Highest MCS whose threshold is at most sinr - margin; ties go up."""
-    if not math.isfinite(effective_sinr_db):
-        raise ValueError("SINR must be finite")
-    budget = effective_sinr_db - margin_db
-    chosen = -1
-    for i, (thr, _se) in enumerate(MCS_TABLE):
-        if thr <= budget:
-            chosen = i
-    if chosen < 0:
-        return McsChoice(0, MCS_TABLE[0][1], outage=True)
-    return McsChoice(chosen, MCS_TABLE[chosen][1])
-
-
-def symbol_capacity_bytes(se: float, bandwidth_hz: float, overhead: float = 0.75) -> int:
+def symbol_capacity_bytes(se: float, bandwidth_hz: float, overhead: float) -> int:
     return int(se * bandwidth_hz * overhead * SYMBOL_NS * 1e-9 / 8)
 
 
 @dataclass
 class TransportBlock:
     pid: int
-    ue_id: str
+    ue: "NruUe"
     total_bytes: int
     segments: list[tuple[PacketRecord, int]]
     mcs: int
@@ -77,7 +55,8 @@ class TransportBlock:
 
 
 class NruUe:
-    """Receiver side: decode with Chase combining, queue HARQ feedback."""
+    """One UE: its downlink queue at the gNB, its link adaptation state, and
+    the receiver side: decode with Chase combining, queue HARQ feedback."""
 
     def __init__(self, device: Device, cam: Cam, gnb: "NruGnb") -> None:
         self.device = device
@@ -88,6 +67,14 @@ class NruUe:
         self.fb_pending: dict[int, tuple[bool, float]] = {}
         env = gnb.env  # the SINR is interference-free until the first feedback
         self.last_sinr_db = env.aligned_rx_power_dbm(gnb.device, device) - env.noise_dbm
+        self.buffer: deque[list] = deque()  # [pkt, bytes not yet taken]
+        self.buffered_bytes = 0
+        # (SINR, its MCS index, bytes per symbol); recomputed when the SINR changes
+        self.adapted: Optional[tuple[float, int, int]] = None
+
+    def offer_packet(self, pkt: PacketRecord) -> None:
+        self.buffer.append([pkt, pkt.size_bytes])
+        self.buffered_bytes += pkt.size_bytes
 
     def receive_tb(self, tb: TransportBlock, cap) -> None:
         env = self.gnb.env
@@ -143,11 +130,6 @@ class NruGnb:
         self.t_end = t_end
         self.mac_trace = mac_trace
         self.ues: list[NruUe] = []
-        self.ue_by_id: dict[str, NruUe] = {}
-        self.buffers: dict[str, deque] = {}  # ue_id -> deque of [pkt, remaining]
-        self.buffered_bytes: dict[str, int] = {}
-        # ue_id -> (SINR, its MCS, bytes per symbol); recomputed when the SINR changes
-        self._adapted: dict[str, tuple[float, McsChoice, int]] = {}
         self.retx: deque[TransportBlock] = deque()
         self.processes: dict[int, TransportBlock] = {}
         # slot -> UE -> pids; insertion order is the feedback symbol order
@@ -163,13 +145,6 @@ class NruGnb:
 
     def add_ue(self, ue: NruUe) -> None:
         self.ues.append(ue)
-        self.ue_by_id[ue.device.id] = ue
-        self.buffers[ue.device.id] = deque()
-        self.buffered_bytes[ue.device.id] = 0
-
-    def offer_packet(self, ue_id: str, pkt: PacketRecord) -> None:
-        self.buffers[ue_id].append([pkt, pkt.size_bytes])
-        self.buffered_bytes[ue_id] += pkt.size_bytes
 
     def start(self) -> None:
         lead = self.config.mac_lead_slots
@@ -184,12 +159,12 @@ class NruGnb:
         fb_entries = self.fb_reservations.pop(slot, {})
         n_fb = len(fb_entries)
         budget = SYMBOLS_PER_SLOT - n_fb - (FB_GAP_SYMBOLS if n_fb else 0)
-        alloc: list[tuple[NruUe, int, TransportBlock]] = []  # (ue, n_sym, tb)
+        alloc: list[TransportBlock] = []
         used = 0
 
         while self.retx and budget - used >= self.retx[0].n_symbols:
             tb = self.retx.popleft()
-            alloc.append((self.ue_by_id[tb.ue_id], tb.n_symbols, tb))
+            alloc.append(tb)
             used += tb.n_symbols
 
         n = len(self.ues)
@@ -197,24 +172,23 @@ class NruGnb:
             if used >= budget:
                 break
             ue = self.ues[(self._rr + k) % n]
-            ue_id = ue.device.id
-            buf = self.buffered_bytes[ue_id]
+            buf = ue.buffered_bytes
             if buf <= 0:
                 continue
             sinr = ue.last_sinr_db
-            adapted = self._adapted.get(ue_id)
+            adapted = ue.adapted
             if adapted is None or adapted[0] != sinr:
-                choice = select_mcs(sinr, self.config.mcs_margin_db)
-                adapted = self._adapted[ue_id] = (sinr, choice, symbol_capacity_bytes(
-                    choice.spectral_efficiency, self.config.bandwidth_hz, self.config.nru_overhead
+                mcs = select_mcs(MCS_TABLE, sinr, self.config.mcs_margin_db)
+                adapted = ue.adapted = (sinr, mcs, symbol_capacity_bytes(
+                    MCS_TABLE[mcs][1], self.config.bandwidth_hz, self.config.nru_overhead
                 ))
-            _sinr, choice, cap = adapted
+            _sinr, mcs, cap = adapted
             n_sym = min(-(-buf // cap), budget - used)
             tb_bytes = min(buf, n_sym * cap)
-            segments = self._take_bytes(ue_id, tb_bytes)
-            tb = TransportBlock(self._next_pid, ue_id, tb_bytes, segments, choice.index, n_sym)
+            segments = self._take_bytes(ue, tb_bytes)
+            tb = TransportBlock(self._next_pid, ue, tb_bytes, segments, mcs, n_sym)
             self._next_pid += 1
-            alloc.append((ue, n_sym, tb))
+            alloc.append(tb)
             used += n_sym
         self._rr = (self._rr + 1) % max(n, 1)
 
@@ -223,8 +197,8 @@ class NruGnb:
         if alloc or fb_entries:  # an empty commit would change nothing
             self.engine.schedule(lambda: self._commit(slot, alloc, fb_entries), t_slot)
 
-    def _take_bytes(self, ue_id: str, n_bytes: int) -> list[tuple[PacketRecord, int]]:
-        buf = self.buffers[ue_id]
+    def _take_bytes(self, ue: NruUe, n_bytes: int) -> list[tuple[PacketRecord, int]]:
+        buf = ue.buffer
         segments: list[tuple[PacketRecord, int]] = []
         left = n_bytes
         while left > 0 and buf:
@@ -236,17 +210,17 @@ class NruGnb:
             else:
                 buf[0][1] -= take
             left -= take
-        self.buffered_bytes[ue_id] -= n_bytes - left
+        ue.buffered_bytes -= n_bytes - left
         return segments
 
     def _return_segments(self, tb: TransportBlock) -> None:
-        buf = self.buffers[tb.ue_id]
+        buf = tb.ue.buffer
         for pkt, n_bytes in reversed(tb.segments):
             if buf and buf[0][0] is pkt:
                 buf[0][1] += n_bytes
             else:
                 buf.appendleft([pkt, n_bytes])
-        self.buffered_bytes[tb.ue_id] += tb.total_bytes
+        tb.ue.buffered_bytes += tb.total_bytes
 
     # -- channel access ---------------------------------------------------------
 
@@ -282,17 +256,19 @@ class NruGnb:
 
     # -- per-slot execution -------------------------------------------------------
 
-    def _commit(self, slot: int, alloc, fb_entries: dict[NruUe, list[int]]) -> None:
+    def _commit(self, slot: int, alloc: list[TransportBlock],
+                fb_entries: dict[NruUe, list[int]]) -> None:
         t_slot = self.engine.now
         if alloc:
-            total_sym = sum(n for _ue, n, _tb in alloc)
+            total_sym = sum(tb.n_symbols for tb in alloc)
             emissions_end = t_slot + total_sym * SYMBOL_NS
             if self._access_ok(emissions_end):
                 fb_slot = slot + FB_DELAY_SLOTS
                 fb_slot += (-fb_slot) % FB_BATCH_SLOTS
                 fb = self.fb_reservations.setdefault(fb_slot, {})
                 offset = 0
-                for ue, n_sym, tb in alloc:
+                for tb in alloc:
+                    ue, n_sym = tb.ue, tb.n_symbols
                     start = t_slot + offset * SYMBOL_NS
                     end = start + n_sym * SYMBOL_NS
                     offset += n_sym
@@ -308,7 +284,7 @@ class NruGnb:
                             (t_slot, ue.device.id, n_sym, tb.mcs, tb.total_bytes, "tx")
                         )
             else:
-                for _ue, _n, tb in alloc:
+                for tb in alloc:
                     if tb.tx_count == 0:
                         self._return_segments(tb)
                     else:
@@ -353,7 +329,7 @@ class NruGnb:
             nacks.append(not ack)
             cot = tb.cot_id if cot is None else cot
             if measured is not None and tb.tx_count == 1:
-                self.ue_by_id[tb.ue_id].last_sinr_db = measured
+                tb.ue.last_sinr_db = measured
             if ack:
                 continue
             if tb.tx_count < self.config.harq_max_tx:
@@ -361,7 +337,7 @@ class NruGnb:
             else:
                 for pkt, _n in tb.segments:
                     pkt.lost = True
-                self.ue_by_id[tb.ue_id].drop_process(pid)
+                tb.ue.drop_process(pid)
         self._feed_cws(nacks, cot)
 
     def _feed_cws(self, nacks: list[bool], cot_id: Optional[int]) -> None:

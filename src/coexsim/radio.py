@@ -30,6 +30,19 @@ def lin_to_db(lin: float) -> float:
     return 10.0 * math.log10(lin)
 
 
+def select_mcs(table: list[tuple[float, float]], sinr_db: float, margin_db: float) -> int:
+    """Index of the highest (decode threshold dB, rate) entry of `table` whose
+    threshold is at most sinr - margin; ties go up, and below all of them 0."""
+    if not math.isfinite(sinr_db):
+        raise ValueError("SINR must be finite")
+    budget = sinr_db - margin_db
+    chosen = 0
+    for i, (thr, _rate) in enumerate(table):
+        if thr <= budget:
+            chosen = i
+    return chosen
+
+
 @dataclass(frozen=True)
 class Position:
     x: float

@@ -14,7 +14,6 @@ import os
 import shutil
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 from .channel_access import CamTrace, make_cam
@@ -24,7 +23,7 @@ from .metrics import box_stats, goodput_per_device_bps, latency_samples_ns
 from .nru import SYMBOLS_PER_SLOT, NruGnb, NruUe
 from .radio import RadioEnvironment
 from .scenario import build_scenario, scenario_csv
-from .traffic import CbrArrivals, CbrFlow
+from .traffic import CbrArrivals, CbrFlow, interarrival_ns
 from .wigig import WigigAp, WigigSta
 
 
@@ -84,7 +83,7 @@ def run_once(
     cams = []
 
     def add_flow(user, sink) -> None:
-        flows.append(CbrFlow(f"flow-{user.id}", user.id, cfg.load_mbps * 1e6, cfg.packet_bytes, sink))
+        flows.append(CbrFlow(f"flow-{user.id}", user.id, cfg.packet_bytes, sink))
 
     for op in ("A", "B"):
         tech = cfg.technologies()[op]
@@ -108,8 +107,9 @@ def run_once(
                         ue_cat, user, cfg, env, engine, streams.stream("cam", user.id), cam_trace
                     )
                     cams.append(ue_cam)
-                    gnb.add_ue(NruUe(user, ue_cam, gnb))
-                    add_flow(user, partial(gnb.offer_packet, user.id))
+                    ue = NruUe(user, ue_cam, gnb)
+                    gnb.add_ue(ue)
+                    add_flow(user, ue.offer_packet)
                 gnb.start()
         else:
             for site in scn.sites[op]:
@@ -118,9 +118,10 @@ def run_once(
                 for k, user in enumerate(scn.users_of_site(site)):
                     sta = WigigSta(user, ap, engine, streams.stream("dcf", user.id), t0_offset=k * 100 * US)
                     sta.start()
-                    add_flow(user, partial(ap.offer_packet, user.id))
+                    add_flow(user, sta.offer_packet)
 
-    CbrArrivals(engine, flows, t_end).start(0)
+    spacing_ns = interarrival_ns(cfg.packet_bytes, cfg.load_mbps * 1e6)
+    CbrArrivals(engine, flows, spacing_ns, t_end).start(0)
     events = engine.run_until(t_end)
     wall_s = time.perf_counter() - t_wall
 
@@ -191,6 +192,7 @@ def _write_run(result, scn, out_dir, trace_rows) -> None:
 
 
 PARTIAL_SUFFIX = ".partial"
+RUN_FILES = ("run.json", "metrics.csv", "scenario.csv")  # a complete run's result
 
 
 def _sanitize(label: str) -> str:
@@ -273,12 +275,12 @@ def emit_report(in_dir: str, out_csv: str) -> None:
         run_dir = os.path.join(runs_dir, name)
         if not os.path.isdir(run_dir):
             continue
-        meta_path = os.path.join(run_dir, "run.json")
         failed = os.path.exists(os.path.join(run_dir, "error.txt"))
-        if failed or name.endswith(PARTIAL_SUFFIX) or not os.path.isfile(meta_path):
+        missing = not all(os.path.isfile(os.path.join(run_dir, f)) for f in RUN_FILES)
+        if failed or name.endswith(PARTIAL_SUFFIX) or missing:
             # Pooling the remaining seeds would bias the box stats silently.
             raise ConfigError(f"run directory {run_dir} has no complete result")
-        with open(meta_path) as fh:
+        with open(os.path.join(run_dir, "run.json")) as fh:
             meta = json.load(fh)
         label = meta["label"]
         if label in hashes and hashes[label] != meta["config_hash"]:

@@ -30,29 +30,25 @@ class PacketRecord:
 
 
 def interarrival_ns(packet_bytes: int, rate_bps: float) -> int:
-    """Packet spacing of a CBR flow, rounded to the integer-nanosecond grid."""
+    """Packet spacing of a CBR flow, rounded to the integer-nanosecond grid;
+    exactly 240 us at the 1500 B / 50 Mbps defaults."""
     return round(packet_bytes * 8 * SEC / rate_bps)
 
 
 class CbrFlow:
-    """Constant-bit-rate source: one packet every packet_bits/rate seconds.
-
-    At the 1500 B / 50 Mbps defaults the inter-arrival time is exactly
-    240 us, which is representable in integer nanoseconds.
-    """
+    """Constant-bit-rate source: `CbrArrivals` hands it a packet every spacing
+    of the run, and it records the packet and passes it to its sink."""
 
     def __init__(
         self,
         flow_id: str,
         destination: str,
-        rate_bps: float,
         packet_bytes: int,
         sink: Callable[[PacketRecord], None],
     ) -> None:
         self.flow_id = flow_id
         self.destination = destination
         self.packet_bytes = packet_bytes
-        self.interarrival_ns = interarrival_ns(packet_bytes, rate_bps)
         self.sink = sink
         self.records: list[PacketRecord] = []
 
@@ -67,12 +63,11 @@ class CbrArrivals:
     hands each flow its packet, in flow order, as one event per flow would
     unless a sink schedules an event exactly one spacing ahead."""
 
-    def __init__(self, engine: Engine, flows: list[CbrFlow], t_end: int) -> None:
+    def __init__(self, engine: Engine, flows: list[CbrFlow], spacing_ns: int, t_end: int) -> None:
         self.engine = engine
         self.flows = flows
+        self.spacing_ns = spacing_ns
         self.t_end = t_end
-        self.interarrival_ns = flows[0].interarrival_ns
-        assert all(f.interarrival_ns == self.interarrival_ns for f in flows)
 
     def start(self, t0: int = 0) -> None:
         self.engine.schedule(self._arrive, t0)
@@ -81,6 +76,6 @@ class CbrArrivals:
         now = self.engine.now
         for flow in self.flows:
             flow.arrive(now)
-        nxt = now + self.interarrival_ns
+        nxt = now + self.spacing_ns
         if nxt < self.t_end:
             self.engine.schedule(self._arrive, nxt)

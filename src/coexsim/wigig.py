@@ -16,7 +16,7 @@ from typing import Optional
 from .channel_access import Backoff
 from .config import CampaignConfig
 from .engine import MS, US, Engine
-from .radio import Device, RadioEnvironment, db_to_lin
+from .radio import Device, RadioEnvironment, db_to_lin, select_mcs
 from .traffic import PacketRecord
 
 # (decode threshold dB, PHY rate bit/s), single-carrier 802.11ad-like set.
@@ -24,6 +24,8 @@ WIGIG_MCS: list[tuple[float, float]] = [
     (1.0, 385e6), (4.0, 770e6), (7.0, 1155e6),
     (12.0, 1925e6), (17.0, 3080e6), (22.0, 4620e6),
 ]
+
+WIGIG_MCS_MARGIN_DB = 1.0  # SINR headroom of the rate choice
 
 PREAMBLE_NS = 1900
 PROBE_BYTES = 20
@@ -37,18 +39,9 @@ def frame_duration_ns(payload_bytes: int, rate_bps: float) -> int:
     return PREAMBLE_NS + math.ceil(payload_bytes * 8 * 1e9 / rate_bps)
 
 
-def select_wigig_mcs(sinr_db: float, margin_db: float = 1.0) -> int:
-    budget = sinr_db - margin_db
-    chosen = 0
-    for i, (thr, _rate) in enumerate(WIGIG_MCS):
-        if thr <= budget:
-            chosen = i
-    return chosen
-
-
 @dataclass
 class WigigFrame:
-    sta_id: str
+    sta: "WigigSta"
     packet: PacketRecord
     mcs: int = 0
     failures: int = 0
@@ -75,7 +68,6 @@ class WigigAp(Backoff):
         self.config = config
         self.rng = rng
         self.frame_trace = frame_trace
-        self.stas: dict[str, "WigigSta"] = {}
         self.queue: deque[WigigFrame] = deque()
         self.cws = config.cws_min
         self.ed_threshold_lin = db_to_lin(config.wigig_ed_threshold_dbm)
@@ -84,9 +76,6 @@ class WigigAp(Backoff):
         self._current: Optional[WigigFrame] = None
         self._ack_ok = False
         self.drops = 0
-
-    def add_sta(self, sta: "WigigSta") -> None:
-        self.stas[sta.device.id] = sta
 
     # -- sensing ------------------------------------------------------------
 
@@ -117,35 +106,16 @@ class WigigAp(Backoff):
 
     # -- queueing -----------------------------------------------------------
 
-    def offer_packet(self, sta_id: str, pkt: PacketRecord) -> None:
-        sta = self.stas[sta_id]
-        if sta.association == "failed":
-            pkt.lost = True
-            return
-        if sta.association == "pending":
-            sta.holding.append(pkt)
-            return
-        self._enqueue(WigigFrame(sta_id, pkt))
-
-    def _enqueue(self, frame: WigigFrame) -> None:
+    def enqueue(self, frame: WigigFrame) -> None:
         self.queue.append(frame)
         if self.state == self.IDLE:
             self._start_access()
 
-    def flush_holding(self, sta: "WigigSta") -> None:
-        for pkt in sta.holding:
-            if sta.association == "associated":
-                self._enqueue(WigigFrame(sta.device.id, pkt))
-            else:
-                pkt.lost = True
-        sta.holding.clear()
-
     # -- DCF ------------------------------------------------------------------
 
     def _start_access(self) -> None:
-        self._current = self.queue.popleft()
-        sta = self.stas[self._current.sta_id]
-        self._current.mcs = select_wigig_mcs(sta.last_sinr_db)
+        frame = self._current = self.queue.popleft()
+        frame.mcs = select_mcs(WIGIG_MCS, frame.sta.last_sinr_db, WIGIG_MCS_MARGIN_DB)
         self._start_backoff()
 
     def _backoff_done(self) -> None:
@@ -154,7 +124,7 @@ class WigigAp(Backoff):
     def _transmit(self) -> None:
         self.state = self.TX
         frame = self._current
-        sta = self.stas[frame.sta_id]
+        sta = frame.sta
         dur = frame_duration_ns(frame.packet.size_bytes, WIGIG_MCS[frame.mcs][1])
         end = self.engine.now + dur
         self.env.transmit(self.device, sta.device, end, "wigig", partial(sta.receive_frame, frame))
@@ -167,7 +137,7 @@ class WigigAp(Backoff):
     def ack_received(self, frame: WigigFrame, measured_sinr_db: float) -> None:
         if frame is self._current:
             self._ack_ok = True
-            self.stas[frame.sta_id].last_sinr_db = measured_sinr_db
+            frame.sta.last_sinr_db = measured_sinr_db
             self.engine.cancel(self._ack_timer)
             self._settle(frame)
 
@@ -189,7 +159,7 @@ class WigigAp(Backoff):
                 outcome = "retry"
         if self.frame_trace is not None:
             self.frame_trace.append(
-                (self.engine.now, self.device.id, frame.sta_id,
+                (self.engine.now, self.device.id, frame.sta.device.id,
                  frame.packet.size_bytes, frame.mcs, frame.failures, outcome)
             )
         self._current = None
@@ -200,8 +170,9 @@ class WigigAp(Backoff):
 
 
 class WigigSta:
-    """Station: decodes downlink frames, replies with SIFS-spaced ACKs, and
-    runs the startup association handshake."""
+    """Station: gates its downlink packets on association, decodes downlink
+    frames, replies with SIFS-spaced ACKs, and runs the startup association
+    handshake."""
 
     def __init__(
         self,
@@ -223,7 +194,6 @@ class WigigSta:
         self._assoc_tries = 0
         self._busy_waits = 0
         self._t0 = t0_offset
-        ap.add_sta(self)
 
     def start(self) -> None:
         env = self.env
@@ -231,6 +201,16 @@ class WigigSta:
         self.engine.schedule(self._associate_attempt, self._t0)
 
     # -- data path ------------------------------------------------------------
+
+    def offer_packet(self, pkt: PacketRecord) -> None:
+        """Queue a downlink packet at the AP once associated; hold it while
+        association is pending, and lose it if association failed."""
+        if self.association == "failed":
+            pkt.lost = True
+        elif self.association == "pending":
+            self.holding.append(pkt)
+        else:
+            self.ap.enqueue(WigigFrame(self, pkt))
 
     def receive_frame(self, frame: WigigFrame, cap) -> None:
         sinr = self.env.effective_sinr_db(cap, self.device, rx_beam_toward=self.ap.device)
@@ -288,16 +268,18 @@ class WigigSta:
         if sinr < ACK_THRESHOLD_DB:
             self._attempt_failed()
             return
-        self.association = "associated"
-        self.ap.flush_holding(self)
+        self._end_association("associated")
 
     def _attempt_failed(self) -> None:
         self._assoc_tries += 1
         if self._assoc_tries >= self.config.assoc_attempts:
-            self._assoc_fail()
+            self._end_association("failed")
         else:
             self.engine.schedule_in(self._associate_attempt, ASSOC_SPACING_NS)
 
-    def _assoc_fail(self) -> None:
-        self.association = "failed"
-        self.ap.flush_holding(self)
+    def _end_association(self, outcome: str) -> None:
+        """Settle the handshake, then offer the held packets again."""
+        self.association = outcome
+        held, self.holding = self.holding, []
+        for pkt in held:
+            self.offer_packet(pkt)

@@ -25,7 +25,7 @@ def _dcf(rig, dev):
     sta = WigigSta(user, ap, rig.engine, FixedRng(0))
     sta.association = "associated"
     rig.env.emission_log = []
-    ap.offer_packet("sta0", PacketRecord("f", 0, 1500, 0))
+    sta.offer_packet(PacketRecord("f", 0, 1500, 0))
     return lambda: [em.start for em in rig.env.emission_log if em.source is dev]
 
 

@@ -11,10 +11,9 @@ from coexsim.nru import (
     NruGnb,
     NruUe,
     TransportBlock,
-    select_mcs,
     symbol_capacity_bytes,
 )
-from coexsim.radio import Emission
+from coexsim.radio import Emission, select_mcs
 from coexsim.traffic import PacketRecord
 from tests.conftest import FixedRng
 
@@ -29,30 +28,29 @@ def test_symbol_grid_constants():
 
 def test_select_mcs_picks_highest_feasible():
     # budget = sinr - margin; thresholds at ... 13, 16 ...
-    c = select_mcs(15.0, margin_db=1.0)
-    assert c.index == 6 and c.spectral_efficiency == 3.0 and not c.outage
+    index = select_mcs(MCS_TABLE, 15.0, 1.0)
+    assert index == 6 and MCS_TABLE[index][1] == 3.0
 
 
 def test_select_mcs_tie_goes_up():
     # budget exactly on a threshold selects that entry.
-    c = select_mcs(17.0, margin_db=1.0)
-    assert MCS_TABLE[c.index][0] == 16.0
+    assert MCS_TABLE[select_mcs(MCS_TABLE, 17.0, 1.0)][0] == 16.0
 
 
 def test_select_mcs_outage_below_lowest():
-    c = select_mcs(-5.0, margin_db=1.0)
-    assert c.index == 0 and c.outage
+    # Outage: index 0 below the lowest threshold.
+    assert select_mcs(MCS_TABLE, -5.0, 1.0) == 0
 
 
 def test_select_mcs_rejects_non_finite():
     with pytest.raises(ValueError):
-        select_mcs(float("nan"))
+        select_mcs(MCS_TABLE, float("nan"), 1.0)
 
 
 def test_symbol_capacity_hand_value():
     # 5.5 bit/s/Hz * 2.16 GHz * 0.75 overhead * 8.92 us / 8
-    assert symbol_capacity_bytes(5.5, 2.16e9) == 9934
-    assert symbol_capacity_bytes(0.2, 2.16e9) == 361
+    assert symbol_capacity_bytes(5.5, 2.16e9, 0.75) == 9934
+    assert symbol_capacity_bytes(0.2, 2.16e9, 0.75) == 361
 
 
 # -- scheduler rig ---------------------------------------------------------------
@@ -79,7 +77,7 @@ def _pkt(i=0, size=1500):
 
 def test_single_packet_takes_one_whole_symbol(rig):
     gnb, ues, trace = _gnb_rig(rig, n_ues=1)
-    gnb.offer_packet("ue0", _pkt())
+    ues[0].offer_packet(_pkt())
     gnb.start()
     rig.engine.run_until(10 * SLOT_NS)
     tx_rows = [r for r in trace if r[5] == "tx"]
@@ -88,13 +86,13 @@ def test_single_packet_takes_one_whole_symbol(rig):
 
 
 def test_an_idle_cell_schedules_no_commit(rig, monkeypatch):
-    gnb, _ues, trace = _gnb_rig(rig, n_ues=2)
+    gnb, ues, trace = _gnb_rig(rig, n_ues=2)
     commits = []
     monkeypatch.setattr(gnb, "_commit", lambda slot, *_args: commits.append(slot))
     gnb.start()
     rig.engine.run_until(6 * SLOT_NS)
     assert commits == [] and trace == []
-    gnb.offer_packet("ue0", _pkt())  # the next slot planned has a block to send
+    ues[0].offer_packet(_pkt())  # the next slot planned has a block to send
     rig.engine.run_until(10 * SLOT_NS)
     assert commits == [9]
 
@@ -102,8 +100,8 @@ def test_an_idle_cell_schedules_no_commit(rig, monkeypatch):
 def test_round_robin_rotates_first_service(rig):
     gnb, ues, trace = _gnb_rig(rig, n_ues=2)
     for i in range(40):
-        gnb.offer_packet("ue0", _pkt(i))
-        gnb.offer_packet("ue1", _pkt(i))
+        ues[0].offer_packet(_pkt(i))
+        ues[1].offer_packet(_pkt(i))
     gnb.start()
     rig.engine.run_until(8 * SLOT_NS)
     by_slot = {}
@@ -116,11 +114,11 @@ def test_round_robin_rotates_first_service(rig):
 
 def test_whole_symbol_count_is_ceiling_of_bytes(rig):
     gnb, ues, trace = _gnb_rig(rig, n_ues=1)
-    cap = symbol_capacity_bytes(
-        MCS_TABLE[select_mcs(ues[0].last_sinr_db).index][1], 2.16e9
-    )
+    cfg = rig.config
+    mcs = select_mcs(MCS_TABLE, ues[0].last_sinr_db, cfg.mcs_margin_db)
+    cap = symbol_capacity_bytes(MCS_TABLE[mcs][1], cfg.bandwidth_hz, cfg.nru_overhead)
     n_bytes = cap + 1  # spills exactly one byte into a second symbol
-    gnb.offer_packet("ue0", _pkt(size=n_bytes))
+    ues[0].offer_packet(_pkt(size=n_bytes))
     gnb.start()
     rig.engine.run_until(10 * SLOT_NS)
     tx_rows = [r for r in trace if r[5] == "tx"]
@@ -130,7 +128,7 @@ def test_whole_symbol_count_is_ceiling_of_bytes(rig):
 def test_delivery_credits_packet_and_sends_feedback(rig):
     gnb, ues, trace = _gnb_rig(rig, n_ues=1)
     pkt = _pkt()
-    gnb.offer_packet("ue0", pkt)
+    ues[0].offer_packet(pkt)
     gnb.start()
     rig.engine.run_until(40 * SLOT_NS)
     assert pkt.delivered
@@ -141,7 +139,7 @@ def test_delivery_credits_packet_and_sends_feedback(rig):
 def test_chase_combining_adds_linear_snr(rig):
     gnb, ues, _ = _gnb_rig(rig, n_ues=1)
     ue = ues[0]
-    tb = TransportBlock(0, "ue0", 100, [], mcs=11, n_symbols=1)  # 28 dB threshold
+    tb = TransportBlock(0, ue, 100, [], mcs=11, n_symbols=1)  # 28 dB threshold
 
     def one_tx():
         em = Emission(
@@ -161,7 +159,7 @@ def test_chase_combining_adds_linear_snr(rig):
 def test_harq_drops_after_max_transmissions(rig):
     gnb, ues, _ = _gnb_rig(rig, n_ues=1)
     pkt = _pkt()
-    tb = TransportBlock(7, "ue0", 1500, [(pkt, 1500)], mcs=0, n_symbols=1, tx_count=4)
+    tb = TransportBlock(7, ues[0], 1500, [(pkt, 1500)], mcs=0, n_symbols=1, tx_count=4)
     gnb.processes[7] = tb
     gnb._feedback_timeout([7])
     assert pkt.lost
@@ -170,7 +168,7 @@ def test_harq_drops_after_max_transmissions(rig):
 
 def test_harq_requeues_below_max_transmissions(rig):
     gnb, ues, _ = _gnb_rig(rig, n_ues=1)
-    tb = TransportBlock(8, "ue0", 1500, [(_pkt(), 1500)], mcs=0, n_symbols=1, tx_count=1)
+    tb = TransportBlock(8, ues[0], 1500, [(_pkt(), 1500)], mcs=0, n_symbols=1, tx_count=1)
     gnb.processes[8] = tb
     gnb._feedback_timeout([8])
     assert list(gnb.retx) == [tb]
@@ -186,7 +184,7 @@ def test_harq_retransmissions_resolve_up_to_the_limit(rig):
     gnb.t_end = 100 * SLOT_NS
     ues[0].last_sinr_db = 40.0  # top MCS (28 dB): even 4 combined copies fail
     pkt = _pkt()
-    gnb.offer_packet("ue0", pkt)
+    ues[0].offer_packet(pkt)
     gnb.start()
     rig.engine.run_until(100 * SLOT_NS)
     assert [r[3] for r in trace if r[5] == "tx"][0] == len(MCS_TABLE) - 1
@@ -202,14 +200,14 @@ def test_feedback_reserves_tail_symbols_with_gap(rig):
 
 
 def test_segment_return_preserves_fifo_order(rig):
-    gnb, ues, _ = _gnb_rig(rig, n_ues=1)
+    gnb, [ue], _ = _gnb_rig(rig, n_ues=1)
     p0, p1 = _pkt(0), _pkt(1)
-    gnb.offer_packet("ue0", p0)
-    gnb.offer_packet("ue0", p1)
-    segs = gnb._take_bytes("ue0", 2000)  # all of p0 plus 500 B of p1
+    ue.offer_packet(p0)
+    ue.offer_packet(p1)
+    segs = gnb._take_bytes(ue, 2000)  # all of p0 plus 500 B of p1
     assert [(p.seq, n) for p, n in segs] == [(0, 1500), (1, 500)]
-    assert gnb.buffered_bytes["ue0"] == 1000
-    tb = TransportBlock(9, "ue0", 2000, segs, 0, 1)
+    assert ue.buffered_bytes == 1000
+    tb = TransportBlock(9, ue, 2000, segs, 0, 1)
     gnb._return_segments(tb)
-    assert gnb.buffered_bytes["ue0"] == 3000
-    assert [p.seq for p, _n in gnb.buffers["ue0"]] == [0, 1]
+    assert ue.buffered_bytes == 3000
+    assert [p.seq for p, _n in ue.buffer] == [0, 1]

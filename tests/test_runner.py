@@ -242,6 +242,16 @@ def test_rerun_into_the_same_campaign_dir_replaces_the_failed_run(tmp_path):
         emit_report(str(tmp_path), str(tmp_path / "box.csv"))
 
 
+@pytest.mark.parametrize("name", ["run.json", "metrics.csv", "scenario.csv"])
+def test_report_refuses_a_run_missing_a_result_file(tmp_path, capsys, name):
+    run_campaign(reduced(duration_s=0.002), [1], str(tmp_path), verbose=False)
+    run_dir = tmp_path / "runs" / "Cat4-Cat2_seed1"
+    (run_dir / name).unlink()
+    assert main(["report", "--in", str(tmp_path), "--out", str(tmp_path / "box.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{run_dir} has no complete result" in err
+
+
 def test_report_rejects_a_metrics_file_with_another_header(tmp_path):
     run_campaign(reduced(duration_s=0.002), [1], str(tmp_path), verbose=False)
     path = tmp_path / "runs" / "Cat4-Cat2_seed1" / "metrics.csv"

@@ -2,15 +2,16 @@ import pytest
 
 from coexsim.config import CampaignConfig
 from coexsim.engine import MS, US
+from coexsim.radio import select_mcs
 from coexsim.traffic import PacketRecord
 from coexsim.wigig import (
     PREAMBLE_NS,
     WIGIG_MCS,
+    WIGIG_MCS_MARGIN_DB,
     WigigAp,
     WigigFrame,
     WigigSta,
     frame_duration_ns,
-    select_wigig_mcs,
 )
 from tests.conftest import FixedRng
 
@@ -30,10 +31,11 @@ def test_frames_do_not_snap_to_symbol_grid():
     assert frame_duration_ns(1500, 4620e6) % 8920 != 0
 
 
-def test_select_wigig_mcs_thresholds():
-    assert select_wigig_mcs(23.5) == 5  # budget 22.5 >= top threshold
-    assert select_wigig_mcs(22.9) == 4  # budget 21.9 just misses it
-    assert select_wigig_mcs(-10.0) == 0  # floor entry regardless of SINR
+def test_select_mcs_on_the_wigig_table():
+    assert WIGIG_MCS_MARGIN_DB == 1.0
+    assert select_mcs(WIGIG_MCS, 23.5, 1.0) == 5  # budget 22.5 >= top threshold
+    assert select_mcs(WIGIG_MCS, 22.9, 1.0) == 4  # budget 21.9 just misses it
+    assert select_mcs(WIGIG_MCS, -10.0, 1.0) == 0  # floor entry regardless of SINR
 
 
 def _ap_rig(rig):
@@ -49,7 +51,7 @@ def _ap_rig(rig):
 def test_cws_doubles_per_failure_and_caps(rig):
     ap, sta = _ap_rig(rig)
     ap.config = CampaignConfig(wigig_retry_limit=20)
-    frame = WigigFrame("sta0", PacketRecord("f", 0, 1500, 0))
+    frame = WigigFrame(sta, PacketRecord("f", 0, 1500, 0))
     seen = []
     for _ in range(8):
         ap._current = frame
@@ -63,7 +65,7 @@ def test_cws_doubles_per_failure_and_caps(rig):
 def test_success_resets_cws(rig):
     ap, sta = _ap_rig(rig)
     ap.cws = 255
-    frame = WigigFrame("sta0", PacketRecord("f", 0, 1500, 0))
+    frame = WigigFrame(sta, PacketRecord("f", 0, 1500, 0))
     ap._current = frame
     ap._ack_ok = True
     ap._settle(frame)
@@ -73,7 +75,7 @@ def test_success_resets_cws(rig):
 def test_drop_after_retry_limit(rig):
     ap, sta = _ap_rig(rig)
     pkt = PacketRecord("f", 0, 1500, 0)
-    frame = WigigFrame("sta0", pkt, failures=6)
+    frame = WigigFrame(sta, pkt, failures=6)
     ap._current = frame
     ap._ack_ok = False
     ap._settle(frame)  # seventh failure
@@ -111,7 +113,7 @@ def test_medium_busy_dual_thresholds(rig):
 def test_queued_packet_transmits_and_delivers(rig):
     ap, sta = _ap_rig(rig)
     pkt = PacketRecord("f", 0, 1500, 0)
-    ap.offer_packet("sta0", pkt)
+    sta.offer_packet(pkt)
     rig.engine.run_until(2 * MS)
     assert pkt.delivered
     assert ap.state == ap.IDLE
@@ -122,7 +124,7 @@ def test_queued_packet_transmits_and_delivers(rig):
 def test_ack_success_settles_before_timeout(rig):
     ap, sta = _ap_rig(rig)
     pkt = PacketRecord("f", 0, 1500, 0)
-    ap.offer_packet("sta0", pkt)
+    sta.offer_packet(pkt)
     rig.engine.run_until(2 * MS)
     # First frame goes at the floor MCS (no SINR estimate yet): 8 us deferral
     # with zero scripted backoff, then the frame itself; the packet counts as
@@ -135,20 +137,36 @@ def test_holding_queue_until_association(rig):
     ap, sta = _ap_rig(rig)
     sta.association = "pending"
     pkt = PacketRecord("f", 0, 1500, 0)
-    ap.offer_packet("sta0", pkt)
+    sta.offer_packet(pkt)
     assert sta.holding == [pkt] and not ap.queue
-    sta.association = "associated"
-    ap.flush_holding(sta)
+    sta._end_association("associated")
     rig.engine.run_until(2 * MS)
-    assert pkt.delivered
+    assert pkt.delivered and not sta.holding
 
 
 def test_failed_association_drops_traffic(rig):
     ap, sta = _ap_rig(rig)
     sta.association = "failed"
     pkt = PacketRecord("f", 0, 1500, 0)
-    ap.offer_packet("sta0", pkt)
+    sta.offer_packet(pkt)
     assert pkt.lost and not ap.queue
+
+
+def test_failed_association_loses_the_held_packets(rig):
+    site = rig.place("ap1", 0.0, 0.0, z=3.0, operator="A", role="ap")
+    ap = WigigAp(site, rig.env, rig.engine, rig.config, FixedRng(0))
+    user = rig.place("sta1", 3.0, 0.0, operator="A", role="sta")
+    rig.force_link(site, user, shadowing_db=200.0)  # no probe decodes
+    sta = WigigSta(user, ap, rig.engine, FixedRng(0))
+    held = [PacketRecord("f", i, 1500, 0) for i in range(2)]
+    for pkt in held:
+        sta.offer_packet(pkt)
+    assert sta.holding == held
+    sta.start()
+    rig.engine.run_until(rig.config.assoc_attempts * 2 * MS)
+    assert sta.association == "failed"
+    assert all(pkt.lost and not pkt.delivered for pkt in held)
+    assert not sta.holding and not ap.queue and ap._current is None
 
 
 def test_association_handshake_completes(rig):
