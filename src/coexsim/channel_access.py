@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .config import CampaignConfig
-from .engine import Engine
 from .radio import Device, RadioEnvironment
 
 CAT1 = "Cat1"
@@ -27,64 +25,38 @@ CAT4_CWS_LADDER = (15, 31, 63, 127, 255, 511, 1023)
 class ChannelGrant:
     granted_at: int
     cot_deadline: Optional[int]  # None = unbounded (AlwaysOn)
-    initiator: str
-    category: str
 
     def covers(self, t_end: int) -> bool:
         return self.cot_deadline is None or t_end <= self.cot_deadline
 
 
-class CamTrace:
-    """Optional event log: (time, device, category, event)."""
-
-    def __init__(self) -> None:
-        self.rows: list[tuple[int, str, str, str]] = []
-
-    def add(self, t: int, device: str, category: str, event: str) -> None:
-        self.rows.append((t, device, category, event))
-
-
 class Cam:
     """Base sensing behaviour shared by all categories.
 
-    A UE senses along its beam at the UE ED threshold; any other device
-    senses omni at the gNB threshold. LBT managers grant asynchronously
-    through `request(on_grant)`; every other one answers `attempt(deadline)`
-    at once, with None or a grant that ends by `deadline` when one is given.
+    A UE senses at the UE ED threshold along its beam `toward` its serving
+    site; any other device senses omni at the gNB threshold. LBT managers
+    grant asynchronously through `request(on_grant)`; every other one
+    answers `attempt(deadline)` at once, with None or a grant that ends by
+    `deadline` when one is given. With the "cam" trace selected, events are
+    logged as (time, device, category, event) rows.
     """
 
     def __init__(
-        self,
-        category: str,
-        device: Device,
-        config: CampaignConfig,
-        env: RadioEnvironment,
-        engine: Engine,
-        rng,
-        trace: Optional[CamTrace] = None,
+        self, category: str, device: Device, env: RadioEnvironment, rng,
+        toward: Optional[Device] = None,
     ) -> None:
         self.category = category
         self.device = device
-        self.config = config
         self.env = env
-        self.engine = engine
+        self.engine = env.engine
+        self.config = config = env.config
         self.rng = rng
-        self.trace = trace
-        self.directional = device.role == "ue"
+        self.trace = env.traces.get("cam")
+        directional = device.role == "ue"
         self.ed_threshold_dbm = (
-            config.ue_ed_threshold_dbm if self.directional else config.gnb_ed_threshold_dbm
+            config.ue_ed_threshold_dbm if directional else config.gnb_ed_threshold_dbm
         )
-        self.sense_toward = None
-
-    @property
-    def sense_toward(self) -> Optional[Device]:
-        """Directional sensing looks along the current transmit beam."""
-        return self._sense_toward
-
-    @sense_toward.setter
-    def sense_toward(self, target: Optional[Device]) -> None:
-        self._sense_toward = target
-        self.table = self.env.link_table(self.device, target if self.directional else None)
+        self.table = env.link_table(device, toward if directional else None)
 
     def medium_busy(self) -> bool:
         return self.table.sensed_dbm() >= self.ed_threshold_dbm
@@ -97,10 +69,10 @@ class Cam:
 
     def _emit(self, event: str) -> None:
         if self.trace is not None:
-            self.trace.add(self.engine.now, self.device.id, self.category, event)
+            self.trace.append((self.engine.now, self.device.id, self.category, event))
 
     def _grant(self, deadline: Optional[int]) -> ChannelGrant:
-        g = ChannelGrant(self.engine.now, deadline, self.device.id, self.category)
+        g = ChannelGrant(self.engine.now, deadline)
         self._emit("grant")
         if deadline is not None and self.trace is not None:
             self.engine.schedule(lambda: self._emit("cot_end"), deadline)
@@ -254,13 +226,7 @@ class LbtCam(Cam, Backoff):
 
 
 def make_cam(
-    category: str,
-    device: Device,
-    config: CampaignConfig,
-    env: RadioEnvironment,
-    engine: Engine,
-    rng,
-    trace: Optional[CamTrace] = None,
+    category: str, device: Device, env: RadioEnvironment, rng, toward: Optional[Device] = None
 ) -> Cam:
     cls = {
         CAT1: AlwaysOnCam,
@@ -269,4 +235,4 @@ def make_cam(
         CAT4: LbtCam,
         ONOFF: OnOffCam,
     }[category]
-    return cls(category, device, config, env, engine, rng, trace)
+    return cls(category, device, env, rng, toward)

@@ -5,7 +5,7 @@ import argparse
 import sys
 
 from .config import ConfigError, parse_config
-from .runner import emit_report, run_campaign, run_once
+from .runner import TRACES, emit_report, run_campaign, run_once
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -15,7 +15,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a single seeded run")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seed", type=int, required=True)
-    p_run.add_argument("--trace", default="", help="comma list: cam,mac,frames")
+    p_run.add_argument("--trace", default="", help=f"comma list: {','.join(TRACES)}")
     p_run.add_argument("--out", required=True)
 
     p_camp = sub.add_parser("campaign", help="execute seeds 1..N for each access label")

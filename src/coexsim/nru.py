@@ -13,8 +13,6 @@ from functools import partial
 from typing import Optional
 
 from .channel_access import CAT4, Cam, LbtCam
-from .config import CampaignConfig
-from .engine import Engine
 from .radio import Device, RadioEnvironment, db_to_lin, lin_to_db, select_mcs
 from .traffic import PacketRecord
 
@@ -62,7 +60,6 @@ class NruUe:
         self.device = device
         self.cam = cam
         self.gnb = gnb
-        cam.sense_toward = gnb.device  # dir-LBT along the transmit beam
         self.acc_sinr_lin: dict[int, float] = {}
         self.fb_pending: dict[int, tuple[bool, float]] = {}
         env = gnb.env  # the SINR is interference-free until the first feedback
@@ -112,23 +109,13 @@ class NruUe:
 class NruGnb:
     """Scheduler, channel-access glue and HARQ bookkeeping for one cell."""
 
-    def __init__(
-        self,
-        device: Device,
-        cam: Cam,
-        env: RadioEnvironment,
-        engine: Engine,
-        config: CampaignConfig,
-        t_end: int,
-        mac_trace: Optional[list] = None,
-    ) -> None:
+    def __init__(self, device: Device, cam: Cam, env: RadioEnvironment) -> None:
         self.device = device
         self.cam = cam
         self.env = env
-        self.engine = engine
-        self.config = config
-        self.t_end = t_end
-        self.mac_trace = mac_trace
+        self.engine = env.engine
+        self.config = env.config
+        self.mac_trace = env.traces.get("mac")
         self.ues: list[NruUe] = []
         self.retx: deque[TransportBlock] = deque()
         self.processes: dict[int, TransportBlock] = {}
@@ -154,7 +141,7 @@ class NruGnb:
 
     def _plan(self, slot: int) -> None:
         t_slot = slot * SLOT_NS
-        if t_slot < self.t_end:
+        if t_slot < self.config.duration_ns:
             self.engine.schedule(lambda: self._plan(slot + 1), self.engine.now + SLOT_NS)
         fb_entries = self.fb_reservations.pop(slot, {})
         n_fb = len(fb_entries)

@@ -244,7 +244,8 @@ class RadioEnvironment:
     link per run, from the "link" RNG stream, which makes pathloss reciprocal
     by construction. Sensing and SINR read received powers from one
     `LinkTable` per (receiver, rx beam), and every emission is recorded in
-    the per-operator occupancy `ledger`.
+    the per-operator occupancy `ledger`. The run's `engine`, `config` and
+    `traces` live here too, for every component built on this environment.
     """
 
     # Ended emissions are kept at least this long, and at least as long as a
@@ -275,6 +276,9 @@ class RadioEnvironment:
         self._listeners: list = []  # objects with .medium_changed()
         self.ledger = OccupancyLedger()
         self.emission_log: Optional[list[Emission]] = None  # set to [] to record
+        # Trace selector -> row list, one per selected trace; components take
+        # theirs at construction, so fill it before building them.
+        self.traces: dict[str, list] = {}
         self._next_eid = 0
 
     # -- geometry ---------------------------------------------------------

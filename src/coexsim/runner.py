@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .channel_access import CamTrace, make_cam
+from .channel_access import make_cam
 from .config import ACCESS_MODES, CampaignConfig, ConfigError, validate
 from .engine import US, Engine, RngStreams
 from .metrics import box_stats, goodput_per_device_bps, latency_samples_ns
@@ -51,7 +51,6 @@ class RunResult:
     flows: list = field(default_factory=list, repr=False)
     env: object = field(default=None, repr=False)
     aps: list = field(default_factory=list, repr=False)
-    cam_trace: object = field(default=None, repr=False)
     cams: list = field(default_factory=list, repr=False)
 
 
@@ -70,9 +69,7 @@ def run_once(
     engine = Engine()
     streams = RngStreams(seed)
     env = RadioEnvironment(engine, streams, cfg)
-    cam_trace = CamTrace() if "cam" in traces else None
-    mac_trace: Optional[list] = [] if "mac" in traces else None
-    frame_trace: Optional[list] = [] if "frames" in traces else None
+    env.traces = {s: [] for s in traces}
     if traces:
         env.emission_log = []
 
@@ -97,15 +94,12 @@ def run_once(
                         f"value for key 'users_per_operator' puts {len(users)} UEs on "
                         f"gNB {site.id}; at most {SYMBOLS_PER_SLOT} fit one slot's feedback"
                     )
-                cam = make_cam(
-                    gnb_cat, site, cfg, env, engine, streams.stream("cam", site.id), cam_trace
-                )
+                cam = make_cam(gnb_cat, site, env, streams.stream("cam", site.id))
                 cams.append(cam)
-                gnb = NruGnb(site, cam, env, engine, cfg, t_end, mac_trace)
+                gnb = NruGnb(site, cam, env)
                 for user in users:
-                    ue_cam = make_cam(
-                        ue_cat, user, cfg, env, engine, streams.stream("cam", user.id), cam_trace
-                    )
+                    # A UE senses along its transmit beam: toward its site.
+                    ue_cam = make_cam(ue_cat, user, env, streams.stream("cam", user.id), site)
                     cams.append(ue_cam)
                     ue = NruUe(user, ue_cam, gnb)
                     gnb.add_ue(ue)
@@ -113,10 +107,10 @@ def run_once(
                 gnb.start()
         else:
             for site in scn.sites[op]:
-                ap = WigigAp(site, env, engine, cfg, streams.stream("dcf", site.id), frame_trace)
+                ap = WigigAp(site, env, streams.stream("dcf", site.id))
                 aps.append(ap)
                 for k, user in enumerate(scn.users_of_site(site)):
-                    sta = WigigSta(user, ap, engine, streams.stream("dcf", user.id), t0_offset=k * 100 * US)
+                    sta = WigigSta(user, ap, streams.stream("dcf", user.id), t0_offset=k * 100 * US)
                     sta.start()
                     add_flow(user, sta.offer_packet)
 
@@ -141,17 +135,14 @@ def run_once(
         flows=flows,
         env=env,
         aps=aps,
-        cam_trace=cam_trace,
         cams=cams,
     )
     if out_dir is not None:
-        cam_rows = None if cam_trace is None else cam_trace.rows
-        _write_run(result, scn, out_dir, {"cam": cam_rows, "mac": mac_trace, "frames": frame_trace})
+        _write_run(result, scn, out_dir)
     return result
 
 
-def _write_run(result, scn, out_dir, trace_rows) -> None:
-    """`trace_rows` maps each trace selector to its rows, None if not selected."""
+def _write_run(result, scn, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "metrics.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
@@ -176,7 +167,7 @@ def _write_run(result, scn, out_dir, trace_rows) -> None:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for selector, (name, header) in TRACES.items():
-        rows = trace_rows[selector]
+        rows = result.env.traces.get(selector)
         path = os.path.join(out_dir, name)
         if rows is None:  # a trace left by an earlier run into out_dir is stale
             with contextlib.suppress(FileNotFoundError):
@@ -256,9 +247,10 @@ def emit_report(in_dir: str, out_csv: str) -> None:
     """Pool every run directory under `in_dir` (or its `runs/`) per label into
     box statistics in `out_csv`.
 
-    Raises ConfigError on a run directory without a complete result, on a
-    `metrics.csv` with another header, on one label run under two
-    configurations, and on a label lacking a seed that another label has.
+    Raises ConfigError on a run directory without a complete result or whose
+    files are malformed or disagree, on a `metrics.csv` with another header,
+    on one label run under two configurations, and on a label lacking a seed
+    that another label has.
     A seed missing from every label cannot be told apart from one never
     run, since the report has no campaign manifest.
     """
@@ -280,19 +272,24 @@ def emit_report(in_dir: str, out_csv: str) -> None:
         if failed or name.endswith(PARTIAL_SUFFIX) or missing:
             # Pooling the remaining seeds would bias the box stats silently.
             raise ConfigError(f"run directory {run_dir} has no complete result")
-        with open(os.path.join(run_dir, "run.json")) as fh:
-            meta = json.load(fh)
-        label = meta["label"]
-        if label in hashes and hashes[label] != meta["config_hash"]:
+        try:
+            with open(os.path.join(run_dir, "run.json")) as fh:
+                meta = json.load(fh)
+            label, config_hash, tech = meta["label"], meta["config_hash"], meta["technologies"]
+            seeds.setdefault(label, set()).add(meta["seed"])
+            with open(os.path.join(run_dir, "scenario.csv")) as fh:
+                dev_tech = {row["device"]: tech[row["operator"]] for row in csv.DictReader(fh)}
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(
+                f"run directory {run_dir} has a run.json or scenario.csv that is malformed "
+                f"or disagrees with the other ({type(exc).__name__}: {exc})"
+            ) from None
+        if label in hashes and hashes[label] != config_hash:
             raise ConfigError(
                 f"mixed configurations for label '{label}' in {runs_dir}"
             )
-        hashes[label] = meta["config_hash"]
-        seeds.setdefault(label, set()).add(meta["seed"])
-        tech = meta["technologies"]
+        hashes[label] = config_hash
         found += 1
-        with open(os.path.join(run_dir, "scenario.csv")) as fh:
-            dev_tech = {row["device"]: tech[row["operator"]] for row in csv.DictReader(fh)}
         per_dev_latency: dict[str, list[float]] = {}
         metrics_path = os.path.join(run_dir, "metrics.csv")
         with open(metrics_path, newline="") as fh:
@@ -301,15 +298,21 @@ def emit_report(in_dir: str, out_csv: str) -> None:
                 raise ConfigError(
                     f"{metrics_path} does not start with the header {','.join(METRICS_HEADER)}"
                 )
-            for metric, scope, value in rows:
-                if metric == "latency_us":
-                    per_dev_latency.setdefault(scope, []).append(float(value))
-                elif metric == "occupancy":
-                    samples.setdefault((label, metric, tech[scope]), []).append(float(value))
-                elif metric == "goodput_mbps":
-                    samples.setdefault((label, metric, dev_tech[scope]), []).append(float(value))
-        for dev, delays in per_dev_latency.items():
-            samples.setdefault((label, "latency_us", dev_tech[dev]), []).append(median(delays))
+            try:
+                for metric, scope, value in rows:
+                    if metric == "latency_us":
+                        per_dev_latency.setdefault(scope, []).append(float(value))
+                    elif metric == "occupancy":
+                        samples.setdefault((label, metric, tech[scope]), []).append(float(value))
+                    elif metric == "goodput_mbps":
+                        samples.setdefault((label, metric, dev_tech[scope]), []).append(float(value))
+                for dev, delays in per_dev_latency.items():
+                    samples.setdefault((label, "latency_us", dev_tech[dev]), []).append(median(delays))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ConfigError(
+                    f"run directory {run_dir} has a metrics.csv that is malformed or names "
+                    f"what its run.json and scenario.csv lack ({type(exc).__name__}: {exc})"
+                ) from None
     if not found:
         raise ConfigError(f"no run results found under {in_dir}")
     every_seed = set().union(*seeds.values())

@@ -7,7 +7,7 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import Optional
 
-from .channel_access import CAT2, CAT3, CAT4, Cam, CamTrace
+from .channel_access import CAT2, CAT3, CAT4, Cam
 from .radio import Device, RadioEnvironment, db_to_lin
 
 
@@ -29,21 +29,19 @@ def _power_steps(env: RadioEnvironment, device: Device, emissions, rx_beam):
 
 
 def verify_lbt_safety(
-    env: RadioEnvironment,
-    cams: list[Cam],
-    trace: CamTrace,
-    emissions: list,
+    env: RadioEnvironment, cams: list[Cam], cam_rows: list, emissions: list
 ) -> list[tuple[int, str, str]]:
     """Re-derive every CCA window a CAM believed idle and check it really was.
 
     Returns one (time, device, detail) tuple per violation. Windows are the
-    trace intervals from each defer_start to the next counter_frozen/grant of
-    the same device, plus the fixed deferral window preceding each Cat2 grant.
+    intervals in the cam trace's `cam_rows` from each defer_start to the next
+    counter_frozen/grant of the same device, plus the fixed deferral window
+    preceding each Cat2 grant.
     """
     violations: list[tuple[int, str, str]] = []
     by_id = {c.device.id: c for c in cams}
     per_device: dict[str, list[tuple[int, str]]] = {}
-    for t, dev, cat, event in trace.rows:
+    for t, dev, cat, event in cam_rows:
         if cat in (CAT2, CAT3, CAT4):
             per_device.setdefault(dev, []).append((t, event))
 

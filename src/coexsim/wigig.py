@@ -14,8 +14,7 @@ from functools import partial
 from typing import Optional
 
 from .channel_access import Backoff
-from .config import CampaignConfig
-from .engine import MS, US, Engine
+from .engine import MS, US
 from .radio import Device, RadioEnvironment, db_to_lin, select_mcs
 from .traffic import PacketRecord
 
@@ -53,21 +52,13 @@ class WigigAp(Backoff):
 
     TX, WAIT_ACK = 4, 5  # after Backoff.IDLE, WAIT_IDLE, DEFER, COUNT
 
-    def __init__(
-        self,
-        device: Device,
-        env: RadioEnvironment,
-        engine: Engine,
-        config: CampaignConfig,
-        rng,
-        frame_trace: Optional[list] = None,
-    ) -> None:
+    def __init__(self, device: Device, env: RadioEnvironment, rng) -> None:
         self.device = device
         self.env = env
-        self.engine = engine
-        self.config = config
+        self.engine = env.engine
+        self.config = config = env.config
         self.rng = rng
-        self.frame_trace = frame_trace
+        self.frame_trace = env.traces.get("frames")
         self.queue: deque[WigigFrame] = deque()
         self.cws = config.cws_min
         self.ed_threshold_lin = db_to_lin(config.wigig_ed_threshold_dbm)
@@ -174,19 +165,12 @@ class WigigSta:
     frames, replies with SIFS-spaced ACKs, and runs the startup association
     handshake."""
 
-    def __init__(
-        self,
-        device: Device,
-        ap: WigigAp,
-        engine: Engine,
-        rng,
-        t0_offset: int = 0,
-    ) -> None:
+    def __init__(self, device: Device, ap: WigigAp, rng, t0_offset: int = 0) -> None:
         self.device = device
         self.ap = ap
         self.env = ap.env
         self.config = ap.config
-        self.engine = engine
+        self.engine = ap.engine
         self.rng = rng
         self.association = "pending"  # pending | associated | failed
         self.holding: list[PacketRecord] = []

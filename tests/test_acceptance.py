@@ -71,10 +71,9 @@ def _latency_us(results, tech):
 
 def test_criterion_1_lbt_safety(heavy_cat4_run):
     r = heavy_cat4_run
-    violations = verify_lbt_safety(r.env, r.cams, r.cam_trace, r.env.emission_log)
-    windows = sum(
-        1 for _t, _d, _c, e in r.cam_trace.rows if e in ("grant", "counter_frozen")
-    )
+    cam_rows = r.env.traces["cam"]
+    violations = verify_lbt_safety(r.env, r.cams, cam_rows, r.env.emission_log)
+    windows = sum(1 for _t, _d, _c, e in cam_rows if e in ("grant", "counter_frozen"))
     assert windows > 1000, "the run must actually exercise LBT"
     assert violations == []
     print(f"\ncriterion 1 PASS: 0 violations across {windows} CCA windows")
@@ -83,9 +82,10 @@ def test_criterion_1_lbt_safety(heavy_cat4_run):
 def test_criterion_1_cat2_window_longer_than_retention():
     cfg = reduced("Cat4/Cat2", load_mbps=200.0, duration_s=0.2, cat2_defer_us=400.0)
     r = run_once(cfg, 1, traces=("cam",))
-    grants = sum(1 for _t, _d, cat, e in r.cam_trace.rows if cat == "Cat2" and e == "grant")
+    cam_rows = r.env.traces["cam"]
+    grants = sum(1 for _t, _d, cat, e in cam_rows if cat == "Cat2" and e == "grant")
     assert grants > 10, "the run must grant Cat2 windows"
-    assert verify_lbt_safety(r.env, r.cams, r.cam_trace, r.env.emission_log) == []
+    assert verify_lbt_safety(r.env, r.cams, cam_rows, r.env.emission_log) == []
 
 
 # 2 ---------------------------------------------------------------------------
@@ -93,7 +93,7 @@ def test_criterion_1_cat2_window_longer_than_retention():
 def test_criterion_2_cot_bound(heavy_cat4_run):
     r = heavy_cat4_run
     grants = {}
-    for t, dev, cat, event in r.cam_trace.rows:
+    for t, dev, cat, event in r.env.traces["cam"]:
         if event == "grant" and cat in ("Cat2", "Cat3", "Cat4"):
             grants.setdefault(dev, []).append(t)
     checked = 0
@@ -192,7 +192,7 @@ def test_criterion_7_cat4_cws_trajectory():
     from coexsim.radio import AntennaArray, Device, Position
 
     dev = Device("gnb", "B", "gnb", Position(0, 0, 3), AntennaArray(8, 8))
-    cam = make_cam("Cat4", dev, env.config, env, engine, streams.stream("cam", dev.id))
+    cam = make_cam("Cat4", dev, env, streams.stream("cam", dev.id))
     trajectory = [cam.cws]
     for _ in range(7):
         trajectory.append(cam.update_cws([True] * 8))  # 100% NACK batches

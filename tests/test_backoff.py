@@ -12,17 +12,17 @@ from tests.conftest import FixedRng
 
 
 def _lbt(rig, dev):
-    cam = make_cam(CAT4, dev, rig.config, rig.env, rig.engine, FixedRng(3))
+    cam = make_cam(CAT4, dev, rig.env, FixedRng(3))
     grants = []
     cam.request(grants.append)
     return lambda: [g.granted_at for g in grants]
 
 
 def _dcf(rig, dev):
-    ap = WigigAp(dev, rig.env, rig.engine, rig.config, FixedRng(3))
+    ap = WigigAp(dev, rig.env, FixedRng(3))
     user = rig.place("sta0", 3.0, operator="A", role="sta")
     rig.force_link(dev, user)
-    sta = WigigSta(user, ap, rig.engine, FixedRng(0))
+    sta = WigigSta(user, ap, FixedRng(0))
     sta.association = "associated"
     rig.env.emission_log = []
     sta.offer_packet(PacketRecord("f", 0, 1500, 0))

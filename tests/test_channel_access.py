@@ -10,7 +10,6 @@ from coexsim.channel_access import (
     CAT4,
     CAT4_CWS_LADDER,
     ONOFF,
-    CamTrace,
     make_cam,
 )
 from coexsim.config import CampaignConfig
@@ -19,8 +18,8 @@ from coexsim.verify import verify_lbt_safety
 from tests.conftest import FixedRng, Rig
 
 
-def _cam(rig, category, dev, rng=None, trace=None):
-    return make_cam(category, dev, rig.config, rig.env, rig.engine, rng or FixedRng(0), trace)
+def _cam(rig, category, dev, rng=None, toward=None):
+    return make_cam(category, dev, rig.env, rng or FixedRng(0), toward)
 
 
 def _interferer(rig, dev_id="intf", x=1.0):
@@ -145,8 +144,8 @@ def test_backoff_counter_freezes_and_resumes(rig):
     dev = rig.place("dev", 0.0)
     intf = _interferer(rig)
     rig.force_link(dev, intf)
-    trace = CamTrace()
-    cam = _cam(rig, CAT4, dev, rng=FixedRng(3), trace=trace)
+    trace = rig.env.traces["cam"] = []
+    cam = _cam(rig, CAT4, dev, rng=FixedRng(3))
     grants = []
     cam.request(grants.append)
     # Busy burst in the middle of the countdown: [14000, 20000).
@@ -155,7 +154,7 @@ def test_backoff_counter_freezes_and_resumes(rig):
     # Deferral 0..8000, one slot to 13000 (counter 3->2), frozen at 14000,
     # re-deferral 20000..28000, two slots -> grant at 38000.
     assert [g.granted_at for g in grants] == [38_000]
-    events = [(t, e) for t, _d, _c, e in trace.rows]
+    events = [(t, e) for t, _d, _c, e in trace]
     assert (14_000, "counter_frozen") in events
     assert (20_000, "defer_start") in events
 
@@ -172,14 +171,14 @@ def test_request_while_busy_waits_for_idle(rig):
     assert [g.granted_at for g in grants] == [58_000]  # idle at 50000 + 8 us defer
 
 
-def test_backoff_draw_stays_within_window(rig):
+def test_backoff_draw_stays_within_window():
     # A request draws its counter uniformly from [0, cws] with the CAM's own
     # stream: Cat4 from its current window, Cat3 from cat3_cws.
-    config = replace(rig.config, cat3_cws=31)
+    rig = Rig(config=replace(CampaignConfig(), cat3_cws=31))
     for category, cws in ((CAT4, 15), (CAT3, 31)):
         for seed in range(8):
             dev = rig.place(f"{category}-dev{seed}", 0.0)
-            cam = make_cam(category, dev, config, rig.env, rig.engine, random.Random(seed))
+            cam = make_cam(category, dev, rig.env, random.Random(seed))
             cam.request(lambda _grant: None)
             assert cam.counter == random.Random(seed).randint(0, cws)
             assert 0 <= cam.counter <= cws
@@ -221,13 +220,12 @@ def test_directional_sensing_uses_beam_gain(rig):
     ahead = rig.place("ahead", 10.0)
     behind = rig.place("behind", -8.0)
     rig.force_link(dev, behind)
-    cam = _cam(rig, CAT2, dev)
+    cam_ahead = _cam(rig, CAT2, dev, toward=ahead)
+    cam_behind = _cam(rig, CAT2, dev, toward=behind)
     rig.emit(behind, 17.0, 60_000)  # at 8 m: rx approx -83 dBm omni
     rig.engine.run_until(30_000)
-    cam.sense_toward = ahead
-    away = cam.attempt()
-    cam.sense_toward = behind
-    toward = cam.attempt()
+    away = cam_ahead.attempt()
+    toward = cam_behind.attempt()
     assert away is not None  # rear lobe attenuates below -69 dBm
     assert toward is None  # aligned beam adds ~20 dB and trips the threshold
 
@@ -240,10 +238,11 @@ def test_verifier_flags_grant_inside_busy_window(rig):
     rig.force_link(dev, intf)
     cam = _cam(rig, CAT4, dev)
     em, _ = rig.emit(intf, 17.0, 9_000)
-    trace = CamTrace()
-    trace.add(0, "dev", CAT4, "defer_start")
-    trace.add(83_000, "dev", CAT4, "grant")  # lies: window [0, 83000) was busy
-    violations = verify_lbt_safety(rig.env, [cam], trace, [em])
+    rows = [
+        (0, "dev", CAT4, "defer_start"),
+        (83_000, "dev", CAT4, "grant"),  # lies: window [0, 83000) was busy
+    ]
+    violations = verify_lbt_safety(rig.env, [cam], rows, [em])
     assert len(violations) == 1 and violations[0][1] == "dev"
 
 
@@ -253,7 +252,5 @@ def test_verifier_accepts_clean_windows(rig):
     rig.force_link(dev, intf)
     cam = _cam(rig, CAT4, dev)
     em, _ = rig.emit(intf, 17.0, 9_000)
-    trace = CamTrace()
-    trace.add(9_000, "dev", CAT4, "defer_start")
-    trace.add(92_000, "dev", CAT4, "grant")
-    assert verify_lbt_safety(rig.env, [cam], trace, [em]) == []
+    rows = [(9_000, "dev", CAT4, "defer_start"), (92_000, "dev", CAT4, "grant")]
+    assert verify_lbt_safety(rig.env, [cam], rows, [em]) == []

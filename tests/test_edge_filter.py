@@ -3,15 +3,22 @@ listeners that sensed idle, an emission end only those that sensed busy and
 whose witness, if any, is the emission that ended. The filter must be exact,
 so a skipped listener would have sensed the same."""
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from coexsim import CampaignConfig, run_once
+from coexsim import CampaignConfig, parse_config, run_once
 from coexsim.channel_access import Backoff
 from coexsim.radio import RadioEnvironment
 from coexsim.wigig import WigigAp
 from tests.conftest import FixedRng
-from tests.test_golden import NON_DEFAULT
+
+# The parameters of the golden non-default case, on the default full floor.
+NON_DEFAULT = replace(
+    parse_config(str(Path(__file__).resolve().parent.parent / "scripts" / "non_default.cfg")),
+    sites_per_operator=CampaignConfig().sites_per_operator,
+    users_per_operator=CampaignConfig().users_per_operator,
+)
 
 
 class Probe:
@@ -54,7 +61,7 @@ def test_witness_keeps_the_ap_busy_until_it_ends(rig):
     for rx in (ap_dev, sta):
         for src in (weak_src, strong_src):
             rig.force_link(rx, src)
-    ap = WigigAp(ap_dev, rig.env, rig.engine, rig.config, FixedRng(3))
+    ap = WigigAp(ap_dev, rig.env, FixedRng(3))
     weak, _ = rig.emit(weak_src, 0.0, 10_000)
     strong, _ = rig.emit(strong_src, 17.0, 20_000)
     table = rig.env.link_table(ap_dev)
@@ -103,12 +110,13 @@ def checked_notify(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "label, params",
-    [("WiGig-only", {}), ("Cat4/Cat2", {}), ("On/On", {}), ("Cat4/Cat2", NON_DEFAULT)],
+    "label, base",
+    [("WiGig-only", CampaignConfig()), ("Cat4/Cat2", CampaignConfig()), ("On/On", CampaignConfig()),
+     ("Cat4/Cat2", NON_DEFAULT)],
     ids=["WiGig-only", "Cat4-Cat2", "On-On", "Cat4-Cat2-non-default"],
 )
-def test_skipped_listeners_would_not_have_changed(checked_notify, label, params):
-    cfg = replace(CampaignConfig().for_label(label), duration_s=0.05, **params)
+def test_skipped_listeners_would_not_have_changed(checked_notify, label, base):
+    cfg = replace(base.for_label(label), duration_s=0.05)
     run_once(cfg, 1)
     assert checked_notify["skipped"] > 1000 and checked_notify["notified"] > 1000
     assert checked_notify["witness_skipped"] > 100

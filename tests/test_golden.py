@@ -1,6 +1,7 @@
 """Golden-output gate: the reduced 7-label campaign must reproduce the
 committed digest of every output file byte for byte, once at the default
-parameters and once with every component parameter moved off its default.
+parameters and once with every component parameter moved off its default
+(`scripts/non_default.cfg`).
 A manifest key is `<run dir>/<file>` (or `boxstats.csv`), so a missing or
 extra file shows as a key difference and a mismatch names each file.
 
@@ -17,18 +18,6 @@ from coexsim import emit_report, parse_config, run_campaign, run_once
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = Path(__file__).resolve().parent / "golden_manifest.json"
 SEEDS = [1, 2, 3]
-
-# Distinct valid non-default values for every parameter a component reads,
-# so that a component reading the wrong key or unit changes the digests
-# (the default ED thresholds and MCS margins coincide).
-NON_DEFAULT = dict(
-    center_frequency_ghz=60.0, bandwidth_ghz=1.08, tx_power_dbm=15.0, noise_figure_db=8.0,
-    gnb_ed_threshold_dbm=-75.0, ue_ed_threshold_dbm=-66.0, wigig_ed_threshold_dbm=-77.0,
-    wigig_preamble_threshold_dbm=-86.0, cca_slot_us=6.0, defer_us=9.0, max_cot_ms=6.0,
-    cws_min=7, cws_max=255, cat3_cws=31, cat2_defer_us=30.0, duty_on_ms=5.0, duty_off_ms=4.0,
-    mac_lead_slots=3, harq_max_tx=3, mcs_margin_db=2.0, nru_overhead=0.7,
-    wigig_retry_limit=5, sifs_us=4.0, ack_us=2.0, ack_timeout_us=12.0, assoc_attempts=4,
-)
 
 
 def _file_sha(path: Path) -> str:
@@ -51,10 +40,9 @@ def golden_manifest(out: Path) -> dict:
 
 
 def non_default_manifest(out: Path) -> dict:
-    """One traced seed-1 0.05 s run per label at the NON_DEFAULT parameters."""
-    cfg = replace(
-        parse_config(str(ROOT / "scripts" / "reduced_campaign.cfg")), duration_s=0.05, **NON_DEFAULT
-    )
+    """One traced seed-1 0.05 s run per label of `scripts/non_default.cfg`,
+    which moves every parameter a component reads off its default."""
+    cfg = replace(parse_config(str(ROOT / "scripts" / "non_default.cfg")), duration_s=0.05)
     for label in cfg.sweep_labels():
         run_dir = out / label.replace("/", "-")
         run_once(cfg.for_label(label), 1, out_dir=str(run_dir), traces=("cam", "mac", "frames"))

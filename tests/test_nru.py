@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from coexsim.channel_access import make_cam
+from coexsim.config import CampaignConfig
+from coexsim.engine import SEC
 from coexsim.nru import (
     MCS_TABLE,
     SLOT_NS,
@@ -15,7 +18,7 @@ from coexsim.nru import (
 )
 from coexsim.radio import Emission, select_mcs
 from coexsim.traffic import PacketRecord
-from tests.conftest import FixedRng
+from tests.conftest import FixedRng, Rig
 
 
 def test_symbol_grid_constants():
@@ -55,16 +58,26 @@ def test_symbol_capacity_hand_value():
 
 # -- scheduler rig ---------------------------------------------------------------
 
+def _slots_rig(n_slots):
+    """A rig whose run, and so the gNB's planning, lasts `n_slots` slots."""
+    return Rig(config=replace(CampaignConfig(), duration_s=n_slots * SLOT_NS / SEC))
+
+
+@pytest.fixture
+def rig():
+    return _slots_rig(10)
+
+
 def _gnb_rig(rig, n_ues=2, distance=3.0):
     site = rig.place("gnb0", 0.0, 0.0, z=3.0, operator="B", role="gnb")
-    cam = make_cam("Cat1", site, rig.config, rig.env, rig.engine, FixedRng(0))
-    mac_trace = []
-    gnb = NruGnb(site, cam, rig.env, rig.engine, rig.config, 10 * SLOT_NS, mac_trace)
+    cam = make_cam("Cat1", site, rig.env, FixedRng(0))
+    mac_trace = rig.env.traces["mac"] = []
+    gnb = NruGnb(site, cam, rig.env)
     ues = []
     for i in range(n_ues):
         dev = rig.place(f"ue{i}", distance, float(i), operator="B", role="ue")
         rig.force_link(site, dev)
-        ue_cam = make_cam("Cat1", dev, rig.config, rig.env, rig.engine, FixedRng(0))
+        ue_cam = make_cam("Cat1", dev, rig.env, FixedRng(0), site)
         ue = NruUe(dev, ue_cam, gnb)
         gnb.add_ue(ue)
         ues.append(ue)
@@ -175,13 +188,13 @@ def test_harq_requeues_below_max_transmissions(rig):
 
 
 @pytest.mark.xfail(strict=True, reason="F6")
-def test_harq_retransmissions_resolve_up_to_the_limit(rig):
+def test_harq_retransmissions_resolve_up_to_the_limit():
     """A block that no transmission decodes is dropped once it has been sent
     harq_max_tx times. F6: a retransmission reuses its process id, which its
     first feedback already resolved, so its own feedback and timeout are
     skipped and the process stays open."""
+    rig = _slots_rig(100)
     gnb, ues, trace = _gnb_rig(rig, n_ues=1)  # about 14 dB SNR at 3 m
-    gnb.t_end = 100 * SLOT_NS
     ues[0].last_sinr_db = 40.0  # top MCS (28 dB): even 4 combined copies fail
     pkt = _pkt()
     ues[0].offer_packet(pkt)

@@ -312,12 +312,11 @@ def test_link_tables_match_fresh_rx_power_sums(rig, seed, n_emissions, n_checks,
     rng = random.Random(seed)
     env, engine, config = rig.env, rig.engine, rig.config
     env.emission_log = []
-    ap = WigigAp(rig.place("ap", 0.0, 0.0, z=3.0, role="ap", array=SITE), env, engine, config, rng)
+    ap = WigigAp(rig.place("ap", 0.0, 0.0, z=3.0, role="ap", array=SITE), env, rng)
     gnb = rig.place("gnb", 6.0, 4.0, z=3.0, operator="B", role="gnb", array=SITE)
     ue = rig.place("ue", 9.0, 1.0, operator="B", role="ue", array=USER)
-    omni_cam = make_cam(CAT2, gnb, config, env, engine, FixedRng(0))
-    beam_cam = make_cam(CAT2, ue, config, env, engine, FixedRng(0))
-    beam_cam.sense_toward = gnb
+    omni_cam = make_cam(CAT2, gnb, env, FixedRng(0))
+    beam_cam = make_cam(CAT2, ue, env, FixedRng(0), gnb)
     devices = [ap.device, gnb, ue] + [
         rig.place(f"d{i}", rng.uniform(-15, 15), rng.uniform(-15, 15), array=USER)
         for i in range(5)

@@ -10,12 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from coexsim import CampaignConfig, ConfigError, emit_report, run_campaign, run_once
+from coexsim import CampaignConfig, ConfigError, emit_report, parse_config, run_campaign, run_once
 from coexsim.cli import main
 from coexsim.metrics import packet_conservation
+from coexsim.runner import TRACES
 
 REDUCED = dict(sites_per_operator=1, users_per_operator=4, duration_s=0.02)
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+REDUCED_CAMPAIGN = replace(parse_config(str(ROOT / "scripts" / "reduced_campaign.cfg")), duration_s=0.05)
 
 
 def src_env():
@@ -252,12 +255,51 @@ def test_report_refuses_a_run_missing_a_result_file(tmp_path, capsys, name):
     assert err.startswith("error: ") and f"{run_dir} has no complete result" in err
 
 
+def _keep_the_header(path):
+    path.write_text(path.read_text().splitlines(keepends=True)[0])
+
+
+def _drop_operator_a(run_json):
+    meta = json.loads(run_json.read_text())
+    del meta["technologies"]["A"]
+    run_json.write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(lambda run_dir: (run_dir / "run.json").write_text(""), id="empty-run.json"),
+    pytest.param(lambda run_dir: _keep_the_header(run_dir / "scenario.csv"),
+                 id="scenario.csv-without-devices"),
+    pytest.param(lambda run_dir: _drop_operator_a(run_dir / "run.json"),
+                 id="scenario.csv-operator-not-in-run.json"),
+])
+def test_report_refuses_a_run_whose_files_disagree(tmp_path, capsys, damage):
+    run_campaign(reduced(duration_s=0.002), [1], str(tmp_path), verbose=False)
+    run_dir = tmp_path / "runs" / "Cat4-Cat2_seed1"
+    damage(run_dir)
+    assert main(["report", "--in", str(tmp_path), "--out", str(tmp_path / "box.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: run directory ") and str(run_dir) in err
+
+
 def test_report_rejects_a_metrics_file_with_another_header(tmp_path):
     run_campaign(reduced(duration_s=0.002), [1], str(tmp_path), verbose=False)
     path = tmp_path / "runs" / "Cat4-Cat2_seed1" / "metrics.csv"
     path.write_text(path.read_text().replace("metric,scope,value", "metric,value,scope", 1))
     with pytest.raises(ConfigError, match=re.escape(str(path))):
         emit_report(str(tmp_path), str(tmp_path / "box.csv"))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("label", REDUCED_CAMPAIGN.sweep_labels())
+def test_tracing_never_moves_the_model(tmp_path, label, seed):
+    """Every trace on or every trace off, a run writes the same results.
+    run.json is left out: a cam-traced run executes a `cot_end` event per
+    bounded grant, so its event_count is higher."""
+    cfg = REDUCED_CAMPAIGN.for_label(label)
+    run_once(cfg, seed, out_dir=str(tmp_path / "plain"))
+    run_once(cfg, seed, out_dir=str(tmp_path / "traced"), traces=tuple(TRACES))
+    for name in ("metrics.csv", "scenario.csv"):
+        assert (tmp_path / "traced" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 def test_import_loads_no_pool_and_no_statistics():

@@ -40,10 +40,10 @@ def test_select_mcs_on_the_wigig_table():
 
 def _ap_rig(rig):
     site = rig.place("ap0", 0.0, 0.0, z=3.0, operator="A", role="ap")
-    ap = WigigAp(site, rig.env, rig.engine, rig.config, FixedRng(0))
+    ap = WigigAp(site, rig.env, FixedRng(0))
     user = rig.place("sta0", 3.0, 0.0, operator="A", role="sta")
     rig.force_link(site, user)
-    sta = WigigSta(user, ap, rig.engine, FixedRng(0))
+    sta = WigigSta(user, ap, FixedRng(0))
     sta.association = "associated"
     return ap, sta
 
@@ -154,10 +154,10 @@ def test_failed_association_drops_traffic(rig):
 
 def test_failed_association_loses_the_held_packets(rig):
     site = rig.place("ap1", 0.0, 0.0, z=3.0, operator="A", role="ap")
-    ap = WigigAp(site, rig.env, rig.engine, rig.config, FixedRng(0))
+    ap = WigigAp(site, rig.env, FixedRng(0))
     user = rig.place("sta1", 3.0, 0.0, operator="A", role="sta")
     rig.force_link(site, user, shadowing_db=200.0)  # no probe decodes
-    sta = WigigSta(user, ap, rig.engine, FixedRng(0))
+    sta = WigigSta(user, ap, FixedRng(0))
     held = [PacketRecord("f", i, 1500, 0) for i in range(2)]
     for pkt in held:
         sta.offer_packet(pkt)
@@ -171,10 +171,10 @@ def test_failed_association_loses_the_held_packets(rig):
 
 def test_association_handshake_completes(rig):
     site = rig.place("ap1", 0.0, 0.0, z=3.0, operator="A", role="ap")
-    ap = WigigAp(site, rig.env, rig.engine, rig.config, FixedRng(0))
+    ap = WigigAp(site, rig.env, FixedRng(0))
     user = rig.place("sta1", 3.0, 0.0, operator="A", role="sta")
     rig.force_link(site, user)
-    sta = WigigSta(user, ap, rig.engine, FixedRng(0))
+    sta = WigigSta(user, ap, FixedRng(0))
     sta.start()
     rig.engine.run_until(1 * MS)
     assert sta.association == "associated"
