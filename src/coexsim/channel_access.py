@@ -120,10 +120,14 @@ class Backoff:
     """Deferral plus frozen-resume random backoff: NR-U Cat3/Cat4 LBT and
     WiGig DCF run this one procedure.
 
-    The procedure is event-driven: an idle medium runs an 8 us deferral
-    timer, then one 5 us CCA-slot timer per remaining backoff count. An edge
-    to busy cancels the pending timer, keeps the counter, and re-defers once
-    the medium is idle again.
+    Once the medium is idle, a contention runs one countdown event, due after
+    the deferral (`defer_ns`) and `counter` CCA slots (`cca_slot_ns`). An
+    edge to busy at t works out the slots used: none before the deferral
+    ends at `_count_from`, else `(t - _count_from) // cca_slot_ns`, so a
+    slot ending exactly at t counts, as in 802.11 DCF. With slots left, it
+    cancels the countdown, keeps the rest in `counter`, and waits for an
+    idle medium to defer again; with none left, the countdown, due at t,
+    still fires.
 
     A subclass provides `engine`, `env`, `rng`, `config` (`defer_ns`,
     `cca_slot_ns`), its contention window `cws`, the busy predicate
@@ -132,7 +136,7 @@ class Backoff:
     logs defer_start and counter_frozen.
     """
 
-    IDLE, WAIT_IDLE, DEFER, COUNT = range(4)
+    IDLE, WAIT_IDLE, COUNT = range(3)
     # Class-level defaults until an instance first contends.
     state = IDLE
     counter = 0
@@ -149,44 +153,39 @@ class Backoff:
         if self.medium_busy():
             self.state = self.WAIT_IDLE
         else:
-            self._start_defer()
+            self._start_countdown()
 
     def medium_changed(self) -> None:
         """Re-sense on an emission edge; a device not contending ignores it."""
         state = self.state
         if state == self.WAIT_IDLE:
             if not self.medium_busy():
-                self._start_defer()
-        elif (state == self.DEFER or state == self.COUNT) and self.medium_busy():
+                self._start_countdown()
+        elif state == self.COUNT and self.medium_busy():
+            counted = self.engine.now - self._count_from
+            if counted >= 0:
+                left = self.counter - counted // self.config.cca_slot_ns
+                if left == 0:
+                    return  # the countdown is due now
+                self.counter = left
+                if self.trace is not None:
+                    self._emit("counter_frozen")
             self.engine.cancel(self._timer)
-            if state == self.COUNT and self.trace is not None:
-                self._emit("counter_frozen")
             self.state = self.WAIT_IDLE
 
-    def _start_defer(self) -> None:
-        self.state = self.DEFER
+    def _start_countdown(self) -> None:
+        self.state = self.COUNT
         if self.trace is not None:
             self._emit("defer_start")
         engine = self.engine
-        self._timer = engine.schedule(self._defer_done, engine.now + self.config.defer_ns)
+        config = self.config
+        self._count_from = count_from = engine.now + config.defer_ns
+        self._timer = engine.schedule(
+            self._countdown_done, count_from + self.counter * config.cca_slot_ns
+        )
 
-    def _defer_done(self) -> None:
-        if self.counter == 0:
-            self._finish()
-        else:
-            self.state = self.COUNT
-            engine = self.engine
-            self._timer = engine.schedule(self._slot_done, engine.now + self.config.cca_slot_ns)
-
-    def _slot_done(self) -> None:
-        self.counter -= 1
-        if self.counter == 0:
-            self._finish()
-        else:
-            engine = self.engine
-            self._timer = engine.schedule(self._slot_done, engine.now + self.config.cca_slot_ns)
-
-    def _finish(self) -> None:
+    def _countdown_done(self) -> None:
+        self.counter = 0
         self.state = self.IDLE
         self.env.remove_listener(self)
         self._backoff_done()

@@ -102,8 +102,9 @@ class NruUe:
         grant = self.cam.attempt(gnb_grant.cot_deadline if gnb_grant else None)
         if grant is None or not grant.covers(t_end):
             return
-        at_end = partial(self.gnb.receive_feedback, items, self)
-        self.gnb.env.transmit(self.device, self.gnb.device, t_end, "nru", at_end)
+        gnb = self.gnb
+        at_end = partial(gnb.receive_feedback, items, self)
+        gnb.fb_on_air[gnb.env.transmit(self.device, gnb.device, t_end, "nru", at_end)] = None
 
 
 class NruGnb:
@@ -122,6 +123,7 @@ class NruGnb:
         # slot -> UE -> pids; insertion order is the feedback symbol order
         self.fb_reservations: dict[int, dict[NruUe, list[int]]] = {}
         self._resolved: set[int] = set()
+        self.fb_on_air: dict = {}  # feedback captures not yet decoded, in start order
         self._next_pid = 0
         self._rr = 0
         self.current_grant = None
@@ -231,10 +233,11 @@ class NruGnb:
         self.cot_id += 1
 
     def _access_ok(self, emissions_end: int) -> bool:
-        # LBT grants arrive ahead of the slot; any other CAM answers at once.
+        # LBT grants arrive ahead of the slot: one granted at the slot start
+        # itself is too late for it. Any other CAM answers at once.
         if isinstance(self.cam, LbtCam):
             g = self.current_grant_if_active()
-            return g is not None and g.covers(emissions_end)
+            return g is not None and g.granted_at < self.engine.now and g.covers(emissions_end)
         g = self.cam.attempt()
         if g is None or not g.covers(emissions_end):
             return False
@@ -287,7 +290,7 @@ class NruGnb:
                 self.engine.schedule(lambda ue=ue, pids=pids: ue.send_feedback(pids), t_sym)
             all_pids = [pid for pids in fb_entries.values() for pid in pids]
             self.engine.schedule(
-                lambda pids=all_pids: self._feedback_timeout(pids), t_slot + SLOT_NS
+                lambda pids=all_pids: self._close_feedback(pids), t_slot + SLOT_NS
             )
 
     def _air_tb(self, ue: NruUe, tb: TransportBlock, end: int) -> None:
@@ -296,9 +299,20 @@ class NruGnb:
     # -- HARQ resolution -----------------------------------------------------------
 
     def receive_feedback(self, items: list[tuple[int, bool, float]], ue: NruUe, cap) -> None:
+        if cap not in self.fb_on_air:
+            return  # decoded already, by the slot-end event of the same nanosecond
+        del self.fb_on_air[cap]
         sinr = self.env.effective_sinr_db(cap, self.device, rx_beam_toward=ue.device)
         if sinr >= FB_DECODE_THRESHOLD_DB:  # else the slot-end timeout NACKs them
             self._resolve(items)
+
+    def _close_feedback(self, pids: list[int]) -> None:
+        """Slot end: decode the feedback that ends now, whether or not its end
+        event has run yet, then time out every pid still open. Feedback slots
+        are FB_BATCH_SLOTS apart, so all feedback still on the air ends now."""
+        for cap in list(self.fb_on_air):
+            cap.at_end(cap)
+        self._feedback_timeout(pids)
 
     def _feedback_timeout(self, pids: list[int]) -> None:
         self._resolve([(pid, False, None) for pid in pids])

@@ -50,7 +50,7 @@ class WigigAp(Backoff):
     """One access point: a DCF transmit queue serving its associated STAs.
     Channel access is the shared `Backoff`; TX and WAIT_ACK follow it."""
 
-    TX, WAIT_ACK = 4, 5  # after Backoff.IDLE, WAIT_IDLE, DEFER, COUNT
+    TX, WAIT_ACK = 3, 4  # after Backoff.IDLE, WAIT_IDLE, COUNT
 
     def __init__(self, device: Device, env: RadioEnvironment, rng) -> None:
         self.device = device

@@ -1,47 +1,63 @@
 """The listen-before-talk procedure shared by NR-U Cat4 LBT and WiGig DCF:
 8 us defer, 5 us CCA slots, a counter that freezes on a busy medium and
-resumes after a fresh defer, and the insertion-order rule for a busy edge
-that falls on a slot boundary."""
+resumes after a fresh defer, and the rule for a busy edge that falls on a
+slot boundary: that slot counts, whatever order the events were queued in."""
 import pytest
 
-from coexsim.channel_access import CAT4, make_cam
+from coexsim.channel_access import CAT4, Backoff, make_cam
 from coexsim.engine import MS
 from coexsim.traffic import PacketRecord
 from coexsim.wigig import WigigAp, WigigSta
 from tests.conftest import FixedRng
 
 
-def _lbt(rig, dev):
-    cam = make_cam(CAT4, dev, rig.env, FixedRng(3))
+def _lbt(rig, dev, counter):
+    """A Cat4 request whose grant starts a 6 us burst, as a gNB's would."""
+    cam = make_cam(CAT4, dev, rig.env, FixedRng(counter))
     grants = []
-    cam.request(grants.append)
+    cam.request(lambda g: (grants.append(g), rig.emit(dev, 17.0, 6_000)))
     return lambda: [g.granted_at for g in grants]
 
 
-def _dcf(rig, dev):
-    ap = WigigAp(dev, rig.env, FixedRng(3))
-    user = rig.place("sta0", 3.0, operator="A", role="sta")
+def _dcf(rig, dev, counter):
+    ap = WigigAp(dev, rig.env, FixedRng(counter))
+    user = rig.place(f"{dev.id}-sta", dev.position.x, 3.0, operator="A", role="sta")
     rig.force_link(dev, user)
     sta = WigigSta(user, ap, FixedRng(0))
     sta.association = "associated"
-    rig.env.emission_log = []
+    if rig.env.emission_log is None:
+        rig.env.emission_log = []
     sta.offer_packet(PacketRecord("f", 0, 1500, 0))
     return lambda: [em.start for em in rig.env.emission_log if em.source is dev]
 
 
 @pytest.fixture(params=[_lbt, _dcf], ids=["LbtCam-Cat4", "WigigAp"])
 def machine(request, rig):
-    """Counter 3 at t=0 beside a 17 dBm interferer at 1 m LOS. Returns the
-    starter and the interferer; the starter returns a getter for the times
-    of the grants (LBT) or frame starts (DCF)."""
+    """A contender beside a 17 dBm interferer at 1 m LOS. Returns its
+    starter, which draws `counter` (3 unless given) at the current time, and
+    the interferer; the starter returns a getter for the times of the grants
+    (LBT) or frame starts (DCF)."""
     dev = rig.place("dev", 0.0, role="ap")
     intf = rig.place("intf", 1.0, operator="B")
     rig.force_link(dev, intf)
-    return (lambda: request.param(rig, dev)), intf
+    return (lambda counter=3: request.param(rig, dev, counter)), intf
 
 
 def _burst(rig, intf, at):
     rig.engine.schedule(lambda: rig.emit(intf, 17.0, 6_000), at)
+
+
+def _queue_burst(rig, intf, at, order):
+    """Queue a burst at `at`, before the contender starts ("first"), or
+    from an event 1 ns earlier, after every timer the contender queues for
+    `at` ("last")."""
+    if order == "first":
+        _burst(rig, intf, at)
+    else:
+        rig.engine.schedule(lambda: _burst(rig, intf, at), at - 1)
+
+
+ORDERS = ["first", "last"]
 
 
 def test_burst_mid_slot_freezes_and_resumes(rig, machine):
@@ -54,22 +70,72 @@ def test_burst_mid_slot_freezes_and_resumes(rig, machine):
     assert starts()[:1] == [38_000]
 
 
-def test_burst_scheduled_before_slot_timer_wins_the_tie(rig, machine):
+@pytest.mark.parametrize("order", ORDERS)
+def test_burst_on_a_slot_boundary_leaves_that_slot_counted(rig, machine, order):
     start, intf = machine
-    _burst(rig, intf, 13_000)  # queued before the 13000 slot timer exists
+    _queue_burst(rig, intf, 13_000, order)
     starts = start()
-    # Frozen at 13000 with all three slots left: idle at 19000, defer to
-    # 27000, three slots -> 42000.
-    rig.engine.run_until(1 * MS)
-    assert starts()[:1] == [42_000]
-
-
-def test_burst_scheduled_after_slot_timer_loses_the_tie(rig, machine):
-    start, intf = machine
-    starts = start()
-    # Queued at 10000, after the 13000 slot timer (queued at 8000): the slot
-    # counts (3->2) before the burst freezes the counter. Idle at 19000,
-    # defer to 27000, two slots -> 37000.
-    rig.engine.schedule(lambda: _burst(rig, intf, 13_000), 10_000)
+    # The slot 8000..13000 counts (3->2) whichever event is queued first:
+    # frozen at 13000, idle at 19000, defer to 27000, two slots -> 37000.
     rig.engine.run_until(1 * MS)
     assert starts()[:1] == [37_000]
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_a_counter_of_zero_transmits_at_the_defer_end_despite_a_burst_there(
+    rig, machine, order
+):
+    start, intf = machine
+    _queue_burst(rig, intf, 8_000, order)
+    starts = start(counter=0)
+    rig.engine.run_until(1 * MS)
+    assert starts()[:1] == [8_000]
+
+
+@pytest.mark.parametrize("first", [0, 1])
+@pytest.mark.parametrize("kind", [_lbt, _dcf], ids=["LbtCam-Cat4", "WigigAp"])
+def test_countdowns_ending_together_both_transmit(rig, kind, first):
+    """Two contenders in each other's range, both at counter 3 from t=0:
+    both countdowns end at 23000, and the first to transmit does not freeze
+    the other, whichever registered first."""
+    devs = [rig.place("a", 0.0, role="ap"), rig.place("b", 1.0, role="ap")]
+    rig.force_link(*devs)
+    starts = [kind(rig, dev, 3) for dev in (devs[first], devs[1 - first])]
+    rig.engine.run_until(1 * MS)
+    assert [s()[:1] for s in starts] == [[23_000], [23_000]]
+
+
+def _count_backoff_events(engine):
+    """Count the events a `Backoff` schedules for itself, and those that run."""
+    counts = {"scheduled": 0, "executed": 0}
+    schedule = engine.schedule
+
+    def counting(callback, due):
+        if not isinstance(getattr(callback, "__self__", None), Backoff):
+            return schedule(callback, due)
+        counts["scheduled"] += 1
+
+        def run():
+            counts["executed"] += 1
+            callback()
+
+        return schedule(run, due)
+
+    engine.schedule = counting
+    return counts
+
+
+@pytest.mark.parametrize("freeze", [False, True])
+def test_one_countdown_event_per_contention(rig, machine, freeze):
+    """Counter 7 on an idle medium costs one event, not one per slot; a freeze
+    cancels it, and the resumed countdown is one more."""
+    start, intf = machine
+    counts = _count_backoff_events(rig.engine)
+    starts = start(counter=7)
+    if freeze:
+        # Frozen at 14000 after one slot (7->6), idle at 20000, defer to
+        # 28000, six slots -> 58000.
+        _burst(rig, intf, 14_000)
+    rig.engine.run_until(1 * MS)
+    assert starts()[:1] == [58_000 if freeze else 43_000]
+    assert counts == {"scheduled": 2 if freeze else 1, "executed": 1}

@@ -39,17 +39,17 @@ def test_start_skips_busy_listeners_and_end_skips_idle_ones(rig):
     a = rig.place("a", 0.0)
     intf = rig.place("intf", 1.0, operator="B")
     rig.force_link(a, intf)
-    probes = {s: Probe(s) for s in (Backoff.WAIT_IDLE, Backoff.DEFER, Backoff.COUNT)}
+    probes = {s: Probe(s) for s in (Backoff.WAIT_IDLE, Backoff.COUNT)}
     for probe in probes.values():
         rig.env.add_listener(probe)
 
     rig.emit(intf, 17.0, 5_000)
     assert {s: p.calls for s, p in probes.items()} == {
-        Backoff.WAIT_IDLE: 0, Backoff.DEFER: 1, Backoff.COUNT: 1
+        Backoff.WAIT_IDLE: 0, Backoff.COUNT: 1
     }
     rig.engine.run_until(5_000)  # the emission ends
     assert {s: p.calls for s, p in probes.items()} == {
-        Backoff.WAIT_IDLE: 1, Backoff.DEFER: 1, Backoff.COUNT: 1
+        Backoff.WAIT_IDLE: 1, Backoff.COUNT: 1
     }
 
 
@@ -76,7 +76,7 @@ def test_witness_keeps_the_ap_busy_until_it_ends(rig):
     rig.engine.run_until(10_000)  # the weak emission ends: no re-sensing
     assert calls == [] and ap.state == ap.WAIT_IDLE and ap.medium_busy()
     rig.engine.run_until(20_000)  # the witness ends: the AP re-senses idle
-    assert calls == [20_000] and ap.state == ap.DEFER and ap._witness is None
+    assert calls == [20_000] and ap.state == ap.COUNT and ap._witness is None
 
 
 @pytest.fixture

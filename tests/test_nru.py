@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from coexsim.channel_access import make_cam
+from coexsim.channel_access import CAT4, make_cam
 from coexsim.config import CampaignConfig
 from coexsim.engine import SEC
 from coexsim.nru import (
@@ -147,6 +147,43 @@ def test_delivery_credits_packet_and_sends_feedback(rig):
     assert pkt.delivered
     assert gnb.processes == {}  # feedback resolved the HARQ process
     assert not pkt.lost
+
+
+def test_the_last_feedback_symbol_is_decoded_before_the_slot_end_timeout():
+    """One UE on a clean channel: its feedback takes the slot's last symbol
+    and so ends at the slot-end timeout. It is decoded first, so no block is
+    sent twice."""
+    rig = _slots_rig(80)
+    gnb, [ue], trace = _gnb_rig(rig, n_ues=1)
+    for i in range(40):  # 50 Mbps of 1500 B packets
+        rig.engine.schedule(lambda i=i: ue.offer_packet(_pkt(i)), i * 240_000)
+    gnb.start()
+    rig.engine.run_until(80 * SLOT_NS)
+    tx_rows = [r for r in trace if r[5] == "tx"]
+    assert gnb._next_pid > 30
+    assert len(tx_rows) == gnb._next_pid
+
+
+@pytest.mark.parametrize("order", ["commit first", "grant first"])
+def test_an_lbt_grant_at_the_slot_start_is_too_late_for_that_slot(rig, order):
+    gnb, [ue], trace = _gnb_rig(rig, n_ues=1)
+    gnb.cam = make_cam(CAT4, gnb.device, rig.env, FixedRng(3))  # grants at 23 us
+    ue.offer_packet(_pkt())
+    tb = TransportBlock(0, ue, 1500, gnb._take_bytes(ue, 1500), mcs=0, n_symbols=1)
+
+    def commit():
+        gnb._commit(2, [tb], {})
+
+    if order == "commit first":
+        rig.engine.schedule(commit, 23_000)
+        gnb.cam.request(gnb._on_grant)
+    else:
+        gnb.cam.request(gnb._on_grant)
+        rig.engine.schedule(lambda: rig.engine.schedule(commit, 23_000), 22_999)
+    rig.engine.run_until(23_000)
+    assert gnb.current_grant.granted_at == 23_000
+    assert trace == [(23_000, "*", 0, -1, 0, "no_grant")]
+    assert tb.tx_count == 0 and ue.buffered_bytes == 1500
 
 
 def test_chase_combining_adds_linear_snr(rig):
