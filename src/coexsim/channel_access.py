@@ -7,10 +7,11 @@ The deferral/backoff procedure (`Backoff`) is shared with the WiGig DCF.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .radio import Device, RadioEnvironment
+from .radio import Device, RadioEnvironment, db_to_lin, lin_to_db
 
 CAT1 = "Cat1"
 CAT2 = "Cat2"
@@ -19,6 +20,10 @@ CAT4 = "Cat4"
 ONOFF = "OnOff"
 
 CAT4_CWS_LADDER = (15, 31, 63, 127, 255, 511, 1023)
+
+# Relative margin of the linear sensing bounds: far above the rounding of a
+# float sum in another order or of a dB <-> linear round trip (about 1e-15).
+SENSE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -57,14 +62,29 @@ class Cam:
             config.ue_ed_threshold_dbm if directional else config.gnb_ed_threshold_dbm
         )
         self.table = env.link_table(device, toward if directional else None)
-
-    def medium_busy(self) -> bool:
-        return self.table.sensed_dbm() >= self.ed_threshold_dbm
+        # The ED rule compares in dBm: one emission at `_loud_lin` is surely
+        # busy on its own, and a linear sum below `_bound_limit` surely idle.
+        threshold_lin = db_to_lin(self.ed_threshold_dbm)
+        self._loud_lin = threshold_lin * (1 + SENSE_MARGIN)
+        self._bound_limit = threshold_lin * (1 - SENSE_MARGIN)
 
     def sense_window(self, w_start: int, w_end: int) -> bool:
         """True (busy) iff aggregate power reaches the ED threshold anywhere
-        in the half-open window [w_start, w_end)."""
-        p = self.env.max_sensed_power_dbm(self.device, w_start, w_end, self.table.rx_beam)
+        in the half-open window [w_start, w_end), as `max_sensed_power_dbm`
+        reads it. One loud emission settles busy, as the sweep sums at least
+        it where it starts; a whole-window sum under `_bound_limit` settles
+        idle, as it bounds every point's sum but for rounding from its other
+        order, which the margin absorbs. Only a sum in between is swept."""
+        env = self.env
+        loud = self._loud_lin
+        total = 0.0
+        for _eid, _start, _end, lin in env.window_emissions(self.table, w_start, w_end):
+            if lin >= loud:
+                return True
+            total += lin
+        if total < self._bound_limit:
+            return False
+        p = env.max_sensed_power_dbm(self.device, w_start, w_end, self.table.rx_beam)
         return p >= self.ed_threshold_dbm
 
     def _emit(self, event: str) -> None:
@@ -129,11 +149,27 @@ class Backoff:
     idle medium to defer again; with none left, the countdown, due at t,
     still fires.
 
+    `RadioEnvironment._notify` re-senses a listener in full
+    (`medium_changed`) only when an edge can flip its answer, from what it
+    keeps of its last sense:
+    - `_witness`, an on-air emission that alone keeps `medium_busy()` true,
+      or None; a waiting listener is re-sensed only when it ends, or on any
+      falling edge when there is none.
+    - `_bound`, while counting: the eid-order sum of the last sense that read
+      idle plus each rising edge's power since. Emissions start in eid order
+      and float rounding is monotone, so it never falls below the sensed
+      sum; a rising edge that keeps it under `_bound_limit` is skipped.
+    - A rising edge loud on its own (at `_loud_lin`, or a WiGig preamble at
+      `_preamble_dbm`) freezes the counter at once as the witness: every
+      other emission on the air is quiet, or the counter would be frozen, so
+      it is the one `medium_busy()` would record.
+
     A subclass provides `engine`, `env`, `rng`, `config` (`defer_ns`,
-    `cca_slot_ns`), its contention window `cws`, the busy predicate
-    `medium_busy()`, and `_backoff_done()`, called once the counter runs out
-    and the device has stopped listening. With a `trace` set, `_emit(event)`
-    logs defer_start and counter_frozen.
+    `cca_slot_ns`), its contention window `cws`, its sensing `table`, the
+    thresholds `_loud_lin` and `_bound_limit`, the ED rule on a linear sum
+    `_busy_total(total)`, and `_backoff_done()`, called once the counter
+    runs out and the device has stopped listening. With a `trace` set,
+    `_emit(event)` logs defer_start and counter_frozen.
     """
 
     IDLE, WAIT_IDLE, COUNT = range(3)
@@ -141,10 +177,9 @@ class Backoff:
     state = IDLE
     counter = 0
     _timer = None
-    # An on-air emission that alone keeps medium_busy() true, or None; see
-    # RadioEnvironment._notify. A subclass that never sets it is re-sensed on
-    # every falling edge while it waits.
     _witness = None
+    _bound = 0.0
+    _preamble_dbm = math.inf  # no preamble detection
     trace = None
 
     def _start_backoff(self) -> None:
@@ -155,6 +190,31 @@ class Backoff:
         else:
             self._start_countdown()
 
+    def medium_busy(self, device: Optional[Device] = None) -> bool:
+        """True iff an emission not sourced by the sensing device is loud, or
+        the eid-order sum of their powers is busy by `_busy_total`. At its
+        own `table` it records the loud one as `_witness` (no float sum of
+        non-negative terms falls below one of them), or None, and an idle sum
+        as `_bound`; with `device` it senses omni there, recording nothing."""
+        table = self.table if device is None else self.env.link_table(device)
+        receiver = table.receiver
+        loud, preamble_dbm = self._loud_lin, self._preamble_dbm
+        total = 0.0
+        for em in self.env.active.values():
+            if em.source is not receiver:
+                p, lin = table[em.link_key]
+                if lin >= loud or (em.rat == "wigig" and p >= preamble_dbm):
+                    if device is None:
+                        self._witness = em
+                    return True
+                total += lin
+        busy = self._busy_total(total)
+        if device is None:
+            self._witness = None
+            if not busy:
+                self._bound = total
+        return busy
+
     def medium_changed(self) -> None:
         """Re-sense on an emission edge; a device not contending ignores it."""
         state = self.state
@@ -162,16 +222,20 @@ class Backoff:
             if not self.medium_busy():
                 self._start_countdown()
         elif state == self.COUNT and self.medium_busy():
-            counted = self.engine.now - self._count_from
-            if counted >= 0:
-                left = self.counter - counted // self.config.cca_slot_ns
-                if left == 0:
-                    return  # the countdown is due now
-                self.counter = left
-                if self.trace is not None:
-                    self._emit("counter_frozen")
-            self.engine.cancel(self._timer)
-            self.state = self.WAIT_IDLE
+            self._freeze()
+
+    def _freeze(self) -> None:
+        """Stop counting on a medium busy from now, unless the counter is spent."""
+        counted = self.engine.now - self._count_from
+        if counted >= 0:
+            left = self.counter - counted // self.config.cca_slot_ns
+            if left == 0:
+                return  # the countdown is due now
+            self.counter = left
+            if self.trace is not None:
+                self._emit("counter_frozen")
+        self.engine.cancel(self._timer)
+        self.state = self.WAIT_IDLE
 
     def _start_countdown(self) -> None:
         self.state = self.COUNT
@@ -217,6 +281,10 @@ class LbtCam(Cam, Backoff):
         else:
             self.cws = self.config.cws_min
         return self.cws
+
+    def _busy_total(self, total: float) -> bool:
+        """The ED rule, in dBm, on a linear power sum."""
+        return total > 0 and lin_to_db(total) >= self.ed_threshold_dbm
 
     def _backoff_done(self) -> None:
         callback = self._on_grant

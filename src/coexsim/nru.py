@@ -34,6 +34,7 @@ MCS_TABLE: list[tuple[float, float]] = [
     (-2.0, 0.2), (0.0, 0.5), (2.0, 0.8), (4.0, 1.2), (7.0, 1.7), (10.0, 2.3),
     (13.0, 3.0), (16.0, 3.6), (19.0, 4.2), (22.0, 4.7), (25.0, 5.1), (28.0, 5.5),
 ]
+MCS_THRESHOLDS = [thr for thr, _se in MCS_TABLE]  # for select_mcs
 
 
 def symbol_capacity_bytes(se: float, bandwidth_hz: float, overhead: float) -> int:
@@ -167,7 +168,7 @@ class NruGnb:
             sinr = ue.last_sinr_db
             adapted = ue.adapted
             if adapted is None or adapted[0] != sinr:
-                mcs = select_mcs(MCS_TABLE, sinr, self.config.mcs_margin_db)
+                mcs = select_mcs(MCS_THRESHOLDS, sinr, self.config.mcs_margin_db)
                 adapted = ue.adapted = (sinr, mcs, symbol_capacity_bytes(
                     MCS_TABLE[mcs][1], self.config.bandwidth_hz, self.config.nru_overhead
                 ))

@@ -8,6 +8,7 @@ pattern with the uniform-planar-array factor for conjugate steering.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from math import log10
 from dataclasses import dataclass
@@ -30,17 +31,12 @@ def lin_to_db(lin: float) -> float:
     return 10.0 * math.log10(lin)
 
 
-def select_mcs(table: list[tuple[float, float]], sinr_db: float, margin_db: float) -> int:
-    """Index of the highest (decode threshold dB, rate) entry of `table` whose
-    threshold is at most sinr - margin; ties go up, and below all of them 0."""
+def select_mcs(thresholds: list[float], sinr_db: float, margin_db: float) -> int:
+    """Index of the highest of the ascending decode `thresholds` (dB) at most
+    sinr - margin; ties go up, and below all of them 0."""
     if not math.isfinite(sinr_db):
         raise ValueError("SINR must be finite")
-    budget = sinr_db - margin_db
-    chosen = 0
-    for i, (thr, _rate) in enumerate(table):
-        if thr <= budget:
-            chosen = i
-    return chosen
+    return max(bisect_right(thresholds, sinr_db - margin_db) - 1, 0)
 
 
 @dataclass(frozen=True)
@@ -226,16 +222,6 @@ class LinkTable(dict):
         entry = self[key] = (p, db_to_lin(p))
         return entry
 
-    def sensed_dbm(self) -> float:
-        """Aggregate power of the active emissions not sourced by the receiver,
-        summed in eid order."""
-        receiver = self.receiver
-        total = 0.0
-        for em in self.env.active.values():
-            if em.source is not receiver:
-                total += self[em.link_key][1]
-        return lin_to_db(total) if total > 0 else -math.inf
-
 
 class RadioEnvironment:
     """Static geometry plus the set of emissions currently on the air.
@@ -418,17 +404,33 @@ class RadioEnvironment:
             self._listeners.remove(obj)
 
     def _notify(self, em: Emission, rising: bool) -> None:
-        """Call medium_changed() on each `Backoff` listener whose sensing can
-        flip as `em` starts or ends: a start can only make an idle one busy,
-        an end a busy (WAIT_IDLE) one idle, and not while its `_witness`, an
-        emission busy on its own, other than `em` is still on the air. Exact,
-        since an eid-order float sum over a subset of the emissions never
-        exceeds the full sum, nor falls below one of its terms.
-        medium_changed() must not (un)register."""
+        """Settle each `Backoff` listener's sensing as `em` starts or ends,
+        calling medium_changed(), a full re-sense, only where it can flip. A
+        start can only make a counting listener busy: a loud `em` freezes it
+        at once as its witness, a quiet one adds to its `_bound`, re-sensed
+        only at `_bound_limit`, and its own emission is skipped. An end can
+        only make a waiting (WAIT_IDLE) one idle, and not while its `_witness`
+        other than `em` is on the air. See `Backoff` for why this is exact.
+        Neither medium_changed() nor _freeze() may (un)register."""
         if rising:
+            key = em.link_key
+            source = em.source
+            wigig = em.rat == "wigig"
             for obj in self._listeners:
                 if obj.state != obj.WAIT_IDLE:
-                    obj.medium_changed()
+                    table = obj.table
+                    if table.receiver is source:
+                        continue
+                    p, lin = table[key]
+                    if lin >= obj._loud_lin or (wigig and p >= obj._preamble_dbm):
+                        obj._witness = em
+                        obj._freeze()
+                    else:
+                        bound = obj._bound + lin
+                        if bound < obj._bound_limit:
+                            obj._bound = bound
+                        else:
+                            obj.medium_changed()
         else:
             for obj in self._listeners:
                 if obj.state == obj.WAIT_IDLE:
@@ -448,18 +450,25 @@ class RadioEnvironment:
     def sensed_power_dbm(
         self, device: Device, rx_beam_toward: Optional[Device] = None
     ) -> float:
-        return self.link_table(device, rx_beam_toward).sensed_dbm()
-
-    def max_sensed_power_dbm(
-        self,
-        device: Device,
-        w_start: int,
-        w_end: int,
-        rx_beam_toward: Optional[Device] = None,
-    ) -> float:
-        """Max aggregate power over the half-open window [w_start, w_end),
-        which must start at most `_retain_ns` before now."""
+        """Aggregate power of the active emissions not sourced by `device`,
+        summed in eid order."""
         table = self.link_table(device, rx_beam_toward)
+        total = 0.0
+        for em in self.active.values():
+            if em.source is not device:
+                total += table[em.link_key][1]
+        return lin_to_db(total) if total > 0 else -math.inf
+
+    def window_emissions(self, table: LinkTable, w_start: int, w_end: int) -> list[tuple]:
+        """(eid, start, end, linear power at `table`) of every emission on
+        the air somewhere in the half-open window [w_start, w_end) and not
+        sourced by the table's receiver: the active ones in eid order, then
+        the ended ones latest end first. A window starting more than
+        `_retain_ns` before now would miss pruned emissions: ValueError."""
+        now = self.engine.now
+        if w_start < now - self._retain_ns:
+            raise ValueError(f"window [{w_start}, {w_end}) starts before {now} - {self._retain_ns}")
+        device = table.receiver
         ems = [
             (em.eid, em.start, em.end, table[em.link_key][1])
             for em in self.active.values()
@@ -470,6 +479,19 @@ class RadioEnvironment:
                 break
             if em.start < w_end and em.source is not device:
                 ems.append((em.eid, em.start, em.end, table[em.link_key][1]))
+        return ems
+
+    def max_sensed_power_dbm(
+        self,
+        device: Device,
+        w_start: int,
+        w_end: int,
+        rx_beam_toward: Optional[Device] = None,
+    ) -> float:
+        """Max aggregate power over the half-open window [w_start, w_end),
+        summed in eid order at each point where an emission starts; see
+        `window_emissions` for the window's bound."""
+        ems = self.window_emissions(self.link_table(device, rx_beam_toward), w_start, w_end)
         if not ems:
             return -math.inf
         ems.sort()  # eid order, as the emissions started

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
-from .channel_access import Backoff
+from .channel_access import SENSE_MARGIN, Backoff
 from .engine import MS, US
 from .radio import Device, RadioEnvironment, db_to_lin, select_mcs
 from .traffic import PacketRecord
@@ -23,6 +23,7 @@ WIGIG_MCS: list[tuple[float, float]] = [
     (1.0, 385e6), (4.0, 770e6), (7.0, 1155e6),
     (12.0, 1925e6), (17.0, 3080e6), (22.0, 4620e6),
 ]
+WIGIG_MCS_THRESHOLDS = [thr for thr, _rate in WIGIG_MCS]  # for select_mcs
 
 WIGIG_MCS_MARGIN_DB = 1.0  # SINR headroom of the rate choice
 
@@ -48,7 +49,9 @@ class WigigFrame:
 
 class WigigAp(Backoff):
     """One access point: a DCF transmit queue serving its associated STAs.
-    Channel access is the shared `Backoff`; TX and WAIT_ACK follow it."""
+    Channel access is the shared `Backoff`; TX and WAIT_ACK follow it. The
+    medium is busy on a same-technology preamble at `_preamble_dbm`, or on
+    energy (one emission, or the sum) at the linear ED threshold."""
 
     TX, WAIT_ACK = 3, 4  # after Backoff.IDLE, WAIT_IDLE, COUNT
 
@@ -61,39 +64,17 @@ class WigigAp(Backoff):
         self.frame_trace = env.traces.get("frames")
         self.queue: deque[WigigFrame] = deque()
         self.cws = config.cws_min
-        self.ed_threshold_lin = db_to_lin(config.wigig_ed_threshold_dbm)
+        self._loud_lin = self.ed_threshold_lin = db_to_lin(config.wigig_ed_threshold_dbm)
+        self._bound_limit = self.ed_threshold_lin * (1 - SENSE_MARGIN)
+        self._preamble_dbm = config.wigig_preamble_threshold_dbm
         self.table = env.link_table(device)  # omni reception at the AP
         self._ack_timer = None
         self._current: Optional[WigigFrame] = None
         self._ack_ok = False
         self.drops = 0
 
-    # -- sensing ------------------------------------------------------------
-
-    def medium_busy(self, device: Optional[Device] = None) -> bool:
-        """Busy on same-technology preamble detection or on aggregate energy.
-
-        Sensing at the AP itself records as `_witness` an emission that is
-        busy on its own (preamble detected, or energy at the threshold), or
-        None if none is: the float sum of non-negative terms never falls
-        below one of them, so the AP stays busy while its witness is on air.
-        """
-        table = self.table if device is None else self.env.link_table(device)
-        receiver = table.receiver
-        preamble_dbm = self.config.wigig_preamble_threshold_dbm
-        threshold = self.ed_threshold_lin
-        total = 0.0
-        for em in self.env.active.values():
-            if em.source is not receiver:
-                p, lin = table[em.link_key]
-                if (em.rat == "wigig" and p >= preamble_dbm) or lin >= threshold:
-                    if device is None:
-                        self._witness = em
-                    return True
-                total += lin
-        if device is None:
-            self._witness = None
-        return total >= threshold
+    def _busy_total(self, total: float) -> bool:
+        return total >= self.ed_threshold_lin
 
     # -- queueing -----------------------------------------------------------
 
@@ -106,7 +87,7 @@ class WigigAp(Backoff):
 
     def _start_access(self) -> None:
         frame = self._current = self.queue.popleft()
-        frame.mcs = select_mcs(WIGIG_MCS, frame.sta.last_sinr_db, WIGIG_MCS_MARGIN_DB)
+        frame.mcs = select_mcs(WIGIG_MCS_THRESHOLDS, frame.sta.last_sinr_db, WIGIG_MCS_MARGIN_DB)
         self._start_backoff()
 
     def _backoff_done(self) -> None:

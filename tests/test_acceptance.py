@@ -19,7 +19,7 @@ from coexsim.cli import main
 from coexsim.engine import MS, Engine, RngStreams
 from coexsim.metrics import OccupancyLedger
 from coexsim.radio import RadioEnvironment, noise_power_dbm
-from coexsim.verify import verify_lbt_safety
+from tests.verify import verify_lbt_safety
 
 REDUCED = dict(sites_per_operator=1, users_per_operator=4)
 

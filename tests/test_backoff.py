@@ -6,6 +6,7 @@ import pytest
 
 from coexsim.channel_access import CAT4, Backoff, make_cam
 from coexsim.engine import MS
+from coexsim.radio import RadioEnvironment
 from coexsim.traffic import PacketRecord
 from coexsim.wigig import WigigAp, WigigSta
 from tests.conftest import FixedRng
@@ -139,3 +140,53 @@ def test_one_countdown_event_per_contention(rig, machine, freeze):
     rig.engine.run_until(1 * MS)
     assert starts()[:1] == [58_000 if freeze else 43_000]
     assert counts == {"scheduled": 2 if freeze else 1, "executed": 1}
+
+
+def _full_resense_notify(monkeypatch):
+    """Re-sense every counting listener in full on each rising edge, with no
+    bound and no loud shortcut: the reference the loud freeze must match."""
+    notify = RadioEnvironment._notify
+
+    def full(env, em, rising):
+        if not rising:
+            return notify(env, em, rising)
+        for obj in env._listeners:
+            if obj.state != obj.WAIT_IDLE:
+                obj.medium_changed()
+
+    monkeypatch.setattr(RadioEnvironment, "_notify", full)
+
+
+@pytest.mark.parametrize("path", ["shortcut", "full"])
+@pytest.mark.parametrize(
+    "burst_at, after, first_start",
+    # Mid-count: one slot counted (3->2), frozen at 14000, idle at 20000,
+    # defer to 28000, two slots -> 38000. Due now: the countdown of 3 slots
+    # ends at 23000, the burst comes first in that nanosecond; the spent
+    # counter does not freeze, and the contender still starts at 23000.
+    [(14_000, (Backoff.WAIT_IDLE, 2), 38_000), (23_000, (Backoff.COUNT, 3), 23_000)],
+    ids=["mid-count", "due-now"],
+)
+def test_a_loud_edge_freezes_as_a_full_re_sense_would(
+    rig, machine, monkeypatch, path, burst_at, after, first_start
+):
+    """A burst loud on its own leaves counter, state and witness as a full
+    re-sense does, without one on the shortcut path."""
+    start, intf = machine
+    if path == "full":
+        _full_resense_notify(monkeypatch)
+    changed = Backoff.medium_changed
+    resensed = []
+    monkeypatch.setattr(Backoff, "medium_changed", lambda obj: (resensed.append(obj), changed(obj)))
+    seen = []
+
+    def burst():
+        em, _ = rig.emit(intf, 17.0, 6_000)
+        (obj,) = rig.env._listeners
+        seen.append((obj.state, obj.counter, obj._witness is em, len(resensed)))
+
+    rig.engine.schedule(burst, burst_at)  # queued first: before the countdown due then
+    starts = start()
+    rig.engine.run_until(1 * MS)
+    assert seen == [(*after, True, 0 if path == "shortcut" else 1)]
+    assert starts()[:1] == [first_start]

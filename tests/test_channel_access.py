@@ -14,8 +14,9 @@ from coexsim.channel_access import (
 )
 from coexsim.config import CampaignConfig
 from coexsim.engine import MS, US
-from coexsim.verify import verify_lbt_safety
+from coexsim.radio import db_to_lin
 from tests.conftest import FixedRng, Rig
+from tests.verify import verify_lbt_safety
 
 
 def _cam(rig, category, dev, rng=None, toward=None):
@@ -78,6 +79,27 @@ def test_cat2_window_boundary_is_half_open(rig):
     assert cam.attempt() is None  # window [9999, 34999) touches the emission
     rig.engine.run_until(35_000)
     assert cam.attempt() is not None  # window [10000, 35000) is clean
+
+
+@pytest.mark.parametrize("b_start, busy", [(5_000, True), (10_000, False)],
+                         ids=["overlapping", "touching"])
+def test_cat2_window_sums_two_quiet_emissions_only_where_they_overlap(rig, b_start, busy):
+    """Two emissions at about -81 dBm, each below the -79 dBm threshold,
+    reach it together: the window [5000, 30000) holds both, and reads busy
+    only when they overlap, not when one starts as the other ends."""
+    dev = rig.place("dev", 0.0)
+    a, b = rig.place("a", 1.0), rig.place("b", -1.0)
+    for src in (a, b):
+        rig.force_link(dev, src)
+    cam = _cam(rig, CAT2, dev)
+    rig.emit(a, -13.3, 10_000)  # [0, 10000)
+    rig.engine.schedule(lambda: rig.emit(b, -13.3, 10_000), b_start)
+    rig.engine.run_until(30_000)
+    lins = [lin for _eid, _start, _end, lin in rig.env.window_emissions(cam.table, 5_000, 30_000)]
+    assert len(lins) == 2 and max(lins) < db_to_lin(cam.ed_threshold_dbm) <= sum(lins)
+    p = rig.env.max_sensed_power_dbm(dev, 5_000, 30_000)
+    assert cam.sense_window(5_000, 30_000) == (p >= cam.ed_threshold_dbm) == busy
+    assert (cam.attempt() is None) == busy
 
 
 def test_cat2_window_longer_than_retention_sees_old_emissions():

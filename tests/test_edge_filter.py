@@ -1,14 +1,19 @@
-"""Edge-filtered sensing notifications: an emission start notifies only the
-listeners that sensed idle, an emission end only those that sensed busy and
-whose witness, if any, is the emission that ended. The filter must be exact,
-so a skipped listener would have sensed the same."""
+"""Sensing settled without a full re-sum: an emission start reaches only the
+listeners that sensed idle, and re-senses one of them only when its running
+bound can reach the threshold, unless the emission is loud on its own and
+freezes it at once; an emission end re-senses only the listeners that sensed
+busy and whose witness, if any, is the emission that ended. A Cat2 window is
+swept only when neither its loudest emission nor its whole sum settles it.
+Every shortcut must be exact: it leaves a listener as a full re-sense would,
+and a window reads as the sweep does."""
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from coexsim import CampaignConfig, parse_config, run_once
-from coexsim.channel_access import Backoff
+from coexsim.channel_access import Backoff, Cam
 from coexsim.radio import RadioEnvironment
 from coexsim.wigig import WigigAp
 from tests.conftest import FixedRng
@@ -22,13 +27,18 @@ NON_DEFAULT = replace(
 
 
 class Probe:
-    """A listener stub sitting in one Backoff state, counting notifications."""
+    """A listener stub sitting in one Backoff state, counting notifications;
+    with no room under its bound, every rising edge re-senses it."""
 
     WAIT_IDLE = Backoff.WAIT_IDLE
     _witness = None
+    _bound = 0.0
+    _bound_limit = 0.0
+    _loud_lin = _preamble_dbm = math.inf
 
-    def __init__(self, state):
+    def __init__(self, state, table):
         self.state = state
+        self.table = table
         self.calls = 0
 
     def medium_changed(self):
@@ -39,7 +49,7 @@ def test_start_skips_busy_listeners_and_end_skips_idle_ones(rig):
     a = rig.place("a", 0.0)
     intf = rig.place("intf", 1.0, operator="B")
     rig.force_link(a, intf)
-    probes = {s: Probe(s) for s in (Backoff.WAIT_IDLE, Backoff.COUNT)}
+    probes = {s: Probe(s, rig.env.link_table(a)) for s in (Backoff.WAIT_IDLE, Backoff.COUNT)}
     for probe in probes.values():
         rig.env.add_listener(probe)
 
@@ -81,42 +91,87 @@ def test_witness_keeps_the_ap_busy_until_it_ends(rig):
 
 @pytest.fixture
 def checked_notify(monkeypatch):
-    """Check every listener `_notify` skips: its sensing right after the edge
-    must still match its state (busy exactly in WAIT_IDLE)."""
-    notify, changed = RadioEnvironment._notify, Backoff.medium_changed
-    called = []
-    seen = {"skipped": 0, "notified": 0, "witness_skipped": 0}
+    """Check every listener `_notify` does not fully re-sense (skipped, bound
+    skipped or loud frozen): its sensing right after the edge must still
+    match its state (busy exactly in WAIT_IDLE), unless its countdown is due
+    at that nanosecond, as after a loud edge that found the counter spent:
+    it fires whatever the medium reads. The checking re-sense leaves the
+    listener's `_witness` and `_bound` as they were."""
+    notify, changed, freeze = RadioEnvironment._notify, Backoff.medium_changed, Backoff._freeze
+    called, frozen = [], []
+    seen = dict.fromkeys(
+        ("skipped", "bound_skipped", "loud_frozen", "notified", "witness_skipped", "due_now"), 0
+    )
 
     def recording_changed(listener):
         called.append(listener)
         changed(listener)
 
+    def recording_freeze(listener):
+        frozen.append(listener)
+        freeze(listener)
+
     def checking_notify(env, em, rising):
         listeners = list(env._listeners)
+        bounds = [obj._bound for obj in listeners]
         called.clear()
+        frozen.clear()
         notify(env, em, rising)
         seen["notified"] += len(called)
-        for obj in listeners:
-            if not any(obj is c for c in called):
+        for obj, bound in zip(listeners, bounds):
+            if any(obj is c for c in called):
+                continue
+            if any(obj is f for f in frozen):
+                seen["loud_frozen"] += 1
+            elif obj._bound != bound:
+                seen["bound_skipped"] += 1
+            else:
                 seen["skipped"] += 1
                 seen["witness_skipped"] += not rising and obj.state == Backoff.WAIT_IDLE
-                assert obj.medium_busy() == (obj.state == Backoff.WAIT_IDLE), (
-                    f"{obj.device.id} skipped on a {'rising' if rising else 'falling'} edge"
-                )
+            if obj.state == Backoff.COUNT and obj._timer[0] == env.engine.now:
+                seen["due_now"] += 1
+                continue
+            saved = obj._witness, obj._bound
+            assert obj.medium_busy() == (obj.state == Backoff.WAIT_IDLE), (
+                f"{obj.device.id} skipped on a {'rising' if rising else 'falling'} edge"
+            )
+            obj._witness, obj._bound = saved
 
     monkeypatch.setattr(Backoff, "medium_changed", recording_changed)
+    monkeypatch.setattr(Backoff, "_freeze", recording_freeze)
     monkeypatch.setattr(RadioEnvironment, "_notify", checking_notify)
     return seen
 
 
 @pytest.mark.parametrize(
-    "label, base",
-    [("WiGig-only", CampaignConfig()), ("Cat4/Cat2", CampaignConfig()), ("On/On", CampaignConfig()),
-     ("Cat4/Cat2", NON_DEFAULT)],
+    "label, base, shortcuts",
+    [("WiGig-only", CampaignConfig(), 1000), ("Cat4/Cat2", CampaignConfig(), 1000),
+     ("On/On", CampaignConfig(), 0), ("Cat4/Cat2", NON_DEFAULT, 0)],
     ids=["WiGig-only", "Cat4-Cat2", "On-On", "Cat4-Cat2-non-default"],
 )
-def test_skipped_listeners_would_not_have_changed(checked_notify, label, base):
+def test_skipped_listeners_would_not_have_changed(checked_notify, label, base, shortcuts):
     cfg = replace(base.for_label(label), duration_s=0.05)
     run_once(cfg, 1)
     assert checked_notify["skipped"] > 1000 and checked_notify["notified"] > 1000
     assert checked_notify["witness_skipped"] > 100
+    assert checked_notify["bound_skipped"] > shortcuts and checked_notify["loud_frozen"] > shortcuts
+
+
+@pytest.mark.parametrize("label", ["Cat4/Cat2", "Cat3/Cat2"])
+def test_cat2_windows_read_as_the_sweep_does(monkeypatch, label):
+    """Every Cat2 window of a full-floor run, settled by the loudest emission,
+    by the whole sum or by the sweep, reads as `max_sensed_power_dbm` does."""
+    sense = Cam.sense_window
+    seen = {"calls": 0, "busy": 0}
+
+    def checked(cam, w_start, w_end):
+        busy = sense(cam, w_start, w_end)
+        p = cam.env.max_sensed_power_dbm(cam.device, w_start, w_end, cam.table.rx_beam)
+        assert busy == (p >= cam.ed_threshold_dbm), f"{cam.device.id} window [{w_start}, {w_end})"
+        seen["calls"] += 1
+        seen["busy"] += busy
+        return busy
+
+    monkeypatch.setattr(Cam, "sense_window", checked)
+    run_once(replace(CampaignConfig().for_label(label), duration_s=0.05), 1)
+    assert seen["calls"] > 500 and 0 < seen["busy"] < seen["calls"]

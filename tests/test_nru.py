@@ -8,6 +8,7 @@ from coexsim.config import CampaignConfig
 from coexsim.engine import SEC
 from coexsim.nru import (
     MCS_TABLE,
+    MCS_THRESHOLDS,
     SLOT_NS,
     SYMBOL_NS,
     SYMBOLS_PER_SLOT,
@@ -31,23 +32,23 @@ def test_symbol_grid_constants():
 
 def test_select_mcs_picks_highest_feasible():
     # budget = sinr - margin; thresholds at ... 13, 16 ...
-    index = select_mcs(MCS_TABLE, 15.0, 1.0)
+    index = select_mcs(MCS_THRESHOLDS, 15.0, 1.0)
     assert index == 6 and MCS_TABLE[index][1] == 3.0
 
 
 def test_select_mcs_tie_goes_up():
     # budget exactly on a threshold selects that entry.
-    assert MCS_TABLE[select_mcs(MCS_TABLE, 17.0, 1.0)][0] == 16.0
+    assert MCS_TABLE[select_mcs(MCS_THRESHOLDS, 17.0, 1.0)][0] == 16.0
 
 
 def test_select_mcs_outage_below_lowest():
     # Outage: index 0 below the lowest threshold.
-    assert select_mcs(MCS_TABLE, -5.0, 1.0) == 0
+    assert select_mcs(MCS_THRESHOLDS, -5.0, 1.0) == 0
 
 
 def test_select_mcs_rejects_non_finite():
     with pytest.raises(ValueError):
-        select_mcs(MCS_TABLE, float("nan"), 1.0)
+        select_mcs(MCS_THRESHOLDS, float("nan"), 1.0)
 
 
 def test_symbol_capacity_hand_value():
@@ -128,7 +129,7 @@ def test_round_robin_rotates_first_service(rig):
 def test_whole_symbol_count_is_ceiling_of_bytes(rig):
     gnb, ues, trace = _gnb_rig(rig, n_ues=1)
     cfg = rig.config
-    mcs = select_mcs(MCS_TABLE, ues[0].last_sinr_db, cfg.mcs_margin_db)
+    mcs = select_mcs(MCS_THRESHOLDS, ues[0].last_sinr_db, cfg.mcs_margin_db)
     cap = symbol_capacity_bytes(MCS_TABLE[mcs][1], cfg.bandwidth_hz, cfg.nru_overhead)
     n_bytes = cap + 1  # spills exactly one byte into a second symbol
     ues[0].offer_packet(_pkt(size=n_bytes))

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from coexsim.nru import MCS_TABLE, MCS_THRESHOLDS
 from coexsim.radio import (
     AntennaArray,
     Position,
@@ -16,7 +17,9 @@ from coexsim.radio import (
     los_probability,
     noise_power_dbm,
     pathloss_db,
+    select_mcs,
 )
+from coexsim.wigig import WIGIG_MCS, WIGIG_MCS_THRESHOLDS
 
 SITE = AntennaArray(rows=8, cols=8)
 USER = AntennaArray(rows=4, cols=4)
@@ -126,6 +129,35 @@ def test_link_pathloss_is_reciprocal_and_cached(rig):
     assert rig.env.link(a, b) is rig.env.link(b, a)
 
 
+def _linear_select_mcs(table, sinr_db, margin_db):
+    """The rule select_mcs replaced: scan every entry, keep the last one at
+    most the budget."""
+    budget = sinr_db - margin_db
+    chosen = 0
+    for i, (thr, _rate) in enumerate(table):
+        if thr <= budget:
+            chosen = i
+    return chosen
+
+
+@pytest.mark.parametrize(
+    "table, thresholds", [(MCS_TABLE, MCS_THRESHOLDS), (WIGIG_MCS, WIGIG_MCS_THRESHOLDS)],
+    ids=["nru", "wigig"],
+)
+def test_select_mcs_bisection_matches_the_linear_rule(table, thresholds):
+    assert thresholds == sorted(thresholds) == [thr for thr, _rate in table]
+    for margin in (0.0, 1.0):
+        sinrs = [table[0][0] + margin - 30.0, table[0][0] + margin - 1.0]  # below the first
+        for thr, _rate in table:
+            at = thr + margin  # an exact budget of thr for these integer thresholds
+            sinrs += [math.nextafter(at, -math.inf), at, math.nextafter(at, math.inf)]
+        for sinr in sinrs:
+            assert select_mcs(thresholds, sinr, margin) == _linear_select_mcs(table, sinr, margin)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            select_mcs(thresholds, bad, 1.0)
+
+
 def test_forced_link_gives_closed_form_rx_power(rig):
     a = rig.place("a", 0.0, 0.0, z=1.5)
     b = rig.place("b", 10.0, 0.0, z=1.5)
@@ -149,6 +181,23 @@ def test_sensing_window_half_open(rig):
     em2_start = 50_000
     rig.emit(a, 17.0, 5_000)
     assert env.max_sensed_power_dbm(b, em2_start - 1_000, em2_start) == -math.inf
+
+
+def test_window_sensing_refuses_a_window_older_than_the_retention(rig):
+    a = rig.place("a", 0.0, 0.0)
+    b = rig.place("b", 1.0, 0.0)
+    rig.force_link(a, b)
+    env = rig.env
+    rig.emit(a, 17.0, 10_000)  # [0, 10000)
+    rig.engine.schedule(lambda: rig.emit(a, 17.0, 10_000), 240_000)
+    rig.engine.run_until(300_000)  # the second end pruned the first emission
+    assert [em.start for em in env._ended] == [240_000]
+    oldest = 300_000 - env._retain_ns
+    assert env.max_sensed_power_dbm(b, oldest, 300_000) == pytest.approx(-50.67, abs=0.01)
+    with pytest.raises(ValueError, match=r"window \[5000, 300000\)"):
+        env.max_sensed_power_dbm(b, 5_000, 300_000)  # would miss [0, 10000)
+    with pytest.raises(ValueError, match=r"window \[99999, 300000\)"):
+        env.max_sensed_power_dbm(b, oldest - 1, 300_000)
 
 
 def test_aggregate_sensing_sums_linear_powers(rig):
@@ -305,7 +354,7 @@ def _ref_sinr_db(env, cap, receiver, beam):
     + [pytest.param(seed, 1_000, 400, 2_000_000, id=f"long-{seed}") for seed in (4, 5)],
 )
 def test_link_tables_match_fresh_rx_power_sums(rig, seed, n_emissions, n_checks, span_ns):
-    from coexsim.channel_access import CAT2, make_cam
+    from coexsim.channel_access import CAT4, make_cam
     from coexsim.wigig import WigigAp
     from tests.conftest import FixedRng
 
@@ -315,8 +364,8 @@ def test_link_tables_match_fresh_rx_power_sums(rig, seed, n_emissions, n_checks,
     ap = WigigAp(rig.place("ap", 0.0, 0.0, z=3.0, role="ap", array=SITE), env, rng)
     gnb = rig.place("gnb", 6.0, 4.0, z=3.0, operator="B", role="gnb", array=SITE)
     ue = rig.place("ue", 9.0, 1.0, operator="B", role="ue", array=USER)
-    omni_cam = make_cam(CAT2, gnb, env, FixedRng(0))
-    beam_cam = make_cam(CAT2, ue, env, FixedRng(0), gnb)
+    omni_cam = make_cam(CAT4, gnb, env, FixedRng(0))  # LBT: medium_busy and windows
+    beam_cam = make_cam(CAT4, ue, env, FixedRng(0), gnb)
     devices = [ap.device, gnb, ue] + [
         rig.place(f"d{i}", rng.uniform(-15, 15), rng.uniform(-15, 15), array=USER)
         for i in range(5)

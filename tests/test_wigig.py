@@ -8,6 +8,7 @@ from coexsim.wigig import (
     PREAMBLE_NS,
     WIGIG_MCS,
     WIGIG_MCS_MARGIN_DB,
+    WIGIG_MCS_THRESHOLDS,
     WigigAp,
     WigigFrame,
     WigigSta,
@@ -33,9 +34,9 @@ def test_frames_do_not_snap_to_symbol_grid():
 
 def test_select_mcs_on_the_wigig_table():
     assert WIGIG_MCS_MARGIN_DB == 1.0
-    assert select_mcs(WIGIG_MCS, 23.5, 1.0) == 5  # budget 22.5 >= top threshold
-    assert select_mcs(WIGIG_MCS, 22.9, 1.0) == 4  # budget 21.9 just misses it
-    assert select_mcs(WIGIG_MCS, -10.0, 1.0) == 0  # floor entry regardless of SINR
+    assert select_mcs(WIGIG_MCS_THRESHOLDS, 23.5, 1.0) == 5  # budget 22.5 >= top threshold
+    assert select_mcs(WIGIG_MCS_THRESHOLDS, 22.9, 1.0) == 4  # budget 21.9 just misses it
+    assert select_mcs(WIGIG_MCS_THRESHOLDS, -10.0, 1.0) == 0  # floor entry regardless of SINR
 
 
 def _ap_rig(rig):

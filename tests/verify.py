@@ -1,5 +1,5 @@
 """Offline oracles that re-check a finished run independently of the code
-under test. Not imported by the simulator itself.
+under test.
 """
 from __future__ import annotations
 
@@ -7,8 +7,8 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import Optional
 
-from .channel_access import CAT2, CAT3, CAT4, Cam
-from .radio import Device, RadioEnvironment, db_to_lin
+from coexsim.channel_access import CAT2, CAT3, CAT4, Cam
+from coexsim.radio import Device, RadioEnvironment, db_to_lin
 
 
 def _power_steps(env: RadioEnvironment, device: Device, emissions, rx_beam):
