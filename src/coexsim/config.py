@@ -165,6 +165,9 @@ def validate(cfg: CampaignConfig) -> CampaignConfig:
             raise ConfigError(f"value for key '{f.name}' out of range [{bound[0]}, {bound[1]}]: {v}")
     if cfg.cws_min > cfg.cws_max:
         raise ConfigError("value for key 'cws_min' exceeds 'cws_max'")
+    # A timeout due by the ACK's end settles the frame before the ACK does.
+    if cfg.ack_timeout_ns <= cfg.sifs_ns + cfg.ack_ns:
+        raise ConfigError("value for key 'ack_timeout_us' must exceed sifs_us + ack_us")
     if interarrival_ns(cfg.packet_bytes, cfg.load_mbps * 1e6) < 1:
         raise ConfigError(f"value for key 'load_mbps' sends {cfg.packet_bytes} B packets 0 ns apart")
     # A user drop is redrawn until it lies within reach of an own site row.

@@ -6,8 +6,8 @@ arithmetic (5 us CCA slots, 8.92 us OFDM symbols, 9 ms COTs) stays exact.
 from __future__ import annotations
 
 import gc
-import heapq
 import random
+from heapq import heappop, heappush
 from typing import Callable
 
 # Time unit helpers (nanoseconds).
@@ -38,9 +38,10 @@ class Engine:
     def schedule(self, callback: Callable[[], None], due: int) -> list:
         if due < self.now:
             raise SchedulingInPastError(f"due={due} is before clock={self.now}")
-        entry = [due, self._seq, callback]
-        self._seq += 1
-        heapq.heappush(self._heap, entry)
+        seq = self._seq
+        self._seq = seq + 1
+        entry = [due, seq, callback]
+        heappush(self._heap, entry)
         return entry
 
     def schedule_in(self, callback: Callable[[], None], delay: int) -> list:
@@ -57,7 +58,7 @@ class Engine:
         The cyclic garbage collector is off meanwhile, then as it was before."""
         executed = 0
         heap = self._heap
-        pop = heapq.heappop
+        pop = heappop
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
@@ -92,8 +93,12 @@ class RngStreams:
         self.seed = seed
         self._streams: dict[tuple[str, str], random.Random] = {}
 
+    def fresh(self, component: str, device: object = "") -> random.Random:
+        """A new, uncached stream of the key: for draws taken once."""
+        return random.Random(f"{self.seed}/{component}/{device}")
+
     def stream(self, component: str, device: object = "") -> random.Random:
-        key = (component, str(device))
+        key = (component, str(device))  # kept for the run
         if key not in self._streams:
-            self._streams[key] = random.Random(f"{self.seed}/{key[0]}/{key[1]}")
+            self._streams[key] = self.fresh(*key)
         return self._streams[key]

@@ -22,12 +22,16 @@ class OccupancyLedger:
     def record(self, key: str, start: int, end: int) -> None:
         if end <= start:
             raise ValueError("interval end must exceed start")
-        ivs = self._intervals.setdefault(key, [])
-        if not ivs or ivs[-1][0] <= start:  # in start order: only the last one can merge
-            if ivs and ivs[-1][1] >= start:
-                ivs[-1] = (ivs[-1][0], max(end, ivs[-1][1]))
-            else:
+        ivs = self._intervals.get(key)
+        if ivs is None:
+            self._intervals[key] = [(start, end)]
+            return
+        last_start, last_end = ivs[-1]
+        if last_start <= start:  # in start order: only the last one can merge
+            if last_end < start:
                 ivs.append((start, end))
+            elif last_end < end:
+                ivs[-1] = (last_start, end)
             return
         i = bisect.bisect_left(ivs, (start, start))
         # Merge with a predecessor that reaches into [start, end).

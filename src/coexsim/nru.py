@@ -13,7 +13,7 @@ from functools import partial
 from typing import Optional
 
 from .channel_access import CAT4, Cam, LbtCam
-from .radio import Device, RadioEnvironment, db_to_lin, lin_to_db, select_mcs
+from .radio import Device, LinkTable, RadioEnvironment, db_to_lin, lin_to_db, select_mcs
 from .traffic import PacketRecord
 
 # 120 kHz subcarrier spacing: 8.92 us symbols, 14 per slot. The slot is taken
@@ -65,6 +65,7 @@ class NruUe:
         self.fb_pending: dict[int, tuple[bool, float]] = {}
         env = gnb.env  # the SINR is interference-free until the first feedback
         self.last_sinr_db = env.aligned_rx_power_dbm(gnb.device, device) - env.noise_dbm
+        self.table = env.link_table(device, gnb.device)  # decodes along its beam to the gNB
         self.buffer: deque[list] = deque()  # [pkt, bytes not yet taken]
         self.buffered_bytes = 0
         # (SINR, its MCS index, bytes per symbol); recomputed when the SINR changes
@@ -76,7 +77,7 @@ class NruUe:
 
     def receive_tb(self, tb: TransportBlock, cap) -> None:
         env = self.gnb.env
-        sinr_db = env.effective_sinr_db(cap, self.device, rx_beam_toward=self.gnb.device)
+        sinr_db = env.effective_sinr_db(cap, self.table)
         acc = self.acc_sinr_lin.get(tb.pid, 0.0) + db_to_lin(sinr_db)
         self.acc_sinr_lin[tb.pid] = acc
         combined_db = lin_to_db(acc)
@@ -125,6 +126,7 @@ class NruGnb:
         self.fb_reservations: dict[int, dict[NruUe, list[int]]] = {}
         self._resolved: set[int] = set()
         self.fb_on_air: dict = {}  # feedback captures not yet decoded, in start order
+        self.fb_tables: dict[NruUe, LinkTable] = {}  # feedback decoding, beamed at each UE
         self._next_pid = 0
         self._rr = 0
         self.current_grant = None
@@ -135,6 +137,7 @@ class NruGnb:
 
     def add_ue(self, ue: NruUe) -> None:
         self.ues.append(ue)
+        self.fb_tables[ue] = self.env.link_table(self.device, ue.device)
 
     def start(self) -> None:
         lead = self.config.mac_lead_slots
@@ -303,7 +306,7 @@ class NruGnb:
         if cap not in self.fb_on_air:
             return  # decoded already, by the slot-end event of the same nanosecond
         del self.fb_on_air[cap]
-        sinr = self.env.effective_sinr_db(cap, self.device, rx_beam_toward=ue.device)
+        sinr = self.env.effective_sinr_db(cap, self.fb_tables[ue])
         if sinr >= FB_DECODE_THRESHOLD_DB:  # else the slot-end timeout NACKs them
             self._resolve(items)
 

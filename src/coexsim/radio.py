@@ -173,7 +173,7 @@ class Emission:
     end: int
     rat: str  # "nru" | "wigig"
     eid: int = -1
-    link_key: str = ""  # source, beam target, power and rat; set by add_emission
+    link_key: int = -1  # one per (source, beam target, power, rat); set by add_emission
 
 
 class Capture:
@@ -216,7 +216,7 @@ class LinkTable(dict):
         self.receiver = receiver
         self.rx_beam = rx_beam
 
-    def __missing__(self, key: str) -> tuple[float, float]:
+    def __missing__(self, key: int) -> tuple[float, float]:
         env = self.env
         p = env.rx_power_dbm(env._link_emissions[key], self.receiver, self.rx_beam)
         entry = self[key] = (p, db_to_lin(p))
@@ -253,7 +253,9 @@ class RadioEnvironment:
         self._gain_cache: dict[tuple, float] = {}
         self._rx_cache: dict[tuple, float] = {}
         self._tables: dict[tuple[str, Optional[str]], LinkTable] = {}
-        self._link_emissions: dict[str, Emission] = {}  # link key -> first emission
+        # (source id, beam target id or "", tx power, rat) -> link key, given on first sight
+        self._link_keys: dict[tuple, int] = {}
+        self._link_emissions: list[Emission] = []  # link key -> the link's first emission
         self._dirs: dict[tuple[str, str], tuple[float, float, float]] = {}
         self.active: dict[int, Emission] = {}
         self._ended: deque[Emission] = deque()  # in end order
@@ -275,7 +277,7 @@ class RadioEnvironment:
         if st is None:
             d2 = a.position.distance_2d(b.position)
             d3 = a.position.distance_3d(b.position)
-            rng = self.streams.stream("link", "|".join(sorted((a.id, b.id))))
+            rng = self.streams.fresh("link", "|".join(sorted((a.id, b.id))))
             los = rng.random() < los_probability(d2)
             sigma = SHADOW_SIGMA_LOS_DB if los else SHADOW_SIGMA_NLOS_DB
             st = LinkState(los, rng.gauss(0.0, sigma), d3, d2)
@@ -377,20 +379,26 @@ class RadioEnvironment:
         assert start == self.engine.now < em.end
         em.eid = eid = self._next_eid
         self._next_eid = eid + 1
-        target = em.beam_target.id if em.beam_target is not None else ""
-        em.link_key = key = f"{em.source.id}|{target}|{em.tx_power_dbm!r}|{em.rat}"
-        if key not in self._link_emissions:
-            self._link_emissions[key] = em
-        active = self.active
-        cap = Capture(self, em, [other for other in active.values() if other.end > start], at_end)
-        active[eid] = em
+        target = em.beam_target
+        link = (em.source.id, target.id if target is not None else "", em.tx_power_dbm, em.rat)
+        key = self._link_keys.get(link)
+        if key is None:
+            key = self._link_keys[link] = len(self._link_emissions)
+            self._link_emissions.append(em)
+        em.link_key = key
+        interferers = []
+        cap = Capture(self, em, interferers, at_end)
+        open_captures = self._open_captures
+        for open_cap in open_captures.values():  # the emissions on the air, in eid order
+            other = open_cap.signal
+            if other.end > start:
+                interferers.append(other)
+                open_cap.interferers.append(em)
+        open_captures[eid] = cap
+        self.active[eid] = em
         if self.emission_log is not None:
             self.emission_log.append(em)
         self.ledger.record(em.source.operator, start, em.end)
-        for open_cap in self._open_captures.values():
-            if open_cap.signal.end > start:
-                open_cap.interferers.append(em)
-        self._open_captures[eid] = cap
         self.engine.schedule(cap._end, em.end)
         self._notify(em, True)
         return cap
@@ -505,36 +513,33 @@ class RadioEnvironment:
             best = max(best, total)
         return lin_to_db(best) if best > 0 else -math.inf
 
-    def effective_sinr_db(
-        self,
-        cap: Capture,
-        receiver: Device,
-        rx_beam_toward: Optional[Device] = None,
-    ) -> float:
-        """Duration-weighted linear-mean SINR over the signal's lifetime.
+    def effective_sinr_db(self, cap: Capture, table: LinkTable) -> float:
+        """Duration-weighted linear-mean SINR over the signal's lifetime at
+        the receiver's `table` (its receiver and rx beam).
 
         Interference is piecewise constant, so integrating per overlap
         segment is exact.
         """
         sig = cap.signal
         start, end = sig.start, sig.end
-        table = self.link_table(receiver, rx_beam_toward)
+        receiver = table.receiver
         s_lin = table[sig.link_key][1]
         noise = self.noise_lin
-        infs = []
-        spans = True  # every interferer on the air for the whole signal
+        i_lin = 0.0
+        heard = False
         for em in cap.interferers:  # all overlap the signal
             if em.source is not receiver:
-                i_start, i_end = em.start, em.end
-                infs.append((i_start, i_end, table[em.link_key][1]))
-                if i_start > start or i_end < end:
-                    spans = False
-        if not infs:
-            return 10.0 * log10(s_lin / noise)
-        if spans:
+                if em.start > start or em.end < end:
+                    break  # not on the air for the whole signal: integrate
+                i_lin += table[em.link_key][1]
+                heard = True
+        else:
+            if not heard:
+                return 10.0 * log10(s_lin / noise)
             # One segment: the loop below would add it to 0.0, which is exact.
-            i_lin = sum([lin for _start, _end, lin in infs])
             return 10.0 * log10((end - start) * s_lin / (noise + i_lin) / (end - start))
+        infs = [(em.start, em.end, table[em.link_key][1])
+                for em in cap.interferers if em.source is not receiver]
         points = sorted(
             {start, end}
             | {max(i_start, start) for i_start, _end, _lin in infs}

@@ -153,6 +153,7 @@ class WigigSta:
         self.config = ap.config
         self.engine = ap.engine
         self.rng = rng
+        self.table = self.env.link_table(device, ap.device)  # decodes along its beam to the AP
         self.association = "pending"  # pending | associated | failed
         self.holding: list[PacketRecord] = []
         self.last_sinr_db = 0.0
@@ -178,7 +179,7 @@ class WigigSta:
             self.ap.enqueue(WigigFrame(self, pkt))
 
     def receive_frame(self, frame: WigigFrame, cap) -> None:
-        sinr = self.env.effective_sinr_db(cap, self.device, rx_beam_toward=self.ap.device)
+        sinr = self.env.effective_sinr_db(cap, self.table)
         if sinr < WIGIG_MCS[frame.mcs][0]:
             return  # undecodable; AP times out
         frame.packet.credit(frame.packet.size_bytes, self.engine.now)  # the frame's end
@@ -191,7 +192,7 @@ class WigigSta:
 
     def _deliver_ack(self, frame: WigigFrame, measured_sinr_db: float, cap) -> None:
         # Quasi-omnidirectional reception at the AP in the uplink.
-        sinr = self.env.effective_sinr_db(cap, self.ap.device, rx_beam_toward=None)
+        sinr = self.env.effective_sinr_db(cap, self.ap.table)
         if sinr >= ACK_THRESHOLD_DB:
             self.ap.ack_received(frame, measured_sinr_db)
 
@@ -219,7 +220,7 @@ class WigigSta:
         self.env.transmit(source, target, end, "wigig", at_end)
 
     def _probe_at_ap(self, cap) -> None:
-        sinr = self.env.effective_sinr_db(cap, self.ap.device, rx_beam_toward=None)
+        sinr = self.env.effective_sinr_db(cap, self.ap.table)
         if sinr < ACK_THRESHOLD_DB:
             self._attempt_failed()
             return
@@ -229,7 +230,7 @@ class WigigSta:
         self._probe(self.ap.device, self.device, self._response_at_sta)
 
     def _response_at_sta(self, cap) -> None:
-        sinr = self.env.effective_sinr_db(cap, self.device, rx_beam_toward=self.ap.device)
+        sinr = self.env.effective_sinr_db(cap, self.table)
         if sinr < ACK_THRESHOLD_DB:
             self._attempt_failed()
             return

@@ -179,6 +179,15 @@ def test_every_key_declares_a_bound_that_validate_enforces(f):
             validate(CampaignConfig(**{f.name: value}))
 
 
+def test_ack_timeout_due_by_the_ack_end_rejected():
+    # The ACK ends sifs + ack after the frame. A timeout due by then settles
+    # the frame first, and the late ACK would settle it a second time.
+    for sifs, ack, timeout in ((3.0, 1.0, 4.0), (3.0, 1.0, 3.5), (38.6, 1.0, 10.0), (3.0, 27.1, 10.0)):
+        with pytest.raises(ConfigError, match="ack_timeout_us"):
+            validate(CampaignConfig(sifs_us=sifs, ack_us=ack, ack_timeout_us=timeout))
+    validate(CampaignConfig(ack_timeout_us=4.001))
+
+
 def test_mac_lead_bound_is_the_feedback_delay():
     (lead,) = (f for f in fields(CampaignConfig) if f.name == "mac_lead_slots")
     assert lead.metadata["bound"][1] == nru.FB_DELAY_SLOTS

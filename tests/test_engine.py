@@ -109,6 +109,14 @@ def test_rng_streams_distinct_components_differ():
     assert s.stream("cam", "x") is s.stream("cam", "x")
 
 
+def test_a_fresh_stream_draws_as_the_kept_one_and_is_not_kept():
+    s = RngStreams(7)
+    fresh = s.fresh("link", "a|b")
+    assert fresh is not s.fresh("link", "a|b")
+    assert not s._streams
+    assert [fresh.random() for _ in range(3)] == [s.stream("link", "a|b").random() for _ in range(3)]
+
+
 def test_cancel_after_the_event_fired_returns_false():
     engine = Engine()
     fired = []

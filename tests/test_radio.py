@@ -1,13 +1,18 @@
 import cmath
 import math
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
 
+from coexsim.engine import RngStreams
 from coexsim.nru import MCS_TABLE, MCS_THRESHOLDS
 from coexsim.radio import (
+    SHADOW_SIGMA_LOS_DB,
+    SHADOW_SIGMA_NLOS_DB,
     AntennaArray,
+    Emission,
     Position,
     _dirichlet,
     beam_gain_db,
@@ -129,6 +134,16 @@ def test_link_pathloss_is_reciprocal_and_cached(rig):
     assert rig.env.link(a, b) is rig.env.link(b, a)
 
 
+def test_link_draws_keep_no_stream(rig):
+    a = rig.place("a", 0.0, 0.0)
+    b = rig.place("b", 30.0, 0.0)
+    state = rig.env.link(b, a)
+    assert not rig.streams._streams
+    rng = RngStreams(1).stream("link", "a|b")  # the link's seed, drawn in the same order
+    assert state.los == (rng.random() < los_probability(30.0))
+    assert state.shadowing_db == rng.gauss(0.0, SHADOW_SIGMA_LOS_DB if state.los else SHADOW_SIGMA_NLOS_DB)
+
+
 def _linear_select_mcs(table, sinr_db, margin_db):
     """The rule select_mcs replaced: scan every entry, keep the last one at
     most the budget."""
@@ -228,7 +243,7 @@ def test_effective_sinr_piecewise_average(rig):
     s = db_to_lin(17.0 - pathloss_db(1.0, 58.0, True))
     n = env.noise_lin
     expect = 10 * math.log10(0.5 * (s / n) + 0.5 * (s / (n + s)))
-    got = env.effective_sinr_db(cap, rx)
+    got = env.effective_sinr_db(cap, env.link_table(rx))
     assert got == pytest.approx(expect, abs=1e-6)
 
 
@@ -284,7 +299,7 @@ def test_receiver_own_emission_excluded_from_sinr(rig):
     _, cap = rig.emit(tx, 17.0, 1000)
     rig.emit(rx, 17.0, 1000)  # full-duplex artefact must not self-jam
     clean = 17.0 - 67.6686 - rig.env.noise_dbm
-    assert rig.env.effective_sinr_db(cap, rx) == pytest.approx(clean, abs=1e-3)
+    assert rig.env.effective_sinr_db(cap, rig.env.link_table(rx)) == pytest.approx(clean, abs=1e-3)
 
 
 def test_position_distances():
@@ -403,7 +418,8 @@ def test_link_tables_match_fresh_rx_power_sums(rig, seed, n_emissions, n_checks,
     engine.run_until(span_ns + 100_000)
     assert outcomes == {True, False}
     for cap, receiver, beam in caps:
-        assert env.effective_sinr_db(cap, receiver, beam) == _ref_sinr_db(env, cap, receiver, beam)
+        table = env.link_table(receiver, beam)
+        assert env.effective_sinr_db(cap, table) == _ref_sinr_db(env, cap, receiver, beam)
 
 
 def test_sinr_when_every_interferer_spans_the_signal(rig):
@@ -448,7 +464,7 @@ def test_sinr_when_every_interferer_spans_the_signal(rig):
             for beam in [None] + devices:
                 if beam is not receiver:
                     want = _ref_sinr_db(env, cap, receiver, beam)
-                    assert env.effective_sinr_db(cap, receiver, beam) == want
+                    assert env.effective_sinr_db(cap, env.link_table(receiver, beam)) == want
 
 
 @pytest.mark.parametrize("end_event_first", [True, False], ids=["ended", "still-on-air"])
@@ -485,7 +501,8 @@ def test_back_to_back_emissions_stay_out_of_each_others_captures(rig, end_event_
             for beam in [None] + devices:
                 if beam is not receiver:
                     want = _ref_sinr_db(env, caps[name], receiver, beam)
-                    assert env.effective_sinr_db(caps[name], receiver, beam) == want
+                    table = env.link_table(receiver, beam)
+                    assert env.effective_sinr_db(caps[name], table) == want
 
 
 def test_emissions_differing_in_target_power_or_rat_get_their_own_entries(rig):
@@ -508,6 +525,67 @@ def test_emissions_differing_in_target_power_or_rat_get_their_own_entries(rig):
         assert table[em.link_key] == (p, db_to_lin(p))
     powers = [table[em.link_key][0] for em in variants]
     assert len({powers[0], powers[1], powers[2], powers[4]}) == 4
-    # A repeat of an earlier emission shares its entry.
+    # A repeat of an earlier emission shares its key and entry, and so does a
+    # frame from `transmit`, which sends at the configured power.
     again = rig.emit(src, 17.0, 1_000, **base)[0]
-    assert again.link_key == variants[0].link_key
+    assert rig.config.tx_power_dbm == 17.0
+    sent = rig.env.transmit(src, near, rig.engine.now + 1_000, "nru", lambda cap: None).signal
+    assert again.link_key == sent.link_key == variants[0].link_key
+    assert table[sent.link_key] == table[variants[0].link_key]
+    assert len(table) == len(rig.env._link_emissions) == len(variants)
+
+
+def test_capture_interferers_are_every_overlapping_emission_in_eid_order(rig):
+    """Oracle for capture bookkeeping: a capture lists exactly the other
+    emissions whose half-open [start, end) meets its signal's, in eid order,
+    whatever the order of same-nanosecond starts and end events."""
+    rng = random.Random(17)
+    env, engine = rig.env, rig.engine
+    env.emission_log = []
+    devices = [rig.place(f"d{i}", float(i)) for i in range(4)]
+    caps = []
+
+    def emit(chain):
+        """Emit now; a chained emission starts the next one in its end event."""
+        now = engine.now
+        em = Emission(rng.choice(devices), 17.0, None, now, now + 1_000 * rng.randint(1, 5), "nru")
+        at_end = (lambda cap: emit(chain - 1)) if chain else (lambda cap: None)
+        caps.append(env.add_emission(em, at_end))
+
+    for _ in range(200):  # on a 1 us grid: many starts share a nanosecond with an edge
+        engine.schedule(partial(emit, rng.randrange(3)), 1_000 * rng.randrange(80))
+    engine.run_until(1_000_000)
+    log = env.emission_log
+    assert len(caps) == len(log) > 300
+    starts = [em.start for em in log]
+    assert len(set(starts)) < len(starts) // 2  # several starts in one nanosecond
+    assert sum(em.end in starts for em in log) > 100  # zero-gap back-to-back
+    for cap in caps:
+        sig = cap.signal
+        assert cap.interferers == [
+            e for e in log if e is not sig and e.start < sig.end and e.end > sig.start
+        ]
+
+
+@pytest.mark.parametrize("j2_start, j2_duration", [(1_000, 8_000), (3_000, 8_000), (1_000, 2_000)],
+                         ids=["spanning", "starting-late", "ending-early"])
+def test_sinr_at_a_beamed_table_matches_the_reference(rig, j2_start, j2_duration):
+    env, engine = rig.env, rig.engine
+    src = rig.place("src", 0.0, 0.0)
+    rx = rig.place("rx", 3.0, 1.0, array=USER)
+    jams = [rig.place("j1", 5.0, 4.0), rig.place("j2", 1.0, -3.0)]
+    caps = []
+    rig.emit(jams[0], 17.0, 10_000, beam_target=rx)  # spans the signal [1000, 5000)
+    engine.schedule(lambda: rig.emit(jams[1], 5.0, j2_duration), j2_start)
+    engine.schedule(lambda: caps.append(rig.emit(src, 17.0, 4_000, beam_target=rx)[1]), 1_000)
+    engine.run_until(20_000)
+    (cap,) = caps
+    sig = cap.signal
+    assert len(cap.interferers) == 2
+    spanning = j2_start <= sig.start and j2_start + j2_duration >= sig.end
+    assert spanning == all(e.start <= sig.start and e.end >= sig.end for e in cap.interferers)
+    table = env.link_table(rx, src)
+    assert table is not env.link_table(rx)
+    want = _ref_sinr_db(env, cap, rx, src)
+    assert env.effective_sinr_db(cap, table) == want
+    assert env.effective_sinr_db(cap, env.link_table(rx)) == _ref_sinr_db(env, cap, rx, None) != want

@@ -361,3 +361,23 @@ print(result.event_count, tracer.check_events(result.event_count))
     events, failures = out.stdout.split(" ", 1)
     assert int(events) > 0
     assert failures.strip() == "[]"
+
+
+def test_loop_opcodes_prints_the_total_then_the_top_functions():
+    script = str(ROOT / "scripts" / "loop_opcodes.py")
+    args = [sys.executable, script, str(ROOT / "scripts" / "reduced_campaign.cfg"),
+            "--label", "WiGig-only", "--seed", "1", "--duration", "0.002"]
+    outs = [subprocess.run(args + extra, env=src_env(), capture_output=True, text=True, timeout=60)
+            for extra in ([], ["--top", "3"])]
+    for out in outs:
+        assert out.returncode == 0, out.stderr
+    (total,) = outs[0].stdout.split()
+    first, *rows = outs[1].stdout.splitlines()
+    assert first == total and int(total) > 0
+    assert len(rows) == 3
+    counts = []
+    for row in rows:
+        qualname, where, n, calls = row.split("\t")
+        assert re.fullmatch(r"\S+:\d+", where) and int(calls) > 0
+        counts.append(int(n))
+    assert counts == sorted(counts, reverse=True) and sum(counts) <= int(total)
