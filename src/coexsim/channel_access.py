@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .radio import Device, RadioEnvironment, db_to_lin, lin_to_db
+from .radio import Device, RadioEnvironment, db_to_lin, peak_power_lin
 
 CAT1 = "Cat1"
 CAT2 = "Cat2"
@@ -20,10 +20,6 @@ CAT4 = "Cat4"
 ONOFF = "OnOff"
 
 CAT4_CWS_LADDER = (15, 31, 63, 127, 255, 511, 1023)
-
-# Relative margin of the linear sensing bounds: far above the rounding of a
-# float sum in another order or of a dB <-> linear round trip (about 1e-15).
-SENSE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -39,8 +35,9 @@ class Cam:
     """Base sensing behaviour shared by all categories.
 
     A UE senses at the UE ED threshold along its beam `toward` its serving
-    site; any other device senses omni at the gNB threshold. LBT managers
-    grant asynchronously through `request(on_grant)`; every other one
+    site; any other device senses omni at the gNB threshold, both held as
+    `ed_threshold_lin`, which a linear power sum reaches on a busy medium. LBT
+    managers grant asynchronously through `request(on_grant)`; every other one
     answers `attempt(deadline)` at once, with None or a grant that ends by
     `deadline` when one is given. With the "cam" trace selected, events are
     logged as (time, device, category, event) rows.
@@ -58,34 +55,26 @@ class Cam:
         self.rng = rng
         self.trace = env.traces.get("cam")
         directional = device.role == "ue"
-        self.ed_threshold_dbm = (
+        self.ed_threshold_lin = db_to_lin(
             config.ue_ed_threshold_dbm if directional else config.gnb_ed_threshold_dbm
         )
         self.table = env.link_table(device, toward if directional else None)
-        # The ED rule compares in dBm: one emission at `_loud_lin` is surely
-        # busy on its own, and a linear sum below `_bound_limit` surely idle.
-        threshold_lin = db_to_lin(self.ed_threshold_dbm)
-        self._loud_lin = threshold_lin * (1 + SENSE_MARGIN)
-        self._bound_limit = threshold_lin * (1 - SENSE_MARGIN)
 
     def sense_window(self, w_start: int, w_end: int) -> bool:
-        """True (busy) iff aggregate power reaches the ED threshold anywhere
-        in the half-open window [w_start, w_end), as `max_sensed_power_dbm`
-        reads it. One loud emission settles busy, as the sweep sums at least
-        it where it starts; a whole-window sum under `_bound_limit` settles
-        idle, as it bounds every point's sum but for rounding from its other
-        order, which the margin absorbs. Only a sum in between is swept."""
-        env = self.env
-        loud = self._loud_lin
+        """True (busy) iff the eid-order power sum reaches `ed_threshold_lin`
+        at a point of the half-open window [w_start, w_end), as swept by
+        `peak_power_lin`. One emission at the threshold settles busy, and a
+        whole-window eid-order sum under it idle, by the monotonicity that
+        `Backoff` states. Only a sum in between is swept."""
+        threshold = self.ed_threshold_lin
+        ems = self.env.window_emissions(self.table, w_start, w_end)
+        ems.sort()  # eid order
         total = 0.0
-        for _eid, _start, _end, lin in env.window_emissions(self.table, w_start, w_end):
-            if lin >= loud:
+        for _eid, _start, _end, lin in ems:
+            if lin >= threshold:
                 return True
             total += lin
-        if total < self._bound_limit:
-            return False
-        p = env.max_sensed_power_dbm(self.device, w_start, w_end, self.table.rx_beam)
-        return p >= self.ed_threshold_dbm
+        return total >= threshold and peak_power_lin(ems, w_start) >= threshold
 
     def _emit(self, event: str) -> None:
         if self.trace is not None:
@@ -156,20 +145,22 @@ class Backoff:
       or None; a waiting listener is re-sensed only when it ends, or on any
       falling edge when there is none.
     - `_bound`, while counting: the eid-order sum of the last sense that read
-      idle plus each rising edge's power since. Emissions start in eid order
-      and float rounding is monotone, so it never falls below the sensed
-      sum; a rising edge that keeps it under `_bound_limit` is skipped.
-    - A rising edge loud on its own (at `_loud_lin`, or a WiGig preamble at
-      `_preamble_dbm`) freezes the counter at once as the witness: every
-      other emission on the air is quiet, or the counter would be frozen, so
-      it is the one `medium_busy()` would record.
+      idle plus each rising edge's power since. Emissions start in eid
+      order, so the sensed sum runs over a subsequence of its terms; a
+      rising edge that keeps it under `ed_threshold_lin` is skipped.
+    - A rising edge loud on its own (at `ed_threshold_lin`, or a WiGig
+      preamble at `_preamble_dbm`) freezes the counter at once as the
+      witness: every other emission on the air is quiet, or the counter
+      would be frozen, so it is the one `medium_busy()` would record.
+    Both are exact by float monotonicity alone: a float sum of non-negative
+    terms is at least each of its terms, and an eid-order sum over a
+    subsequence never exceeds the sum over the whole sequence.
 
     A subclass provides `engine`, `env`, `rng`, `config` (`defer_ns`,
-    `cca_slot_ns`), its contention window `cws`, its sensing `table`, the
-    thresholds `_loud_lin` and `_bound_limit`, the ED rule on a linear sum
-    `_busy_total(total)`, and `_backoff_done()`, called once the counter
-    runs out and the device has stopped listening. With a `trace` set,
-    `_emit(event)` logs defer_start and counter_frozen.
+    `cca_slot_ns`), its contention window `cws`, its sensing `table`, its
+    energy-detection threshold `ed_threshold_lin`, and `_backoff_done()`,
+    called once the counter runs out and the device has stopped listening.
+    With a `trace` set, `_emit(event)` logs defer_start and counter_frozen.
     """
 
     IDLE, WAIT_IDLE, COUNT = range(3)
@@ -192,23 +183,23 @@ class Backoff:
 
     def medium_busy(self, device: Optional[Device] = None) -> bool:
         """True iff an emission not sourced by the sensing device is loud, or
-        the eid-order sum of their powers is busy by `_busy_total`. At its
-        own `table` it records the loud one as `_witness` (no float sum of
-        non-negative terms falls below one of them), or None, and an idle sum
-        as `_bound`; with `device` it senses omni there, recording nothing."""
+        the eid-order sum of their linear powers reaches `ed_threshold_lin`.
+        At its own `table` it records the loud one as `_witness`, or None,
+        and an idle sum as `_bound`; with `device` it senses omni there,
+        recording nothing."""
         table = self.table if device is None else self.env.link_table(device)
         receiver = table.receiver
-        loud, preamble_dbm = self._loud_lin, self._preamble_dbm
+        threshold, preamble_dbm = self.ed_threshold_lin, self._preamble_dbm
         total = 0.0
         for em in self.env.active.values():
             if em.source is not receiver:
                 p, lin = table[em.link_key]
-                if lin >= loud or (em.rat == "wigig" and p >= preamble_dbm):
+                if lin >= threshold or (em.rat == "wigig" and p >= preamble_dbm):
                     if device is None:
                         self._witness = em
                     return True
                 total += lin
-        busy = self._busy_total(total)
+        busy = total >= threshold
         if device is None:
             self._witness = None
             if not busy:
@@ -281,10 +272,6 @@ class LbtCam(Cam, Backoff):
         else:
             self.cws = self.config.cws_min
         return self.cws
-
-    def _busy_total(self, total: float) -> bool:
-        """The ED rule, in dBm, on a linear power sum."""
-        return total > 0 and lin_to_db(total) >= self.ed_threshold_dbm
 
     def _backoff_done(self) -> None:
         callback = self._on_grant

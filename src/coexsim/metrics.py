@@ -5,7 +5,6 @@ simultaneous emissions by devices of one operator count once.
 """
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -14,12 +13,13 @@ from .traffic import CbrFlow
 
 
 class OccupancyLedger:
-    """Per-key sorted union of half-open [start, end) intervals."""
+    """Per-key sorted union of half-open [start, end) intervals, in start order."""
 
     def __init__(self) -> None:
         self._intervals: dict[str, list[tuple[int, int]]] = {}
 
     def record(self, key: str, start: int, end: int) -> None:
+        """Add [start, end); a start before `key`'s last one: ValueError."""
         if end <= start:
             raise ValueError("interval end must exceed start")
         ivs = self._intervals.get(key)
@@ -27,22 +27,12 @@ class OccupancyLedger:
             self._intervals[key] = [(start, end)]
             return
         last_start, last_end = ivs[-1]
-        if last_start <= start:  # in start order: only the last one can merge
-            if last_end < start:
-                ivs.append((start, end))
-            elif last_end < end:
-                ivs[-1] = (last_start, end)
-            return
-        i = bisect.bisect_left(ivs, (start, start))
-        # Merge with a predecessor that reaches into [start, end).
-        if i > 0 and ivs[i - 1][1] >= start:
-            i -= 1
-            start = min(start, ivs[i][0])
-        j = i
-        while j < len(ivs) and ivs[j][0] <= end:
-            end = max(end, ivs[j][1])
-            j += 1
-        ivs[i:j] = [(start, end)]
+        if start < last_start:
+            raise ValueError(f"{key}: start {start} before the last recorded start {last_start}")
+        if last_end < start:
+            ivs.append((start, end))
+        elif last_end < end:
+            ivs[-1] = (last_start, end)
 
     def intervals(self, key: str) -> list[tuple[int, int]]:
         return list(self._intervals.get(key, []))

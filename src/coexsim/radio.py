@@ -31,6 +31,20 @@ def lin_to_db(lin: float) -> float:
     return 10.0 * math.log10(lin)
 
 
+def peak_power_lin(ems: list[tuple], w_start: int) -> float:
+    """Largest eid-order sum of the linear powers of `ems`, (eid, start, end,
+    lin) tuples in eid order, at each point from `w_start` on where one of
+    them starts; 0.0 for none."""
+    best = 0.0
+    for t in sorted({max(start, w_start) for _eid, start, _end, _lin in ems}):
+        total = 0.0
+        for _eid, start, end, lin in ems:
+            if start <= t < end:
+                total += lin
+        best = max(best, total)
+    return best
+
+
 def select_mcs(thresholds: list[float], sinr_db: float, margin_db: float) -> int:
     """Index of the highest of the ascending decode `thresholds` (dB) at most
     sinr - margin; ties go up, and below all of them 0."""
@@ -261,9 +275,8 @@ class RadioEnvironment:
         self._ended: deque[Emission] = deque()  # in end order
         self._retain_ns = max(self.RETAIN_NS, config.cat2_defer_ns)
         self._open_captures: dict[int, Capture] = {}  # by signal eid
-        self._listeners: list = []  # objects with .medium_changed()
+        self._listeners: list = []  # the `Backoff`s contending now, for `_notify`
         self.ledger = OccupancyLedger()
-        self.emission_log: Optional[list[Emission]] = None  # set to [] to record
         # Trace selector -> row list, one per selected trace; components take
         # theirs at construction, so fill it before building them.
         self.traces: dict[str, list] = {}
@@ -396,8 +409,6 @@ class RadioEnvironment:
                 open_cap.interferers.append(em)
         open_captures[eid] = cap
         self.active[eid] = em
-        if self.emission_log is not None:
-            self.emission_log.append(em)
         self.ledger.record(em.source.operator, start, em.end)
         self.engine.schedule(cap._end, em.end)
         self._notify(em, True)
@@ -416,10 +427,11 @@ class RadioEnvironment:
         calling medium_changed(), a full re-sense, only where it can flip. A
         start can only make a counting listener busy: a loud `em` freezes it
         at once as its witness, a quiet one adds to its `_bound`, re-sensed
-        only at `_bound_limit`, and its own emission is skipped. An end can
-        only make a waiting (WAIT_IDLE) one idle, and not while its `_witness`
-        other than `em` is on the air. See `Backoff` for why this is exact.
-        Neither medium_changed() nor _freeze() may (un)register."""
+        only once that reaches `ed_threshold_lin`, and its own emission is
+        skipped. An end can only make a waiting (WAIT_IDLE) one idle, and not
+        while its `_witness` other than `em` is on the air. See `Backoff` for
+        why this is exact. Neither medium_changed() nor _freeze() may
+        (un)register."""
         if rising:
             key = em.link_key
             source = em.source
@@ -430,12 +442,12 @@ class RadioEnvironment:
                     if table.receiver is source:
                         continue
                     p, lin = table[key]
-                    if lin >= obj._loud_lin or (wigig and p >= obj._preamble_dbm):
+                    if lin >= obj.ed_threshold_lin or (wigig and p >= obj._preamble_dbm):
                         obj._witness = em
                         obj._freeze()
                     else:
                         bound = obj._bound + lin
-                        if bound < obj._bound_limit:
+                        if bound < obj.ed_threshold_lin:
                             obj._bound = bound
                         else:
                             obj.medium_changed()
@@ -497,20 +509,11 @@ class RadioEnvironment:
         rx_beam_toward: Optional[Device] = None,
     ) -> float:
         """Max aggregate power over the half-open window [w_start, w_end),
-        summed in eid order at each point where an emission starts; see
-        `window_emissions` for the window's bound."""
+        summed in eid order at each point where an emission starts
+        (`peak_power_lin`); see `window_emissions` for the window's bound."""
         ems = self.window_emissions(self.link_table(device, rx_beam_toward), w_start, w_end)
-        if not ems:
-            return -math.inf
         ems.sort()  # eid order, as the emissions started
-        points = sorted({max(start, w_start) for _eid, start, _end, _lin in ems})
-        best = 0.0
-        for t in points:
-            total = 0.0
-            for _eid, start, end, lin in ems:
-                if start <= t < end:
-                    total += lin
-            best = max(best, total)
+        best = peak_power_lin(ems, w_start)
         return lin_to_db(best) if best > 0 else -math.inf
 
     def effective_sinr_db(self, cap: Capture, table: LinkTable) -> float:

@@ -70,8 +70,6 @@ def run_once(
     streams = RngStreams(seed)
     env = RadioEnvironment(engine, streams, cfg)
     env.traces = {s: [] for s in traces}
-    if traces:
-        env.emission_log = []
 
     scn = build_scenario(cfg, streams, env)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
-from .channel_access import SENSE_MARGIN, Backoff
+from .channel_access import Backoff
 from .engine import MS, US
 from .radio import Device, RadioEnvironment, db_to_lin, select_mcs
 from .traffic import PacketRecord
@@ -49,11 +49,11 @@ class WigigFrame:
 
 class WigigAp(Backoff):
     """One access point: a DCF transmit queue serving its associated STAs.
-    Channel access is the shared `Backoff`; TX and WAIT_ACK follow it. The
-    medium is busy on a same-technology preamble at `_preamble_dbm`, or on
-    energy (one emission, or the sum) at the linear ED threshold."""
+    Channel access is the shared `Backoff`; WAIT_ACK follows it. The medium
+    is busy on a same-technology preamble at `_preamble_dbm`, or on energy
+    (one emission, or the sum) at `ed_threshold_lin`."""
 
-    TX, WAIT_ACK = 3, 4  # after Backoff.IDLE, WAIT_IDLE, COUNT
+    WAIT_ACK = 3  # after Backoff.IDLE, WAIT_IDLE, COUNT
 
     def __init__(self, device: Device, env: RadioEnvironment, rng) -> None:
         self.device = device
@@ -64,17 +64,13 @@ class WigigAp(Backoff):
         self.frame_trace = env.traces.get("frames")
         self.queue: deque[WigigFrame] = deque()
         self.cws = config.cws_min
-        self._loud_lin = self.ed_threshold_lin = db_to_lin(config.wigig_ed_threshold_dbm)
-        self._bound_limit = self.ed_threshold_lin * (1 - SENSE_MARGIN)
+        self.ed_threshold_lin = db_to_lin(config.wigig_ed_threshold_dbm)
         self._preamble_dbm = config.wigig_preamble_threshold_dbm
         self.table = env.link_table(device)  # omni reception at the AP
         self._ack_timer = None
         self._current: Optional[WigigFrame] = None
         self._ack_ok = False
         self.drops = 0
-
-    def _busy_total(self, total: float) -> bool:
-        return total >= self.ed_threshold_lin
 
     # -- queueing -----------------------------------------------------------
 
@@ -94,7 +90,6 @@ class WigigAp(Backoff):
         self._transmit()
 
     def _transmit(self) -> None:
-        self.state = self.TX
         frame = self._current
         sta = frame.sta
         dur = frame_duration_ns(frame.packet.size_bytes, WIGIG_MCS[frame.mcs][1])

@@ -56,3 +56,23 @@ class FixedRng:
 @pytest.fixture
 def rig():
     return Rig()
+
+
+def record_emissions(monkeypatch) -> list[Emission]:
+    """Wrap `RadioEnvironment.add_emission` through `monkeypatch` and return
+    the list it appends every added emission to, in eid order."""
+    log = []
+    add_emission = RadioEnvironment.add_emission
+
+    def recording(env, em, at_end):
+        log.append(em)
+        return add_emission(env, em, at_end)
+
+    monkeypatch.setattr(RadioEnvironment, "add_emission", recording)
+    return log
+
+
+@pytest.fixture
+def emission_log(monkeypatch):
+    """Every emission added during the test, in eid order."""
+    return record_emissions(monkeypatch)

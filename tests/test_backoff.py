@@ -12,28 +12,29 @@ from coexsim.wigig import WigigAp, WigigSta
 from tests.conftest import FixedRng
 
 
-def _lbt(rig, dev, counter):
-    """A Cat4 request whose grant starts a 6 us burst, as a gNB's would."""
+def _lbt(rig, dev, counter, log):
+    """A Cat4 request whose grant starts a 6 us burst, as a gNB's would; the
+    grants are read from its callback, not from the emission `log`."""
     cam = make_cam(CAT4, dev, rig.env, FixedRng(counter))
     grants = []
     cam.request(lambda g: (grants.append(g), rig.emit(dev, 17.0, 6_000)))
     return lambda: [g.granted_at for g in grants]
 
 
-def _dcf(rig, dev, counter):
+def _dcf(rig, dev, counter, log):
+    """A WiGig AP with one frame to send; its frame starts are read from the
+    emission `log`."""
     ap = WigigAp(dev, rig.env, FixedRng(counter))
     user = rig.place(f"{dev.id}-sta", dev.position.x, 3.0, operator="A", role="sta")
     rig.force_link(dev, user)
     sta = WigigSta(user, ap, FixedRng(0))
     sta.association = "associated"
-    if rig.env.emission_log is None:
-        rig.env.emission_log = []
     sta.offer_packet(PacketRecord("f", 0, 1500, 0))
-    return lambda: [em.start for em in rig.env.emission_log if em.source is dev]
+    return lambda: [em.start for em in log if em.source is dev]
 
 
 @pytest.fixture(params=[_lbt, _dcf], ids=["LbtCam-Cat4", "WigigAp"])
-def machine(request, rig):
+def machine(request, rig, emission_log):
     """A contender beside a 17 dBm interferer at 1 m LOS. Returns its
     starter, which draws `counter` (3 unless given) at the current time, and
     the interferer; the starter returns a getter for the times of the grants
@@ -41,7 +42,7 @@ def machine(request, rig):
     dev = rig.place("dev", 0.0, role="ap")
     intf = rig.place("intf", 1.0, operator="B")
     rig.force_link(dev, intf)
-    return (lambda counter=3: request.param(rig, dev, counter)), intf
+    return (lambda counter=3: request.param(rig, dev, counter, emission_log)), intf
 
 
 def _burst(rig, intf, at):
@@ -95,13 +96,13 @@ def test_a_counter_of_zero_transmits_at_the_defer_end_despite_a_burst_there(
 
 @pytest.mark.parametrize("first", [0, 1])
 @pytest.mark.parametrize("kind", [_lbt, _dcf], ids=["LbtCam-Cat4", "WigigAp"])
-def test_countdowns_ending_together_both_transmit(rig, kind, first):
+def test_countdowns_ending_together_both_transmit(rig, emission_log, kind, first):
     """Two contenders in each other's range, both at counter 3 from t=0:
     both countdowns end at 23000, and the first to transmit does not freeze
     the other, whichever registered first."""
     devs = [rig.place("a", 0.0, role="ap"), rig.place("b", 1.0, role="ap")]
     rig.force_link(*devs)
-    starts = [kind(rig, dev, 3) for dev in (devs[first], devs[1 - first])]
+    starts = [kind(rig, dev, 3, emission_log) for dev in (devs[first], devs[1 - first])]
     rig.engine.run_until(1 * MS)
     assert [s()[:1] for s in starts] == [[23_000], [23_000]]
 

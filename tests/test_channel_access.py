@@ -14,7 +14,8 @@ from coexsim.channel_access import (
 )
 from coexsim.config import CampaignConfig
 from coexsim.engine import MS, US
-from coexsim.radio import db_to_lin
+from coexsim.radio import db_to_lin, lin_to_db, peak_power_lin
+from coexsim.wigig import WigigAp
 from tests.conftest import FixedRng, Rig
 from tests.verify import verify_lbt_safety
 
@@ -95,10 +96,12 @@ def test_cat2_window_sums_two_quiet_emissions_only_where_they_overlap(rig, b_sta
     rig.emit(a, -13.3, 10_000)  # [0, 10000)
     rig.engine.schedule(lambda: rig.emit(b, -13.3, 10_000), b_start)
     rig.engine.run_until(30_000)
-    lins = [lin for _eid, _start, _end, lin in rig.env.window_emissions(cam.table, 5_000, 30_000)]
-    assert len(lins) == 2 and max(lins) < db_to_lin(cam.ed_threshold_dbm) <= sum(lins)
-    p = rig.env.max_sensed_power_dbm(dev, 5_000, 30_000)
-    assert cam.sense_window(5_000, 30_000) == (p >= cam.ed_threshold_dbm) == busy
+    ems = sorted(rig.env.window_emissions(cam.table, 5_000, 30_000))
+    lins = [lin for _eid, _start, _end, lin in ems]
+    assert len(lins) == 2 and max(lins) < cam.ed_threshold_lin <= sum(lins)
+    peak = peak_power_lin(ems, 5_000)
+    assert rig.env.max_sensed_power_dbm(dev, 5_000, 30_000) == lin_to_db(peak)
+    assert cam.sense_window(5_000, 30_000) == (peak >= cam.ed_threshold_lin) == busy
     assert (cam.attempt() is None) == busy
 
 
@@ -117,6 +120,71 @@ def test_cat2_window_longer_than_retention_sees_old_emissions():
     assert cam.attempt() is None  # window [10, 410) us; the interferer ended 300 us ago
     rig.engine.run_until(510_000)
     assert cam.attempt() is not None  # window [110, 510) us is clean
+
+
+# -- the energy-detection threshold --------------------------------------------
+# Every sensing rule reads busy once the linear power sum reaches the
+# listener's `ed_threshold_lin`, the threshold in dBm converted once. At
+# -82.3 dBm, lin_to_db(ed_threshold_lin) rounds below -82.3, so a rule that
+# compared in dBm would read a sum at exactly the threshold as idle.
+
+THRESHOLD_DBM = -82.3
+
+
+def _threshold_rig(*powers_lin):
+    """A gNB with its Cat4 and Cat2 managers and a WiGig AP beside it, both at
+    a -82.3 dBm ED threshold, and one source per linear power in
+    `powers_lin`: each source's emissions (17 dBm, NR-U, unbeamed) arrive at
+    exactly that power, written into the gNB's and the AP's tables under the
+    link key a 1 ns emission at t=0 gives them. Returned at t=1 ns, once
+    those have ended."""
+    rig = Rig(config=replace(CampaignConfig(), gnb_ed_threshold_dbm=THRESHOLD_DBM,
+                             wigig_ed_threshold_dbm=THRESHOLD_DBM))
+    gnb = rig.place("gnb", 0.0, role="gnb")
+    lbt = _cam(rig, CAT4, gnb, FixedRng(15))
+    cat2 = _cam(rig, CAT2, gnb)  # senses at the same omni table as `lbt`
+    ap = WigigAp(rig.place("ap", 0.0, 1.0, role="ap"), rig.env, FixedRng(15))
+    sources = [rig.place(f"src{i}", 10.0 + i, operator="B") for i in range(len(powers_lin))]
+    for src, lin in zip(sources, powers_lin):
+        em, _ = rig.emit(src, 17.0, 1)
+        for table in (lbt.table, ap.table):
+            table[em.link_key] = (lin_to_db(lin), lin)
+    rig.engine.run_until(1)
+    assert lbt.ed_threshold_lin == cat2.ed_threshold_lin == ap.ed_threshold_lin
+    return rig, lbt, cat2, ap, sources
+
+
+def test_one_emission_at_the_threshold_reads_busy_to_every_rule():
+    threshold = db_to_lin(THRESHOLD_DBM)
+    rig, lbt, cat2, ap, (src,) = _threshold_rig(threshold)
+    rig.engine.schedule(lambda: rig.emit(src, 17.0, 20_000), 100_000)  # [100, 120) us
+    rig.engine.run_until(110_000)
+    assert lbt.medium_busy() and lbt._witness is not None
+    assert ap.medium_busy() and ap._witness is not None
+    assert cat2.sense_window(85_000, 110_000) and cat2.attempt() is None
+
+
+def test_two_emissions_at_half_the_threshold_freeze_by_the_bound_and_fill_a_window():
+    """Two emissions at half the threshold each sum to it exactly: the second
+    rising edge takes each counting listener's bound to the threshold, and
+    the full re-sense it triggers freezes the listener, busy by the sum (no
+    witness); a Cat2 window holding both reads busy."""
+    half = db_to_lin(THRESHOLD_DBM) / 2
+    assert half + half == db_to_lin(THRESHOLD_DBM)
+    rig, lbt, cat2, ap, (a, b) = _threshold_rig(half, half)
+    lbt.request(lambda grant: None)
+    ap._start_backoff()  # both defer 8 us, then count 15 slots of 5 us, due at 83.001 us
+    rig.engine.schedule(lambda: rig.emit(a, 17.0, 20_000), 50_000)  # [50, 70) us
+    rig.engine.run_until(50_000)
+    for listener in (lbt, ap):
+        assert listener.state == listener.COUNT and listener._bound == half
+    rig.engine.schedule(lambda: rig.emit(b, 17.0, 20_000), 60_000)  # [60, 80) us
+    rig.engine.run_until(60_000)
+    for listener in (lbt, ap):
+        assert listener.state == listener.WAIT_IDLE and listener._witness is None
+        assert listener.counter == 5  # 10 slots counted by 58.001 us
+    rig.engine.run_until(65_000)
+    assert cat2.sense_window(40_000, 65_000) and cat2.attempt() is None
 
 
 # -- OnOff ---------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 from coexsim import CampaignConfig, parse_config, run_once
 from coexsim.channel_access import Backoff, Cam
-from coexsim.radio import RadioEnvironment
+from coexsim.radio import RadioEnvironment, peak_power_lin
 from coexsim.wigig import WigigAp
 from tests.conftest import FixedRng
 
@@ -32,9 +32,7 @@ class Probe:
 
     WAIT_IDLE = Backoff.WAIT_IDLE
     _witness = None
-    _bound = 0.0
-    _bound_limit = 0.0
-    _loud_lin = _preamble_dbm = math.inf
+    _bound = ed_threshold_lin = _preamble_dbm = math.inf
 
     def __init__(self, state, table):
         self.state = state
@@ -160,14 +158,17 @@ def test_skipped_listeners_would_not_have_changed(checked_notify, label, base, s
 @pytest.mark.parametrize("label", ["Cat4/Cat2", "Cat3/Cat2"])
 def test_cat2_windows_read_as_the_sweep_does(monkeypatch, label):
     """Every Cat2 window of a full-floor run, settled by the loudest emission,
-    by the whole sum or by the sweep, reads as `max_sensed_power_dbm` does."""
+    by the whole sum or by the sweep, reads as the sweep of its eid-ordered
+    emissions (`peak_power_lin`, as `max_sensed_power_dbm` sweeps) against
+    `ed_threshold_lin`."""
     sense = Cam.sense_window
     seen = {"calls": 0, "busy": 0}
 
     def checked(cam, w_start, w_end):
         busy = sense(cam, w_start, w_end)
-        p = cam.env.max_sensed_power_dbm(cam.device, w_start, w_end, cam.table.rx_beam)
-        assert busy == (p >= cam.ed_threshold_dbm), f"{cam.device.id} window [{w_start}, {w_end})"
+        ems = sorted(cam.env.window_emissions(cam.table, w_start, w_end))
+        busy_by_sweep = peak_power_lin(ems, w_start) >= cam.ed_threshold_lin
+        assert busy == busy_by_sweep, f"{cam.device.id} window [{w_start}, {w_end})"
         seen["calls"] += 1
         seen["busy"] += busy
         return busy

@@ -23,8 +23,8 @@ def brute_force_union(intervals, horizon):
 def test_merge_overlapping_and_adjacent():
     led = OccupancyLedger()
     led.record("A", 0, 10)
-    led.record("A", 10, 20)  # adjacent intervals merge
     led.record("A", 5, 15)
+    led.record("A", 15, 20)  # adjacent intervals merge
     assert led.intervals("A") == [(0, 20)]
     assert led.total("A") == 20
 
@@ -42,6 +42,16 @@ def test_record_rejects_empty_interval():
     led = OccupancyLedger()
     with pytest.raises(ValueError):
         led.record("A", 5, 5)
+
+
+def test_record_rejects_a_start_before_the_last_one():
+    led = OccupancyLedger()
+    led.record("A", 10, 20)
+    led.record("B", 0, 5)  # each key keeps its own order
+    led.record("A", 10, 12)  # an equal start is in order
+    with pytest.raises(ValueError, match="A: start 9 before the last recorded start 10"):
+        led.record("A", 9, 30)
+    assert led.intervals("A") == [(10, 20)]
 
 
 def test_occupied_within_clips_to_window():
@@ -65,7 +75,7 @@ def test_occupied_within_clips_to_window():
 )
 def test_union_matches_grid_oracle(intervals):
     led = OccupancyLedger()
-    for s, e in intervals:
+    for s, e in sorted(intervals):
         led.record("A", s, e)
     assert led.total("A") == brute_force_union(intervals, 600)
     ivs = led.intervals("A")
@@ -94,15 +104,14 @@ def union_from_scratch(intervals):
     ),
     st.randoms(use_true_random=False),
 )
-def test_record_in_start_order_or_shuffled_gives_the_union(intervals, rnd):
+def test_record_in_start_order_gives_the_union_whatever_the_order_of_ties(intervals, rnd):
     shuffled = list(intervals)
     rnd.shuffle(shuffled)
-    # In start order every record takes the append/extend path.
-    for order in (sorted(intervals, key=lambda iv: iv[0]), shuffled):
-        led = OccupancyLedger()
-        for s, e in order:
-            led.record("A", s, e)
-        assert led.intervals("A") == union_from_scratch(intervals)
+    # Sorted by start alone, intervals that share a start keep their shuffled order.
+    led = OccupancyLedger()
+    for s, e in sorted(shuffled, key=lambda iv: iv[0]):
+        led.record("A", s, e)
+    assert led.intervals("A") == union_from_scratch(intervals)
 
 
 def test_nearest_rank_small_sample():

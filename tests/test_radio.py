@@ -311,14 +311,19 @@ def test_position_distances():
 
 # -- link tables ------------------------------------------------------------
 # Reference sums read rx_power_dbm + db_to_lin afresh for every emission, in
-# eid order, as sensing did before the tables; every comparison is exact.
+# eid order, as sensing did before the tables; every comparison is exact, and
+# every busy/idle answer compares a linear sum with the ED threshold.
 
-def _ref_sensed_dbm(env, device, beam, ems):
+def _dbm(lin):
+    return lin_to_db(lin) if lin > 0 else -math.inf
+
+
+def _ref_sensed_lin(env, device, beam, ems):
     total = 0.0
     for em in ems:
         if em.source is not device:
             total += db_to_lin(env.rx_power_dbm(em, device, beam))
-    return lin_to_db(total) if total > 0 else -math.inf
+    return total
 
 
 def _ref_wigig_busy(env, device, config, ems):
@@ -333,7 +338,7 @@ def _ref_wigig_busy(env, device, config, ems):
     return total >= db_to_lin(config.wigig_ed_threshold_dbm)
 
 
-def _ref_window_dbm(env, device, beam, ems, w_start, w_end):
+def _ref_window_lin(env, device, beam, ems, w_start, w_end):
     ems = [e for e in ems if e.start < w_end and e.end > w_start and e.source is not device]
     best = 0.0
     for t in sorted({max(e.start, w_start) for e in ems}):
@@ -342,7 +347,7 @@ def _ref_window_dbm(env, device, beam, ems, w_start, w_end):
             if e.start <= t < e.end:
                 total += db_to_lin(env.rx_power_dbm(e, device, beam))
         best = max(best, total)
-    return lin_to_db(best) if best > 0 else -math.inf
+    return best
 
 
 def _ref_sinr_db(env, cap, receiver, beam):
@@ -368,14 +373,14 @@ def _ref_sinr_db(env, cap, receiver, beam):
     # Long runs: most emissions have ended, many pruned, when a window is read.
     + [pytest.param(seed, 1_000, 400, 2_000_000, id=f"long-{seed}") for seed in (4, 5)],
 )
-def test_link_tables_match_fresh_rx_power_sums(rig, seed, n_emissions, n_checks, span_ns):
+def test_link_tables_match_fresh_rx_power_sums(rig, emission_log, seed, n_emissions, n_checks,
+                                              span_ns):
     from coexsim.channel_access import CAT4, make_cam
     from coexsim.wigig import WigigAp
     from tests.conftest import FixedRng
 
     rng = random.Random(seed)
     env, engine, config = rig.env, rig.engine, rig.config
-    env.emission_log = []
     ap = WigigAp(rig.place("ap", 0.0, 0.0, z=3.0, role="ap", array=SITE), env, rng)
     gnb = rig.place("gnb", 6.0, 4.0, z=3.0, operator="B", role="gnb", array=SITE)
     ue = rig.place("ue", 9.0, 1.0, operator="B", role="ue", array=USER)
@@ -402,14 +407,14 @@ def test_link_tables_match_fresh_rx_power_sums(rig, seed, n_emissions, n_checks,
         assert ap.medium_busy(ue) == _ref_wigig_busy(env, ue, config, ems)
         outcomes.add(ap.medium_busy())
         for cam, beam in ((omni_cam, None), (beam_cam, gnb)):
-            ref = _ref_sensed_dbm(env, cam.device, beam, ems)
-            assert env.sensed_power_dbm(cam.device, beam) == ref
-            assert cam.medium_busy() == (ref >= cam.ed_threshold_dbm)
+            ref = _ref_sensed_lin(env, cam.device, beam, ems)
+            assert env.sensed_power_dbm(cam.device, beam) == _dbm(ref)
+            assert cam.medium_busy() == (ref >= cam.ed_threshold_lin)
             t = engine.now
             for w_start in (t - 25_000, t - env.RETAIN_NS):
-                window = _ref_window_dbm(env, cam.device, beam, env.emission_log, w_start, t)
-                assert env.max_sensed_power_dbm(cam.device, w_start, t, beam) == window
-                assert cam.sense_window(w_start, t) == (window >= cam.ed_threshold_dbm)
+                window = _ref_window_lin(env, cam.device, beam, emission_log, w_start, t)
+                assert env.max_sensed_power_dbm(cam.device, w_start, t, beam) == _dbm(window)
+                assert cam.sense_window(w_start, t) == (window >= cam.ed_threshold_lin)
 
     for _ in range(n_emissions):
         engine.schedule(emit, rng.randrange(0, span_ns))
@@ -535,13 +540,12 @@ def test_emissions_differing_in_target_power_or_rat_get_their_own_entries(rig):
     assert len(table) == len(rig.env._link_emissions) == len(variants)
 
 
-def test_capture_interferers_are_every_overlapping_emission_in_eid_order(rig):
+def test_capture_interferers_are_every_overlapping_emission_in_eid_order(rig, emission_log):
     """Oracle for capture bookkeeping: a capture lists exactly the other
     emissions whose half-open [start, end) meets its signal's, in eid order,
     whatever the order of same-nanosecond starts and end events."""
     rng = random.Random(17)
     env, engine = rig.env, rig.engine
-    env.emission_log = []
     devices = [rig.place(f"d{i}", float(i)) for i in range(4)]
     caps = []
 
@@ -555,7 +559,7 @@ def test_capture_interferers_are_every_overlapping_emission_in_eid_order(rig):
     for _ in range(200):  # on a 1 us grid: many starts share a nanosecond with an edge
         engine.schedule(partial(emit, rng.randrange(3)), 1_000 * rng.randrange(80))
     engine.run_until(1_000_000)
-    log = env.emission_log
+    log = emission_log
     assert len(caps) == len(log) > 300
     starts = [em.start for em in log]
     assert len(set(starts)) < len(starts) // 2  # several starts in one nanosecond

@@ -57,10 +57,10 @@ def test_seeds_change_outcomes():
     assert run_once(cfg, 1).occupancy != run_once(cfg, 2).occupancy
 
 
-def test_wigig_only_baseline_has_no_nru_emissions():
+def test_wigig_only_baseline_has_no_nru_emissions(emission_log):
     r = run_once(reduced("WiGig-only"), 1, traces=("cam",))
-    assert r.env.emission_log, "baseline run must put frames on the air"
-    assert all(em.rat == "wigig" for em in r.env.emission_log)
+    assert emission_log, "baseline run must put frames on the air"
+    assert all(em.rat == "wigig" for em in emission_log)
     assert r.technologies == {"A": "WiGig", "B": "WiGig"}
 
 

@@ -47,7 +47,7 @@ def verify_lbt_safety(
 
     for dev_id, rows in per_device.items():
         cam = by_id[dev_id]
-        thr = db_to_lin(cam.ed_threshold_dbm)
+        thr = cam.ed_threshold_lin
         times, levels = _power_steps(env, cam.device, emissions, cam.table.rx_beam)
         windows: list[tuple[int, int]] = []
         open_at: Optional[int] = None
