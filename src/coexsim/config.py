@@ -173,9 +173,12 @@ def validate(cfg: CampaignConfig) -> CampaignConfig:
     # A user drop is redrawn until it lies within reach of an own site row.
     if max(ROW_Y.values()) - cfg.floor_y >= cfg.max_site_distance_m:
         raise ConfigError("value for key 'max_site_distance_m' reaches no floor point from a site row")
-    for label in cfg.sweep_labels():
+    labels = cfg.sweep_labels()
+    for label in labels:
         if label != "WiGig-only" and label not in ACCESS_MODES:
             raise ConfigError(f"unknown label in key 'access_sweep': '{label}'")
+        if labels.count(label) > 1:  # its runs would share one run directory
+            raise ConfigError(f"label listed twice in key 'access_sweep': '{label}'")
     return cfg
 
 

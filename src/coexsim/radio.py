@@ -489,11 +489,10 @@ class RadioEnvironment:
         if w_start < now - self._retain_ns:
             raise ValueError(f"window [{w_start}, {w_end}) starts before {now} - {self._retain_ns}")
         device = table.receiver
-        ems = [
-            (em.eid, em.start, em.end, table[em.link_key][1])
-            for em in self.active.values()
-            if em.start < w_end and em.end > w_start and em.source is not device
-        ]
+        ems = []
+        for em in self.active.values():
+            if em.start < w_end and em.end > w_start and em.source is not device:
+                ems.append((em.eid, em.start, em.end, table[em.link_key][1]))
         for em in reversed(self._ended):  # end order: stop at the first one out
             if em.end <= w_start:
                 break
@@ -521,7 +520,10 @@ class RadioEnvironment:
         the receiver's `table` (its receiver and rx beam).
 
         Interference is piecewise constant, so integrating per overlap
-        segment is exact.
+        segment is exact. Floats: a segment's interference is the `+=` sum
+        from 0 of the interferers on the air all through it, in eid order;
+        the segments' `(t1 - t0) * s_lin / (noise + i_lin)` are added in time
+        order, never merged. No sum uses `sum()` (compensated since 3.12).
         """
         sig = cap.signal
         start, end = sig.start, sig.end
@@ -541,15 +543,20 @@ class RadioEnvironment:
                 return 10.0 * log10(s_lin / noise)
             # One segment: the loop below would add it to 0.0, which is exact.
             return 10.0 * log10((end - start) * s_lin / (noise + i_lin) / (end - start))
-        infs = [(em.start, em.end, table[em.link_key][1])
-                for em in cap.interferers if em.source is not receiver]
-        points = sorted(
-            {start, end}
-            | {max(i_start, start) for i_start, _end, _lin in infs}
-            | {min(i_end, end) for _start, i_end, _lin in infs}
-        )
-        acc = 0.0
-        for t0, t1 in zip(points, points[1:]):
-            i_lin = sum([lin for i_start, i_end, lin in infs if i_start <= t0 and i_end >= t1])
+        infs, edges = [], {end}  # edges: the segments' ends, each in (start, end]
+        for em in cap.interferers:
+            if em.source is not receiver:
+                infs.append((em.start, em.end, table[em.link_key][1]))
+                if em.start > start:
+                    edges.add(em.start)
+                if em.end < end:
+                    edges.add(em.end)
+        acc, t0 = 0.0, start
+        for t1 in sorted(edges):
+            i_lin = 0.0
+            for i_start, i_end, lin in infs:
+                if i_start <= t0 and i_end >= t1:
+                    i_lin += lin
             acc += (t1 - t0) * s_lin / (noise + i_lin)
+            t0 = t1
         return 10.0 * log10(acc / (end - start))

@@ -128,6 +128,16 @@ def test_unknown_sweep_label_rejected():
         validate(CampaignConfig(access_sweep="Cat4/Cat2,bogus"))
 
 
+@pytest.mark.parametrize("sweep", ["On/On,On/On", "WiGig-only, Cat4/Cat2,WiGig-only "])
+def test_sweep_label_listed_twice_rejected(tmp_path, sweep):
+    # Both runs of a repeated label would write one run directory.
+    path = tmp_path / "c.cfg"
+    path.write_text(f"access_sweep = {sweep}\n")
+    with pytest.raises(ConfigError, match="listed twice in key 'access_sweep'"):
+        parse_config(str(path))
+    validate(CampaignConfig(access_sweep="On/On,Cat4/Cat2,WiGig-only"))
+
+
 def test_invalid_access_mode_rejected():
     with pytest.raises(ConfigError, match="nru_access"):
         validate(CampaignConfig(nru_access="Cat9"))

@@ -351,20 +351,91 @@ def _ref_window_lin(env, device, beam, ems, w_start, w_end):
 
 
 def _ref_sinr_db(env, cap, receiver, beam):
+    return lin_to_db(_ref_sinr_lin(env, cap, receiver, beam))
+
+
+def _ref_sinr_lin(env, cap, receiver, beam):
     sig = cap.signal
     s_lin = db_to_lin(env.rx_power_dbm(sig, receiver, beam))
     infs = [e for e in cap.interferers
             if e.source is not receiver and e.end > sig.start and e.start < sig.end]
     if not infs:
-        return lin_to_db(s_lin / env.noise_lin)
+        return s_lin / env.noise_lin
     points = sorted({sig.start, sig.end} | {max(e.start, sig.start) for e in infs}
                     | {min(e.end, sig.end) for e in infs})
     acc = 0.0
     for t0, t1 in zip(points, points[1:]):
-        i_lin = sum(db_to_lin(env.rx_power_dbm(e, receiver, beam))
-                    for e in infs if e.start <= t0 and e.end >= t1)
+        # In order from 0, as the float rule states: not `sum()`, which
+        # compensates its float sums since CPython 3.12.
+        i_lin = 0
+        for e in infs:
+            if e.start <= t0 and e.end >= t1:
+                i_lin += db_to_lin(env.rx_power_dbm(e, receiver, beam))
         acc += (t1 - t0) * s_lin / (env.noise_lin + i_lin)
-    return lin_to_db(acc / (sig.end - sig.start))
+    return acc / (sig.end - sig.start)
+
+
+def _linear_sinr(monkeypatch, env, cap, table):
+    """`effective_sinr_db` with its final log10 taken out, 10 times the linear
+    mean: log10 rounds away the one-ulp differences that another order of
+    the float sums makes, so only the linear value pins that order."""
+    import coexsim.radio
+
+    with monkeypatch.context() as patch:
+        patch.setattr(coexsim.radio, "log10", lambda x: x)
+        return env.effective_sinr_db(cap, table)
+
+
+# Tie cases for the segment sweep. The signal `sig` is on the air over
+# [10_000, 50_000); each other entry is (source, start, duration), emitted in
+# list order, so two entries starting in one nanosecond get eids in that order.
+SWEEP_TIES = {
+    "touching": [("j1", 0, 10_000), ("sig", 10_000, 40_000), ("j2", 20_000, 10_000),
+                 ("j3", 50_000, 10_000)],
+    "shared-signal-edges": [("j1", 0, 90_000), ("sig", 10_000, 40_000), ("j2", 10_000, 20_000),
+                            ("j3", 30_000, 20_000)],
+    "shared-edge-inside": [("j1", 5_000, 20_000), ("sig", 10_000, 40_000), ("j2", 25_000, 10_000),
+                           ("j3", 25_000, 40_000)],
+    "gap": [("sig", 10_000, 40_000), ("j1", 10_000, 10_000), ("j2", 30_000, 20_000)],
+    "own-emission": [("j1", 0, 30_000), ("sig", 10_000, 40_000), ("rx", 20_000, 20_000),
+                     ("j2", 35_000, 30_000)],
+    "same-start-j2-first": [("j1", 0, 90_000), ("j4", 5_000, 60_000), ("sig", 10_000, 40_000),
+                            ("j2", 20_000, 10_000), ("j3", 20_000, 20_000)],
+    "same-start-j3-first": [("j1", 0, 90_000), ("j4", 5_000, 60_000), ("sig", 10_000, 40_000),
+                            ("j3", 20_000, 20_000), ("j2", 20_000, 10_000)],
+}
+
+
+@pytest.mark.parametrize("case", list(SWEEP_TIES))
+def test_sinr_sweep_ties_match_the_reference(rig, monkeypatch, case):
+    env, engine = rig.env, rig.engine
+    devices = {name: rig.place(name, x, y, array=USER) for name, x, y in (
+        ("sig", 0.0, 0.0), ("rx", 3.0, 1.0), ("j1", 5.0, 4.0), ("j2", 1.0, -3.0), ("j3", -2.0, 2.0),
+        ("j4", 4.0, -2.0))}
+    rx = devices["rx"]
+    caps = {}
+    powers = iter([17.0, 5.0, -3.5, 11.0, 17.0, 8.0])
+    for name, start, duration in SWEEP_TIES[case]:
+        emit = partial(rig.emit, devices[name], next(powers), duration,
+                       beam_target=rx if name != "rx" else devices["sig"])
+        engine.schedule(lambda emit=emit, name=name: caps.setdefault(name, emit()[1]), start)
+    engine.run_until(100_000)
+    cap = caps["sig"]
+    sig = cap.signal
+    assert (sig.start, sig.end) == (10_000, 50_000)
+    # Only emissions that overlap the signal are in the capture, and at least
+    # one of them does not span it: the decode takes the segment path.
+    assert cap.interferers == sorted(
+        (c.signal for name, c in caps.items() if name != "sig"
+         and c.signal.start < sig.end and c.signal.end > sig.start), key=lambda e: e.eid)
+    assert any(e.start > sig.start or e.end < sig.end for e in cap.interferers)
+    for receiver in devices.values():
+        if receiver is not devices["sig"]:
+            for beam in (None, devices["sig"]):
+                table = env.link_table(receiver, beam)
+                assert env.effective_sinr_db(cap, table) == _ref_sinr_db(env, cap, receiver, beam)
+                want = 10.0 * _ref_sinr_lin(env, cap, receiver, beam)
+                assert _linear_sinr(monkeypatch, env, cap, table) == want
 
 
 @pytest.mark.parametrize(
@@ -373,8 +444,8 @@ def _ref_sinr_db(env, cap, receiver, beam):
     # Long runs: most emissions have ended, many pruned, when a window is read.
     + [pytest.param(seed, 1_000, 400, 2_000_000, id=f"long-{seed}") for seed in (4, 5)],
 )
-def test_link_tables_match_fresh_rx_power_sums(rig, emission_log, seed, n_emissions, n_checks,
-                                              span_ns):
+def test_link_tables_match_fresh_rx_power_sums(rig, emission_log, monkeypatch, seed, n_emissions,
+                                              n_checks, span_ns):
     from coexsim.channel_access import CAT4, make_cam
     from coexsim.wigig import WigigAp
     from tests.conftest import FixedRng
@@ -425,6 +496,8 @@ def test_link_tables_match_fresh_rx_power_sums(rig, emission_log, seed, n_emissi
     for cap, receiver, beam in caps:
         table = env.link_table(receiver, beam)
         assert env.effective_sinr_db(cap, table) == _ref_sinr_db(env, cap, receiver, beam)
+        want = 10.0 * _ref_sinr_lin(env, cap, receiver, beam)
+        assert _linear_sinr(monkeypatch, env, cap, table) == want
 
 
 def test_sinr_when_every_interferer_spans_the_signal(rig):

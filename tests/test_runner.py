@@ -381,3 +381,39 @@ def test_loop_opcodes_prints_the_total_then_the_top_functions():
         assert re.fullmatch(r"\S+:\d+", where) and int(calls) > 0
         counts.append(int(n))
     assert counts == sorted(counts, reverse=True) and sum(counts) <= int(total)
+
+
+def test_output_digests_against_a_digest_file_lists_each_difference(tmp_path):
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text("access_sweep = Cat4/Cat2,WiGig-only\nsites_per_operator = 1\nusers_per_operator = 4\n")
+    args = [sys.executable, str(ROOT / "scripts" / "output_digests.py"), str(cfg),
+            "--seeds", "1", "--duration", "0.002"]
+
+    def digests(*extra):
+        return subprocess.run(args + list(extra), env=src_env(), capture_output=True, text=True,
+                              timeout=60)
+
+    made = digests()
+    assert made.returncode == 0, made.stderr
+    parent = json.loads(made.stdout)
+    assert sorted(parent) == ["Cat4-Cat2_seed1", "WiGig-only_seed1"]
+    (tmp_path / "same.json").write_text(made.stdout)
+    same = digests("--against", str(tmp_path / "same.json"))
+    assert (same.returncode, same.stdout) == (0, "identical: 2 runs\n"), same.stderr
+    # Hand edits: one changed digest, one file the parent lacks, one changed
+    # event count with its run.json.
+    cat4, wigig = parent["Cat4-Cat2_seed1"], parent["WiGig-only_seed1"]
+    cat4["files"]["metrics.csv"] = "0" * 64
+    del wigig["files"]["mac_trace.csv"]
+    wigig["files"]["run.json"] = "1" * 64
+    wigig["event_count"] -= 5
+    (tmp_path / "edited.json").write_text(json.dumps(parent))
+    edited = digests("--against", str(tmp_path / "edited.json"))
+    assert edited.returncode == 1, edited.stderr
+    count = wigig["event_count"]
+    assert edited.stdout.splitlines() == [
+        "differs Cat4-Cat2_seed1 metrics.csv",
+        "differs WiGig-only_seed1 mac_trace.csv",
+        "differs WiGig-only_seed1 run.json",
+        f"event_count WiGig-only_seed1 {count} -> {count + 5}",
+    ]
