@@ -6,6 +6,7 @@ from functools import partial
 import pytest
 from hypothesis import given, strategies as st
 
+from coexsim import radio
 from coexsim.engine import RngStreams
 from coexsim.nru import MCS_TABLE, MCS_THRESHOLDS
 from coexsim.radio import (
@@ -379,10 +380,8 @@ def _linear_sinr(monkeypatch, env, cap, table):
     """`effective_sinr_db` with its final log10 taken out, 10 times the linear
     mean: log10 rounds away the one-ulp differences that another order of
     the float sums makes, so only the linear value pins that order."""
-    import coexsim.radio
-
     with monkeypatch.context() as patch:
-        patch.setattr(coexsim.radio, "log10", lambda x: x)
+        patch.setattr(radio, "log10", lambda x: x)
         return env.effective_sinr_db(cap, table)
 
 
