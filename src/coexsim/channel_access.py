@@ -2,8 +2,10 @@
 
 Each manager owns the energy-detection sensing for one device. Sensing is a
 linear power sum over all concurrent emissions, regardless of technology,
-evaluated with either 0 dB (omni) or beam-aligned (directional) receive gain.
-The deferral/backoff procedure (`Backoff`) is shared with the WiGig DCF.
+evaluated with either 0 dB (omni) or beam-aligned (directional) receive
+gain. The deferral/backoff procedure (`Backoff`) is shared with the WiGig
+DCF. An NR-U MAC asks its manager, whatever the category, only `live_cot()`,
+`prepare()`, `access(t_end, deadline)` and `feedback(nacks, cot_id)`.
 """
 from __future__ import annotations
 
@@ -18,8 +20,6 @@ CAT2 = "Cat2"
 CAT3 = "Cat3"
 CAT4 = "Cat4"
 ONOFF = "OnOff"
-
-CAT4_CWS_LADDER = (15, 31, 63, 127, 255, 511, 1023)
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,10 @@ class Cam:
     `ed_threshold_lin`, which a linear power sum reaches on a busy medium. LBT
     managers grant asynchronously through `request(on_grant)`; every other one
     answers `attempt(deadline)` at once, with None or a grant that ends by
-    `deadline` when one is given. With the "cam" trace selected, events are
-    logged as (time, device, category, event) rows.
+    `deadline` when one is given, and `access(t_end, deadline)` takes it into
+    force as the COT (channel occupancy time) `cot`, numbered `cot_id`, if it
+    covers `t_end`. With the "cam" trace selected, events are logged as
+    (time, device, category, event) rows.
     """
 
     def __init__(
@@ -59,6 +61,30 @@ class Cam:
             config.ue_ed_threshold_dbm if directional else config.gnb_ed_threshold_dbm
         )
         self.table = env.link_table(device, toward if directional else None)
+        self.cot: Optional[ChannelGrant] = None
+        self.cot_id = 0  # COTs taken into force so far
+
+    def live_cot(self) -> Optional[ChannelGrant]:
+        if self.cot is not None and not self.cot.covers(self.engine.now + 1):
+            self.cot = None  # it lapsed at its deadline
+        return self.cot
+
+    def prepare(self) -> None:
+        """A transmission is planned; only LBT starts work ahead of it."""
+
+    def access(self, t_end: int, deadline: Optional[int] = None) -> bool:
+        g = self.attempt(deadline)
+        if g is None or not g.covers(t_end):
+            return False
+        self._take(g)
+        return True
+
+    def feedback(self, nacks: list[bool], cot_id: int) -> None:
+        """A non-empty batch of HARQ outcomes of blocks sent in COT `cot_id`."""
+
+    def _take(self, grant: ChannelGrant) -> None:
+        self.cot = grant
+        self.cot_id += 1
 
     def sense_window(self, w_start: int, w_end: int) -> bool:
         """True (busy) iff the eid-order power sum reaches `ed_threshold_lin`
@@ -253,10 +279,22 @@ class LbtCam(Cam, Backoff):
         super().__init__(*args, **kwargs)
         self.cws = self.config.cat3_cws if self.category == CAT3 else self.config.cws_min
         self._on_grant: Optional[Callable[[ChannelGrant], None]] = None
+        self._fed_cots: set[int] = set()
 
-    @property
-    def busy(self) -> bool:
-        return self._on_grant is not None
+    def prepare(self) -> None:
+        if self.live_cot() is None and self._on_grant is None:
+            self.request(self._take)
+
+    def access(self, t_end: int, deadline: Optional[int] = None) -> bool:
+        # Grants arrive ahead of the slot: one granted at its start is too late.
+        g = self.live_cot()
+        return g is not None and g.granted_at < self.engine.now and g.covers(t_end)
+
+    def feedback(self, nacks: list[bool], cot_id: int) -> None:
+        """The first batch of each COT's feedback drives the Cat4 window."""
+        if self.category == CAT4 and cot_id not in self._fed_cots:
+            self._fed_cots.add(cot_id)
+            self.update_cws(nacks)
 
     def request(self, on_grant: Callable[[ChannelGrant], None]) -> None:
         assert self._on_grant is None, "one outstanding LBT request per CAM"

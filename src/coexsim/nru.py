@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
-from .channel_access import CAT4, Cam, LbtCam
+from .channel_access import Cam
 from .radio import Device, LinkTable, RadioEnvironment, db_to_lin, lin_to_db, select_mcs
 from .traffic import PacketRecord
 
@@ -98,13 +98,12 @@ class NruUe:
         items = [(pid, *self.fb_pending.pop(pid)) for pid in pids if pid in self.fb_pending]
         if not items:
             return
-        t_end = self.gnb.engine.now + SYMBOL_NS
-        # Inside the gNB's COT the UE's grant inherits the gNB deadline.
-        gnb_grant = self.gnb.current_grant_if_active()
-        grant = self.cam.attempt(gnb_grant.cot_deadline if gnb_grant else None)
-        if grant is None or not grant.covers(t_end):
-            return
         gnb = self.gnb
+        t_end = gnb.engine.now + SYMBOL_NS
+        # Inside the gNB's COT the UE's grant inherits the gNB deadline.
+        cot = gnb.cam.live_cot()
+        if not self.cam.access(t_end, cot.cot_deadline if cot else None):
+            return
         at_end = partial(gnb.receive_feedback, items, self)
         gnb.fb_on_air[gnb.env.transmit(self.device, gnb.device, t_end, "nru", at_end)] = None
 
@@ -129,9 +128,6 @@ class NruGnb:
         self.fb_tables: dict[NruUe, LinkTable] = {}  # feedback decoding, beamed at each UE
         self._next_pid = 0
         self._rr = 0
-        self.current_grant = None
-        self.cot_id = 0
-        self._cws_fed_cots: set[int] = set()
 
     # -- wiring -------------------------------------------------------------
 
@@ -185,8 +181,8 @@ class NruGnb:
             used += n_sym
         self._rr = (self._rr + 1) % max(n, 1)
 
-        if alloc and isinstance(self.cam, LbtCam):
-            self._ensure_lbt()
+        if alloc:
+            self.cam.prepare()
         if alloc or fb_entries:  # an empty commit would change nothing
             self.engine.schedule(lambda: self._commit(slot, alloc, fb_entries), t_slot)
 
@@ -215,38 +211,8 @@ class NruGnb:
                 buf.appendleft([pkt, n_bytes])
         tb.ue.buffered_bytes += tb.total_bytes
 
-    # -- channel access ---------------------------------------------------------
-
-    def current_grant_if_active(self):
-        g = self.current_grant
-        if g is None:
-            return None
-        if g.cot_deadline is not None and self.engine.now >= g.cot_deadline:
-            self.current_grant = None
-            return None
-        return g
-
-    def _ensure_lbt(self) -> None:
-        if self.current_grant_if_active() is not None:
-            return
-        if not self.cam.busy:
-            self.cam.request(self._on_grant)
-
-    def _on_grant(self, grant) -> None:
-        self.current_grant = grant
-        self.cot_id += 1
-
     def _access_ok(self, emissions_end: int) -> bool:
-        # LBT grants arrive ahead of the slot: one granted at the slot start
-        # itself is too late for it. Any other CAM answers at once.
-        if isinstance(self.cam, LbtCam):
-            g = self.current_grant_if_active()
-            return g is not None and g.granted_at < self.engine.now and g.covers(emissions_end)
-        g = self.cam.attempt()
-        if g is None or not g.covers(emissions_end):
-            return False
-        self._on_grant(g)
-        return True
+        return self.cam.access(emissions_end)
 
     # -- per-slot execution -------------------------------------------------------
 
@@ -267,7 +233,7 @@ class NruGnb:
                     end = start + n_sym * SYMBOL_NS
                     offset += n_sym
                     tb.tx_count += 1
-                    tb.cot_id = self.cot_id
+                    tb.cot_id = self.cam.cot_id
                     self.processes[tb.pid] = tb
                     self.engine.schedule(
                         lambda ue=ue, tb=tb, end=end: self._air_tb(ue, tb, end), start
@@ -285,8 +251,7 @@ class NruGnb:
                         self.retx.appendleft(tb)
                 if self.mac_trace is not None:
                     self.mac_trace.append((t_slot, "*", 0, -1, 0, "no_grant"))
-                if isinstance(self.cam, LbtCam):
-                    self._ensure_lbt()
+                self.cam.prepare()
 
         if fb_entries:
             for k, (ue, pids) in enumerate(fb_entries.items()):
@@ -343,13 +308,5 @@ class NruGnb:
                 for pkt, _n in tb.segments:
                     pkt.lost = True
                 tb.ue.drop_process(pid)
-        self._feed_cws(nacks, cot)
-
-    def _feed_cws(self, nacks: list[bool], cot_id: Optional[int]) -> None:
-        """First feedback batch seen for each COT drives the Cat4 window."""
-        if not isinstance(self.cam, LbtCam) or self.cam.category != CAT4:
-            return
-        if not nacks or cot_id is None or cot_id in self._cws_fed_cots:
-            return
-        self._cws_fed_cots.add(cot_id)
-        self.cam.update_cws(nacks)
+        if nacks:  # the batch's first block names its COT
+            self.cam.feedback(nacks, cot)

@@ -51,7 +51,6 @@ class RunResult:
     flows: list = field(default_factory=list, repr=False)
     env: object = field(default=None, repr=False)
     aps: list = field(default_factory=list, repr=False)
-    cams: list = field(default_factory=list, repr=False)
 
 
 def run_once(
@@ -75,7 +74,6 @@ def run_once(
 
     flows: list[CbrFlow] = []
     aps: list[WigigAp] = []
-    cams = []
 
     def add_flow(user, sink) -> None:
         flows.append(CbrFlow(f"flow-{user.id}", user.id, cfg.packet_bytes, sink))
@@ -93,12 +91,10 @@ def run_once(
                         f"gNB {site.id}; at most {SYMBOLS_PER_SLOT} fit one slot's feedback"
                     )
                 cam = make_cam(gnb_cat, site, env, streams.stream("cam", site.id))
-                cams.append(cam)
                 gnb = NruGnb(site, cam, env)
                 for user in users:
                     # A UE senses along its transmit beam: toward its site.
                     ue_cam = make_cam(ue_cat, user, env, streams.stream("cam", user.id), site)
-                    cams.append(ue_cam)
                     ue = NruUe(user, ue_cam, gnb)
                     gnb.add_ue(ue)
                     add_flow(user, ue.offer_packet)
@@ -133,7 +129,6 @@ def run_once(
         flows=flows,
         env=env,
         aps=aps,
-        cams=cams,
     )
     if out_dir is not None:
         _write_run(result, scn, out_dir)

@@ -2,6 +2,7 @@
 received powers in tests are exact, closed-form quantities."""
 import pytest
 
+from coexsim import runner
 from coexsim.config import CampaignConfig
 from coexsim.engine import Engine, RngStreams
 from coexsim.radio import (
@@ -14,6 +15,9 @@ from coexsim.radio import (
 )
 
 OMNI = AntennaArray(rows=1, cols=1, element_gain_dbi=0.0)
+
+# Cat4 contention windows from cws_min under back-to-back all-NACK batches.
+CAT4_CWS_LADDER = (15, 31, 63, 127, 255, 511, 1023)
 
 
 class Rig:
@@ -70,6 +74,20 @@ def record_emissions(monkeypatch) -> list[Emission]:
 
     monkeypatch.setattr(RadioEnvironment, "add_emission", recording)
     return log
+
+
+def record_cams(monkeypatch) -> list:
+    """Wrap `runner.make_cam` through `monkeypatch` and return the list it
+    appends every channel access manager that `run_once` builds to."""
+    cams = []
+    make_cam = runner.make_cam
+
+    def recording(*args, **kwargs):
+        cams.append(make_cam(*args, **kwargs))
+        return cams[-1]
+
+    monkeypatch.setattr(runner, "make_cam", recording)
+    return cams
 
 
 @pytest.fixture

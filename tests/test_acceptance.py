@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from coexsim import CampaignConfig, run_once
-from coexsim.channel_access import CAT4_CWS_LADDER, make_cam
+from coexsim.channel_access import make_cam
 from coexsim.cli import main
 from coexsim.engine import MS, Engine, RngStreams
 from coexsim.metrics import OccupancyLedger
 from coexsim.radio import RadioEnvironment, noise_power_dbm
-from tests.conftest import record_emissions
+from tests.conftest import CAT4_CWS_LADDER, record_cams, record_emissions
 from tests.verify import verify_lbt_safety
 
 REDUCED = dict(sites_per_operator=1, users_per_operator=4)
@@ -33,11 +33,11 @@ def reduced(label, **kw):
 def heavy_cat4_run():
     """Cat4/Cat2 coexistence, full 1.5 s, both operators overloaded (200 Mbps
     per device) so LBT machinery is exercised under constant contention; the
-    run's result and its emissions."""
+    run's result, its emissions and its channel access managers."""
     cfg = reduced("Cat4/Cat2", load_mbps=200.0, duration_s=1.5)
     with pytest.MonkeyPatch.context() as mp:
-        emissions = record_emissions(mp)
-        return run_once(cfg, 1, traces=("cam",)), emissions
+        emissions, cams = record_emissions(mp), record_cams(mp)
+        return run_once(cfg, 1, traces=("cam",)), emissions, cams
 
 
 @pytest.fixture(scope="module")
@@ -74,28 +74,29 @@ def _latency_us(results, tech):
 # 1 ---------------------------------------------------------------------------
 
 def test_criterion_1_lbt_safety(heavy_cat4_run):
-    r, emissions = heavy_cat4_run
+    r, emissions, cams = heavy_cat4_run
     cam_rows = r.env.traces["cam"]
-    violations = verify_lbt_safety(r.env, r.cams, cam_rows, emissions)
+    violations = verify_lbt_safety(r.env, cams, cam_rows, emissions)
     windows = sum(1 for _t, _d, _c, e in cam_rows if e in ("grant", "counter_frozen"))
     assert windows > 1000, "the run must actually exercise LBT"
     assert violations == []
     print(f"\ncriterion 1 PASS: 0 violations across {windows} CCA windows")
 
 
-def test_criterion_1_cat2_window_longer_than_retention(emission_log):
+def test_criterion_1_cat2_window_longer_than_retention(emission_log, monkeypatch):
     cfg = reduced("Cat4/Cat2", load_mbps=200.0, duration_s=0.2, cat2_defer_us=400.0)
+    cams = record_cams(monkeypatch)
     r = run_once(cfg, 1, traces=("cam",))
     cam_rows = r.env.traces["cam"]
     grants = sum(1 for _t, _d, cat, e in cam_rows if cat == "Cat2" and e == "grant")
     assert grants > 10, "the run must grant Cat2 windows"
-    assert verify_lbt_safety(r.env, r.cams, cam_rows, emission_log) == []
+    assert verify_lbt_safety(r.env, cams, cam_rows, emission_log) == []
 
 
 # 2 ---------------------------------------------------------------------------
 
 def test_criterion_2_cot_bound(heavy_cat4_run):
-    r, emissions = heavy_cat4_run
+    r, emissions, _cams = heavy_cat4_run
     grants = {}
     for t, dev, cat, event in r.env.traces["cam"]:
         if event == "grant" and cat in ("Cat2", "Cat3", "Cat4"):

@@ -8,7 +8,6 @@ from coexsim.channel_access import (
     CAT2,
     CAT3,
     CAT4,
-    CAT4_CWS_LADDER,
     ONOFF,
     make_cam,
 )
@@ -16,7 +15,7 @@ from coexsim.config import CampaignConfig
 from coexsim.engine import MS, US
 from coexsim.radio import db_to_lin, lin_to_db, peak_power_lin
 from coexsim.wigig import WigigAp
-from tests.conftest import FixedRng, Rig
+from tests.conftest import CAT4_CWS_LADDER, FixedRng, Rig
 from tests.verify import verify_lbt_safety
 
 

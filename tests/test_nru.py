@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from coexsim.channel_access import CAT4, make_cam
+from coexsim.channel_access import CAT3, CAT4, ONOFF, ChannelGrant, make_cam
 from coexsim.config import CampaignConfig
 from coexsim.engine import SEC
 from coexsim.nru import (
@@ -177,14 +177,85 @@ def test_an_lbt_grant_at_the_slot_start_is_too_late_for_that_slot(rig, order):
 
     if order == "commit first":
         rig.engine.schedule(commit, 23_000)
-        gnb.cam.request(gnb._on_grant)
+        gnb.cam.request(gnb.cam._take)
     else:
-        gnb.cam.request(gnb._on_grant)
+        gnb.cam.request(gnb.cam._take)
         rig.engine.schedule(lambda: rig.engine.schedule(commit, 23_000), 22_999)
     rig.engine.run_until(23_000)
-    assert gnb.current_grant.granted_at == 23_000
+    assert gnb.cam.cot.granted_at == 23_000
     assert trace == [(23_000, "*", 0, -1, 0, "no_grant")]
     assert tb.tx_count == 0 and ue.buffered_bytes == 1500
+
+
+class ContractCam:
+    """A channel access manager with nothing but the calls a MAC may make,
+    each one logged: it always grants, inside a COT that ends at 40 slots."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.cot = ChannelGrant(0, 40 * SLOT_NS)
+        self.cot_id = 1
+        self.log = []
+
+    def live_cot(self):
+        return self.cot
+
+    def prepare(self):
+        self.log.append(("prepare", self.engine.now))
+
+    def access(self, t_end, deadline=None):
+        self.log.append(("access", self.engine.now, t_end, deadline))
+        return True
+
+    def feedback(self, nacks, cot_id):
+        self.log.append(("feedback", nacks, cot_id))
+
+
+def test_the_mac_gets_on_the_air_through_the_cam_contract_alone(rig):
+    gnb, [ue], trace = _gnb_rig(rig, n_ues=1)
+    gnb.cam, ue.cam = ContractCam(rig.engine), ContractCam(rig.engine)
+    pkt = _pkt()
+    ue.offer_packet(pkt)
+    gnb.start()
+    rig.engine.run_until(40 * SLOT_NS)
+    assert pkt.delivered and gnb.processes == {}
+    [(t_tx, *_tx)] = trace
+    lead = rig.config.mac_lead_slots
+    assert gnb.cam.log == [
+        ("prepare", t_tx - lead * SLOT_NS),
+        ("access", t_tx, t_tx + SYMBOL_NS, None),
+        ("feedback", [False], 1),
+    ]
+    [(_access, t_fb, t_end, deadline)] = ue.cam.log  # inside the gNB's COT
+    assert t_end == t_fb + SYMBOL_NS and deadline == 40 * SLOT_NS
+
+
+@pytest.mark.parametrize("category", [CAT4, CAT3])
+def test_only_the_first_feedback_batch_of_a_cot_moves_the_cat4_window(rig, category):
+    gnb, [ue], _ = _gnb_rig(rig, n_ues=1)
+    gnb.cam = make_cam(category, gnb.device, rig.env, FixedRng(0))
+
+    def batch(pid, cot_id, ack):
+        gnb.processes[pid] = TransportBlock(pid, ue, 0, [], 0, 1, tx_count=1, cot_id=cot_id)
+        gnb._resolve([(pid, ack, None)])
+        return gnb.cam.cws
+
+    # Were a later batch of the same COT counted, the ACK would reset the
+    # window and the NACK double it.
+    cws = [batch(0, 1, False), batch(1, 1, True), batch(2, 2, False), batch(3, 2, False)]
+    assert cws == ([31, 31, 63, 63] if category == CAT4 else [15] * 4)
+
+
+@pytest.mark.parametrize("late_ns", [0, 1])
+def test_ue_feedback_must_end_by_the_gnb_cot_deadline(rig, emission_log, late_ns):
+    gnb, [ue], _ = _gnb_rig(rig, n_ues=1)
+    gnb.cam = make_cam(ONOFF, gnb.device, rig.env, FixedRng(0))
+    assert gnb._access_ok(SYMBOL_NS)  # a COT that ends with the duty cycle's on time
+    t_send = rig.config.duty_on_ns - SYMBOL_NS + late_ns
+    ue.fb_pending[0] = (True, 20.0)
+    rig.engine.schedule(lambda: ue.send_feedback([0]), t_send)
+    rig.engine.run_until(t_send)
+    assert [em.source for em in emission_log] == ([ue.device] if late_ns == 0 else [])
 
 
 def test_chase_combining_adds_linear_snr(rig):
