@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .radio import Device, RadioEnvironment, db_to_lin, peak_power_lin
+from .radio import COUNT, IDLE, WAIT_IDLE, Device, RadioEnvironment, db_to_lin, peak_power_lin
 
 CAT1 = "Cat1"
 CAT2 = "Cat2"
@@ -182,28 +182,36 @@ class Backoff:
     terms is at least each of its terms, and an eid-order sum over a
     subsequence never exceeds the sum over the whole sequence.
 
-    A subclass provides `engine`, `env`, `rng`, `config` (`defer_ns`,
-    `cca_slot_ns`), its contention window `cws`, its sensing `table`, its
-    energy-detection threshold `ed_threshold_lin`, and `_backoff_done()`,
-    called once the counter runs out and the device has stopped listening.
+    A subclass provides `engine`, `env`, `rng`, `config`, its contention
+    window `cws`, its sensing `table`, its energy-detection threshold
+    `ed_threshold_lin`, and `_backoff_done()`, called once the counter runs
+    out and the device has stopped listening; its `__init__` then calls
+    `_init_backoff(preamble_dbm, trace)`, which puts every per-contention field
+    on the instance: CPython 3.11 specialises those reads, made on every edge.
     With a `trace` set, `_emit(event)` logs defer_start and counter_frozen.
     """
 
-    IDLE, WAIT_IDLE, COUNT = range(3)
-    # Class-level defaults until an instance first contends.
-    state = IDLE
-    counter = 0
-    _timer = None
-    _witness = None
-    _bound = 0.0
-    _preamble_dbm = math.inf  # no preamble detection
-    trace = None
+    IDLE, WAIT_IDLE, COUNT = IDLE, WAIT_IDLE, COUNT  # the `radio` states, for readers
+
+    def _init_backoff(self, preamble_dbm: float = math.inf, trace: Optional[list] = None) -> None:
+        """Set the contention fields in one order and resolve `defer_ns` and
+        `cca_slot_ns`; an inf `preamble_dbm` detects no preamble."""
+        self.state = IDLE
+        self.counter = 0
+        self._timer = None
+        self._witness = None
+        self._bound = 0.0
+        self._count_from = 0
+        self._preamble_dbm = preamble_dbm
+        self.trace = trace
+        self._defer_ns = self.config.defer_ns
+        self._cca_slot_ns = self.config.cca_slot_ns
 
     def _start_backoff(self) -> None:
         self.counter = self.rng.randint(0, self.cws)
         self.env.add_listener(self)
         if self.medium_busy():
-            self.state = self.WAIT_IDLE
+            self.state = WAIT_IDLE
         else:
             self._start_countdown()
 
@@ -235,39 +243,38 @@ class Backoff:
     def medium_changed(self) -> None:
         """Re-sense on an emission edge; a device not contending ignores it."""
         state = self.state
-        if state == self.WAIT_IDLE:
+        if state == WAIT_IDLE:
             if not self.medium_busy():
                 self._start_countdown()
-        elif state == self.COUNT and self.medium_busy():
+        elif state == COUNT and self.medium_busy():
             self._freeze()
 
     def _freeze(self) -> None:
         """Stop counting on a medium busy from now, unless the counter is spent."""
         counted = self.engine.now - self._count_from
         if counted >= 0:
-            left = self.counter - counted // self.config.cca_slot_ns
+            left = self.counter - counted // self._cca_slot_ns
             if left == 0:
                 return  # the countdown is due now
             self.counter = left
             if self.trace is not None:
                 self._emit("counter_frozen")
         self.engine.cancel(self._timer)
-        self.state = self.WAIT_IDLE
+        self.state = WAIT_IDLE
 
     def _start_countdown(self) -> None:
-        self.state = self.COUNT
+        self.state = COUNT
         if self.trace is not None:
             self._emit("defer_start")
         engine = self.engine
-        config = self.config
-        self._count_from = count_from = engine.now + config.defer_ns
+        self._count_from = count_from = engine.now + self._defer_ns
         self._timer = engine.schedule(
-            self._countdown_done, count_from + self.counter * config.cca_slot_ns
+            self._countdown_done, count_from + self.counter * self._cca_slot_ns
         )
 
     def _countdown_done(self) -> None:
         self.counter = 0
-        self.state = self.IDLE
+        self.state = IDLE
         self.env.remove_listener(self)
         self._backoff_done()
 
@@ -280,6 +287,7 @@ class LbtCam(Cam, Backoff):
         self.cws = self.config.cat3_cws if self.category == CAT3 else self.config.cws_min
         self._on_grant: Optional[Callable[[ChannelGrant], None]] = None
         self._fed_cots: set[int] = set()
+        self._init_backoff(trace=self.trace)
 
     def prepare(self) -> None:
         if self.live_cot() is None and self._on_grant is None:

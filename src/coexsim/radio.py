@@ -22,6 +22,9 @@ SHADOW_SIGMA_LOS_DB = 3.0
 SHADOW_SIGMA_NLOS_DB = 8.03
 NOISE_PSD_DBM_HZ = -174.0
 
+# The states of a `channel_access.Backoff` listener, read by `_notify`.
+IDLE, WAIT_IDLE, COUNT = range(3)
+
 
 def db_to_lin(db: float) -> float:
     return 10.0 ** (db / 10.0)
@@ -437,7 +440,7 @@ class RadioEnvironment:
             source = em.source
             wigig = em.rat == "wigig"
             for obj in self._listeners:
-                if obj.state != obj.WAIT_IDLE:
+                if obj.state != WAIT_IDLE:
                     table = obj.table
                     if table.receiver is source:
                         continue
@@ -453,7 +456,7 @@ class RadioEnvironment:
                             obj.medium_changed()
         else:
             for obj in self._listeners:
-                if obj.state == obj.WAIT_IDLE:
+                if obj.state == WAIT_IDLE:
                     witness = obj._witness
                     if witness is None or witness is em:
                         obj.medium_changed()

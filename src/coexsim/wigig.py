@@ -15,7 +15,7 @@ from typing import Optional
 
 from .channel_access import Backoff
 from .engine import MS, US
-from .radio import Device, RadioEnvironment, db_to_lin, select_mcs
+from .radio import IDLE, Device, RadioEnvironment, db_to_lin, select_mcs
 from .traffic import PacketRecord
 
 # (decode threshold dB, PHY rate bit/s), single-carrier 802.11ad-like set.
@@ -31,6 +31,7 @@ PREAMBLE_NS = 1900
 PROBE_BYTES = 20
 ACK_THRESHOLD_DB = 1.0  # decode threshold of ACKs and association frames
 ASSOC_SPACING_NS = 2 * MS
+WAIT_ACK = 3  # the `WigigAp` state after the `Backoff` ones
 
 
 def frame_duration_ns(payload_bytes: int, rate_bps: float) -> int:
@@ -39,7 +40,7 @@ def frame_duration_ns(payload_bytes: int, rate_bps: float) -> int:
     return PREAMBLE_NS + math.ceil(payload_bytes * 8 * 1e9 / rate_bps)
 
 
-@dataclass
+@dataclass(slots=True)
 class WigigFrame:
     sta: "WigigSta"
     packet: PacketRecord
@@ -53,8 +54,6 @@ class WigigAp(Backoff):
     is busy on a same-technology preamble at `_preamble_dbm`, or on energy
     (one emission, or the sum) at `ed_threshold_lin`."""
 
-    WAIT_ACK = 3  # after Backoff.IDLE, WAIT_IDLE, COUNT
-
     def __init__(self, device: Device, env: RadioEnvironment, rng) -> None:
         self.device = device
         self.env = env
@@ -65,18 +64,20 @@ class WigigAp(Backoff):
         self.queue: deque[WigigFrame] = deque()
         self.cws = config.cws_min
         self.ed_threshold_lin = db_to_lin(config.wigig_ed_threshold_dbm)
-        self._preamble_dbm = config.wigig_preamble_threshold_dbm
         self.table = env.link_table(device)  # omni reception at the AP
+        self.ack_timeout_ns = config.ack_timeout_ns
+        self._durations: dict[tuple[int, int], int] = {}  # (payload, MCS) -> ns
         self._ack_timer = None
         self._current: Optional[WigigFrame] = None
         self._ack_ok = False
         self.drops = 0
+        self._init_backoff(config.wigig_preamble_threshold_dbm)
 
     # -- queueing -----------------------------------------------------------
 
     def enqueue(self, frame: WigigFrame) -> None:
         self.queue.append(frame)
-        if self.state == self.IDLE:
+        if self.state == IDLE:
             self._start_access()
 
     # -- DCF ------------------------------------------------------------------
@@ -92,14 +93,15 @@ class WigigAp(Backoff):
     def _transmit(self) -> None:
         frame = self._current
         sta = frame.sta
-        dur = frame_duration_ns(frame.packet.size_bytes, WIGIG_MCS[frame.mcs][1])
+        size, mcs = frame.packet.size_bytes, frame.mcs
+        dur = self._durations.get((size, mcs))
+        if dur is None:
+            dur = self._durations[size, mcs] = frame_duration_ns(size, WIGIG_MCS[mcs][1])
         end = self.engine.now + dur
         self.env.transmit(self.device, sta.device, end, "wigig", partial(sta.receive_frame, frame))
         self._ack_ok = False
-        self.state = self.WAIT_ACK
-        self._ack_timer = self.engine.schedule(
-            lambda: self._settle(frame), end + self.config.ack_timeout_ns
-        )
+        self.state = WAIT_ACK
+        self._ack_timer = self.engine.schedule(lambda: self._settle(frame), end + self.ack_timeout_ns)
 
     def ack_received(self, frame: WigigFrame, measured_sinr_db: float) -> None:
         if frame is self._current:
@@ -133,7 +135,7 @@ class WigigAp(Backoff):
         if self.queue:
             self._start_access()
         else:
-            self.state = self.IDLE
+            self.state = IDLE
 
 
 class WigigSta:
@@ -148,6 +150,8 @@ class WigigSta:
         self.config = ap.config
         self.engine = ap.engine
         self.rng = rng
+        self.sifs_ns = ap.config.sifs_ns
+        self.ack_ns = ap.config.ack_ns
         self.table = self.env.link_table(device, ap.device)  # decodes along its beam to the AP
         self.association = "pending"  # pending | associated | failed
         self.holding: list[PacketRecord] = []
@@ -177,11 +181,12 @@ class WigigSta:
         sinr = self.env.effective_sinr_db(cap, self.table)
         if sinr < WIGIG_MCS[frame.mcs][0]:
             return  # undecodable; AP times out
-        frame.packet.credit(frame.packet.size_bytes, self.engine.now)  # the frame's end
-        self.engine.schedule_in(lambda: self._send_ack(frame, sinr), self.config.sifs_ns)
+        engine = self.engine
+        frame.packet.credit(frame.packet.size_bytes, engine.now)  # the frame's end
+        engine.schedule(lambda: self._send_ack(frame, sinr), engine.now + self.sifs_ns)
 
     def _send_ack(self, frame: WigigFrame, measured_sinr_db: float) -> None:
-        end = self.engine.now + self.config.ack_ns
+        end = self.engine.now + self.ack_ns
         at_end = partial(self._deliver_ack, frame, measured_sinr_db)
         self.env.transmit(self.device, self.ap.device, end, "wigig", at_end)
 
@@ -219,7 +224,7 @@ class WigigSta:
         if sinr < ACK_THRESHOLD_DB:
             self._attempt_failed()
             return
-        self.engine.schedule_in(self._probe_response, self.config.sifs_ns)
+        self.engine.schedule_in(self._probe_response, self.sifs_ns)
 
     def _probe_response(self) -> None:
         self._probe(self.ap.device, self.device, self._response_at_sta)

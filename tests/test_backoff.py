@@ -4,9 +4,9 @@ resumes after a fresh defer, and the rule for a busy edge that falls on a
 slot boundary: that slot counts, whatever order the events were queued in."""
 import pytest
 
-from coexsim.channel_access import CAT4, Backoff, make_cam
+from coexsim.channel_access import CAT3, CAT4, Backoff, make_cam
 from coexsim.engine import MS
-from coexsim.radio import RadioEnvironment
+from coexsim.radio import IDLE, RadioEnvironment
 from coexsim.traffic import PacketRecord
 from coexsim.wigig import WigigAp, WigigSta
 from tests.conftest import FixedRng
@@ -191,3 +191,24 @@ def test_a_loud_edge_freezes_as_a_full_re_sense_would(
     rig.engine.run_until(1 * MS)
     assert seen == [(*after, True, 0 if path == "shortcut" else 1)]
     assert starts()[:1] == [first_start]
+
+
+CONTENTION_FIELDS = {
+    "state", "counter", "_timer", "_witness", "_bound", "_count_from",
+    "_preamble_dbm", "trace", "_defer_ns", "_cca_slot_ns",
+}
+
+
+def test_every_contention_field_is_on_the_instance_from_construction(rig):
+    """`_notify` and the `Backoff` methods read these fields on every
+    emission edge, and CPython 3.11 specialises an instance attribute read
+    there, but not a class attribute read through an instance: each kind of
+    contender holds them all from construction, and `Backoff` holds none."""
+    dev = rig.place("dev", 0.0, role="ap")
+    contenders = [WigigAp(dev, rig.env, FixedRng(0))] + [
+        make_cam(category, dev, rig.env, FixedRng(0)) for category in (CAT3, CAT4)
+    ]
+    assert not CONTENTION_FIELDS & vars(Backoff).keys()
+    for obj in contenders:
+        assert CONTENTION_FIELDS <= vars(obj).keys(), type(obj).__name__
+        assert (obj.state, obj.counter) == (IDLE, 0)

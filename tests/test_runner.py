@@ -383,6 +383,28 @@ def test_loop_opcodes_prints_the_total_then_the_top_functions():
     assert counts == sorted(counts, reverse=True) and sum(counts) <= int(total)
 
 
+def test_loop_opcodes_lists_the_same_unspecialised_sites_on_every_invocation():
+    script = str(ROOT / "scripts" / "loop_opcodes.py")
+    args = [sys.executable, script, str(ROOT / "scripts" / "reduced_campaign.cfg"),
+            "--label", "WiGig-only", "--seed", "1", "--duration", "0.002", "--unspecialised", "5"]
+    outs = [subprocess.run(args, env={**src_env(), "PYTHONHASHSEED": seed},
+                           capture_output=True, text=True, timeout=60)
+            for seed in ("0", "1")]
+    for out in outs:
+        assert out.returncode == 0, out.stderr
+    assert outs[0].stdout == outs[1].stdout
+    total, summary, *rows = outs[0].stdout.splitlines()
+    name, executed = summary.split("\t")
+    assert name == "unspecialised" and 0 < int(executed) <= int(total)
+    assert 0 < len(rows) <= 5
+    counts = []
+    for row in rows:
+        qualname, where, opname, arg, n = row.split("\t")
+        assert re.fullmatch(r"\S+:\d+", where) and opname.endswith("_ADAPTIVE") and arg
+        counts.append(int(n))
+    assert counts == sorted(counts, reverse=True) and sum(counts) <= int(executed)
+
+
 def test_output_digests_against_a_digest_file_lists_each_difference(tmp_path):
     cfg = tmp_path / "two.cfg"
     cfg.write_text("access_sweep = Cat4/Cat2,WiGig-only\nsites_per_operator = 1\nusers_per_operator = 4\n")
