@@ -182,20 +182,27 @@ class Backoff:
     terms is at least each of its terms, and an eid-order sum over a
     subsequence never exceeds the sum over the whole sequence.
 
-    A subclass provides `engine`, `env`, `rng`, `config`, its contention
-    window `cws`, its sensing `table`, its energy-detection threshold
-    `ed_threshold_lin`, and `_backoff_done()`, called once the counter runs
-    out and the device has stopped listening; its `__init__` then calls
-    `_init_backoff(preamble_dbm, trace)`, which puts every per-contention field
-    on the instance: CPython 3.11 specialises those reads, made on every edge.
-    With a `trace` set, `_emit(event)` logs defer_start and counter_frozen.
+    A subclass provides `engine`, `env`, `rng`, `config`, its sensing
+    `table`, its energy-detection threshold `ed_threshold_lin`, and
+    `_backoff_done()`, called once the counter runs out and the device has
+    stopped listening. Its `__init__` calls `_init_backoff(cws, preamble_dbm,
+    trace)`, which sets the contention window `cws` and puts every
+    per-contention field on the instance: CPython 3.11 specialises those
+    reads, made on every edge. `_next_cws(grow)` is the one window rule. A
+    contention starts only from IDLE, so `env._listeners` holds each
+    contending device once. With a `trace` set, `_emit(event)` logs
+    defer_start and counter_frozen.
     """
 
     IDLE, WAIT_IDLE, COUNT = IDLE, WAIT_IDLE, COUNT  # the `radio` states, for readers
 
-    def _init_backoff(self, preamble_dbm: float = math.inf, trace: Optional[list] = None) -> None:
-        """Set the contention fields in one order and resolve `defer_ns` and
-        `cca_slot_ns`; an inf `preamble_dbm` detects no preamble."""
+    def _init_backoff(self, cws: Optional[int] = None, preamble_dbm: float = math.inf,
+                      trace: Optional[list] = None) -> None:
+        """Set the contention fields in one order and resolve the window
+        bounds, `defer_ns` and `cca_slot_ns`; the window starts at `cws`, or
+        at `cws_min` for None, and an inf `preamble_dbm` detects no preamble."""
+        self._cws_min, self._cws_max = self.config.cws_min, self.config.cws_max
+        self.cws = self._cws_min if cws is None else cws
         self.state = IDLE
         self.counter = 0
         self._timer = None
@@ -206,6 +213,11 @@ class Backoff:
         self.trace = trace
         self._defer_ns = self.config.defer_ns
         self._cca_slot_ns = self.config.cca_slot_ns
+
+    def _next_cws(self, grow: bool) -> int:
+        """Double the window plus one, up to `cws_max`, or reset it to `cws_min`."""
+        self.cws = min(2 * self.cws + 1, self._cws_max) if grow else self._cws_min
+        return self.cws
 
     def _start_backoff(self) -> None:
         self.counter = self.rng.randint(0, self.cws)
@@ -284,10 +296,9 @@ class LbtCam(Cam, Backoff):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.cws = self.config.cat3_cws if self.category == CAT3 else self.config.cws_min
         self._on_grant: Optional[Callable[[ChannelGrant], None]] = None
         self._fed_cots: set[int] = set()
-        self._init_backoff(trace=self.trace)
+        self._init_backoff(self.config.cat3_cws if self.category == CAT3 else None, trace=self.trace)
 
     def prepare(self) -> None:
         if self.live_cot() is None and self._on_grant is None:
@@ -313,11 +324,7 @@ class LbtCam(Cam, Backoff):
         """Cat4 exponential rule: >=80% NACK doubles, otherwise reset."""
         if self.category != CAT4 or not nacks:
             return self.cws
-        if sum(nacks) / len(nacks) >= 0.8:
-            self.cws = min(2 * self.cws + 1, self.config.cws_max)
-        else:
-            self.cws = self.config.cws_min
-        return self.cws
+        return self._next_cws(sum(nacks) / len(nacks) >= 0.8)
 
     def _backoff_done(self) -> None:
         callback = self._on_grant

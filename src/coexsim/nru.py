@@ -13,6 +13,7 @@ from functools import partial
 from typing import Optional
 
 from .channel_access import Cam
+from .config import ConfigError
 from .radio import Device, LinkTable, RadioEnvironment, db_to_lin, lin_to_db, select_mcs
 from .traffic import PacketRecord
 
@@ -54,8 +55,9 @@ class TransportBlock:
 
 
 class NruUe:
-    """One UE: its downlink queue at the gNB, its link adaptation state, and
-    the receiver side: decode with Chase combining, queue HARQ feedback."""
+    """One UE: its downlink queue at the gNB (only the UE takes bytes from it
+    and returns them), its link adaptation state, and the receiver side:
+    decode with Chase combining, queue HARQ feedback."""
 
     def __init__(self, device: Device, cam: Cam, gnb: "NruGnb") -> None:
         self.device = device
@@ -74,6 +76,33 @@ class NruUe:
     def offer_packet(self, pkt: PacketRecord) -> None:
         self.buffer.append([pkt, pkt.size_bytes])
         self.buffered_bytes += pkt.size_bytes
+
+    def take_bytes(self, n_bytes: int) -> list[tuple[PacketRecord, int]]:
+        """Take up to `n_bytes` from the queue head, as (packet, bytes) segments."""
+        buf = self.buffer
+        segments: list[tuple[PacketRecord, int]] = []
+        left = n_bytes
+        while left > 0 and buf:
+            pkt, remaining = buf[0]
+            take = min(left, remaining)
+            segments.append((pkt, take))
+            if take == remaining:
+                buf.popleft()
+            else:
+                buf[0][1] -= take
+            left -= take
+        self.buffered_bytes -= n_bytes - left
+        return segments
+
+    def return_segments(self, tb: TransportBlock) -> None:
+        """Put an unsent block's segments back at the queue head, in order."""
+        buf = self.buffer
+        for pkt, n_bytes in reversed(tb.segments):
+            if buf and buf[0][0] is pkt:
+                buf[0][1] += n_bytes
+            else:
+                buf.appendleft([pkt, n_bytes])
+        self.buffered_bytes += tb.total_bytes
 
     def receive_tb(self, tb: TransportBlock, cap) -> None:
         env = self.gnb.env
@@ -136,6 +165,12 @@ class NruGnb:
         self.fb_tables[ue] = self.env.link_table(self.device, ue.device)
 
     def start(self) -> None:
+        if len(self.ues) > SYMBOLS_PER_SLOT:
+            # Each UE's HARQ feedback takes one symbol of a slot.
+            raise ConfigError(
+                f"value for key 'users_per_operator' puts {len(self.ues)} UEs on "
+                f"gNB {self.device.id}; at most {SYMBOLS_PER_SLOT} fit one slot's feedback"
+            )
         lead = self.config.mac_lead_slots
         self.engine.schedule(lambda: self._plan(lead), 0)
 
@@ -174,7 +209,7 @@ class NruGnb:
             _sinr, mcs, cap = adapted
             n_sym = min(-(-buf // cap), budget - used)
             tb_bytes = min(buf, n_sym * cap)
-            segments = self._take_bytes(ue, tb_bytes)
+            segments = ue.take_bytes(tb_bytes)
             tb = TransportBlock(self._next_pid, ue, tb_bytes, segments, mcs, n_sym)
             self._next_pid += 1
             alloc.append(tb)
@@ -185,31 +220,6 @@ class NruGnb:
             self.cam.prepare()
         if alloc or fb_entries:  # an empty commit would change nothing
             self.engine.schedule(lambda: self._commit(slot, alloc, fb_entries), t_slot)
-
-    def _take_bytes(self, ue: NruUe, n_bytes: int) -> list[tuple[PacketRecord, int]]:
-        buf = ue.buffer
-        segments: list[tuple[PacketRecord, int]] = []
-        left = n_bytes
-        while left > 0 and buf:
-            pkt, remaining = buf[0]
-            take = min(left, remaining)
-            segments.append((pkt, take))
-            if take == remaining:
-                buf.popleft()
-            else:
-                buf[0][1] -= take
-            left -= take
-        ue.buffered_bytes -= n_bytes - left
-        return segments
-
-    def _return_segments(self, tb: TransportBlock) -> None:
-        buf = tb.ue.buffer
-        for pkt, n_bytes in reversed(tb.segments):
-            if buf and buf[0][0] is pkt:
-                buf[0][1] += n_bytes
-            else:
-                buf.appendleft([pkt, n_bytes])
-        tb.ue.buffered_bytes += tb.total_bytes
 
     def _access_ok(self, emissions_end: int) -> bool:
         return self.cam.access(emissions_end)
@@ -246,7 +256,7 @@ class NruGnb:
             else:
                 for tb in alloc:
                     if tb.tx_count == 0:
-                        self._return_segments(tb)
+                        tb.ue.return_segments(tb)
                     else:
                         self.retx.appendleft(tb)
                 if self.mac_trace is not None:

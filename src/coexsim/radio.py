@@ -178,7 +178,6 @@ class LinkState:
     los: bool
     shadowing_db: float
     distance_3d: float
-    distance_2d: float
 
 
 @dataclass(slots=True)
@@ -255,12 +254,7 @@ class RadioEnvironment:
     # Cat2 deferral window, for window sensing.
     RETAIN_NS = 200_000
 
-    def __init__(
-        self,
-        engine: Engine,
-        streams: RngStreams,
-        config: CampaignConfig = CampaignConfig(),
-    ) -> None:
+    def __init__(self, engine: Engine, streams: RngStreams, config: CampaignConfig) -> None:
         self.engine = engine
         self.streams = streams
         self.config = config
@@ -278,7 +272,7 @@ class RadioEnvironment:
         self._ended: deque[Emission] = deque()  # in end order
         self._retain_ns = max(self.RETAIN_NS, config.cat2_defer_ns)
         self._open_captures: dict[int, Capture] = {}  # by signal eid
-        self._listeners: list = []  # the `Backoff`s contending now, for `_notify`
+        self._listeners: list = []  # the `Backoff`s contending now, each once, for `_notify`
         self.ledger = OccupancyLedger()
         # Trace selector -> row list, one per selected trace; components take
         # theirs at construction, so fill it before building them.
@@ -291,12 +285,10 @@ class RadioEnvironment:
         key = frozenset((a.id, b.id))
         st = self._links.get(key)
         if st is None:
-            d2 = a.position.distance_2d(b.position)
-            d3 = a.position.distance_3d(b.position)
             rng = self.streams.fresh("link", "|".join(sorted((a.id, b.id))))
-            los = rng.random() < los_probability(d2)
+            los = rng.random() < los_probability(a.position.distance_2d(b.position))
             sigma = SHADOW_SIGMA_LOS_DB if los else SHADOW_SIGMA_NLOS_DB
-            st = LinkState(los, rng.gauss(0.0, sigma), d3, d2)
+            st = LinkState(los, rng.gauss(0.0, sigma), a.position.distance_3d(b.position))
             self._links[key] = st
         return st
 
@@ -418,12 +410,10 @@ class RadioEnvironment:
         return cap
 
     def add_listener(self, obj) -> None:
-        if obj not in self._listeners:
-            self._listeners.append(obj)
+        self._listeners.append(obj)
 
     def remove_listener(self, obj) -> None:
-        if obj in self._listeners:
-            self._listeners.remove(obj)
+        self._listeners.remove(obj)
 
     def _notify(self, em: Emission, rising: bool) -> None:
         """Settle each `Backoff` listener's sensing as `em` starts or ends,

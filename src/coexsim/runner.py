@@ -20,7 +20,7 @@ from .channel_access import make_cam
 from .config import ACCESS_MODES, CampaignConfig, ConfigError, validate
 from .engine import US, Engine, RngStreams
 from .metrics import box_stats, goodput_per_device_bps, latency_samples_ns
-from .nru import SYMBOLS_PER_SLOT, NruGnb, NruUe
+from .nru import NruGnb, NruUe
 from .radio import RadioEnvironment
 from .scenario import build_scenario, scenario_csv
 from .traffic import CbrArrivals, CbrFlow, interarrival_ns
@@ -83,16 +83,9 @@ def run_once(
         if tech == "NR-U":
             gnb_cat, ue_cat = ACCESS_MODES[cfg.nru_access]
             for site in scn.sites[op]:
-                users = scn.users_of_site(site)
-                if len(users) > SYMBOLS_PER_SLOT:
-                    # Each UE's HARQ feedback takes one symbol of a slot.
-                    raise ConfigError(
-                        f"value for key 'users_per_operator' puts {len(users)} UEs on "
-                        f"gNB {site.id}; at most {SYMBOLS_PER_SLOT} fit one slot's feedback"
-                    )
                 cam = make_cam(gnb_cat, site, env, streams.stream("cam", site.id))
                 gnb = NruGnb(site, cam, env)
-                for user in users:
+                for user in scn.users_of_site(site):
                     # A UE senses along its transmit beam: toward its site.
                     ue_cam = make_cam(ue_cat, user, env, streams.stream("cam", user.id), site)
                     ue = NruUe(user, ue_cam, gnb)
@@ -104,12 +97,12 @@ def run_once(
                 ap = WigigAp(site, env, streams.stream("dcf", site.id))
                 aps.append(ap)
                 for k, user in enumerate(scn.users_of_site(site)):
-                    sta = WigigSta(user, ap, streams.stream("dcf", user.id), t0_offset=k * 100 * US)
+                    sta = WigigSta(user, ap, t0_offset=k * 100 * US)
                     sta.start()
                     add_flow(user, sta.offer_packet)
 
     spacing_ns = interarrival_ns(cfg.packet_bytes, cfg.load_mbps * 1e6)
-    CbrArrivals(engine, flows, spacing_ns, t_end).start(0)
+    CbrArrivals(engine, flows, spacing_ns, t_end).start()
     events = engine.run_until(t_end)
     wall_s = time.perf_counter() - t_wall
 

@@ -35,14 +35,6 @@ class Scenario:
     sites: dict[str, list[Device]]  # operator -> site devices
     users: dict[str, list[Device]]  # operator -> user devices
 
-    def all_devices(self) -> list[Device]:
-        out: list[Device] = []
-        for op in sorted(self.sites):
-            out.extend(self.sites[op])
-        for op in sorted(self.users):
-            out.extend(self.users[op])
-        return out
-
     def users_of_site(self, site: Device) -> list[Device]:
         return [u for u in self.users[site.operator] if u.serving == site.id]
 
@@ -82,7 +74,8 @@ def build_scenario(
 
 def scenario_csv(scn: Scenario) -> str:
     lines = ["device,operator,role,x,y,z,serving"]
-    for dev in scn.all_devices():
+    # The sites, then the users, each by operator.
+    for dev in [d for group in (scn.sites, scn.users) for op in sorted(group) for d in group[op]]:
         p = dev.position
         lines.append(
             f"{dev.id},{dev.operator},{dev.role},{p.x:.4f},{p.y:.4f},{p.z:.4f},{dev.serving or ''}"

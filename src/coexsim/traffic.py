@@ -69,8 +69,8 @@ class CbrArrivals:
         self.spacing_ns = spacing_ns
         self.t_end = t_end
 
-    def start(self, t0: int = 0) -> None:
-        self.engine.schedule(self._arrive, t0)
+    def start(self) -> None:
+        self.engine.schedule(self._arrive, 0)
 
     def _arrive(self) -> None:
         now = self.engine.now

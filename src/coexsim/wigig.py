@@ -15,7 +15,7 @@ from typing import Optional
 
 from .channel_access import Backoff
 from .engine import MS, US
-from .radio import IDLE, Device, RadioEnvironment, db_to_lin, select_mcs
+from .radio import Device, RadioEnvironment, db_to_lin, select_mcs
 from .traffic import PacketRecord
 
 # (decode threshold dB, PHY rate bit/s), single-carrier 802.11ad-like set.
@@ -31,7 +31,6 @@ PREAMBLE_NS = 1900
 PROBE_BYTES = 20
 ACK_THRESHOLD_DB = 1.0  # decode threshold of ACKs and association frames
 ASSOC_SPACING_NS = 2 * MS
-WAIT_ACK = 3  # the `WigigAp` state after the `Backoff` ones
 
 
 def frame_duration_ns(payload_bytes: int, rate_bps: float) -> int:
@@ -50,7 +49,8 @@ class WigigFrame:
 
 class WigigAp(Backoff):
     """One access point: a DCF transmit queue serving its associated STAs.
-    Channel access is the shared `Backoff`; WAIT_ACK follows it. The medium
+    The frame in hand, `_current`, contends through the shared `Backoff`
+    and awaits its ACK; the next one contends once it settles. The medium
     is busy on a same-technology preamble at `_preamble_dbm`, or on energy
     (one emission, or the sum) at `ed_threshold_lin`."""
 
@@ -62,7 +62,6 @@ class WigigAp(Backoff):
         self.rng = rng
         self.frame_trace = env.traces.get("frames")
         self.queue: deque[WigigFrame] = deque()
-        self.cws = config.cws_min
         self.ed_threshold_lin = db_to_lin(config.wigig_ed_threshold_dbm)
         self.table = env.link_table(device)  # omni reception at the AP
         self.ack_timeout_ns = config.ack_timeout_ns
@@ -71,13 +70,13 @@ class WigigAp(Backoff):
         self._current: Optional[WigigFrame] = None
         self._ack_ok = False
         self.drops = 0
-        self._init_backoff(config.wigig_preamble_threshold_dbm)
+        self._init_backoff(preamble_dbm=config.wigig_preamble_threshold_dbm)
 
     # -- queueing -----------------------------------------------------------
 
     def enqueue(self, frame: WigigFrame) -> None:
         self.queue.append(frame)
-        if self.state == IDLE:
+        if self._current is None:
             self._start_access()
 
     # -- DCF ------------------------------------------------------------------
@@ -100,7 +99,6 @@ class WigigAp(Backoff):
         end = self.engine.now + dur
         self.env.transmit(self.device, sta.device, end, "wigig", partial(sta.receive_frame, frame))
         self._ack_ok = False
-        self.state = WAIT_ACK
         self._ack_timer = self.engine.schedule(lambda: self._settle(frame), end + self.ack_timeout_ns)
 
     def ack_received(self, frame: WigigFrame, measured_sinr_db: float) -> None:
@@ -111,21 +109,18 @@ class WigigAp(Backoff):
             self._settle(frame)
 
     def _settle(self, frame: WigigFrame) -> None:
-        outcome: str
         if self._ack_ok:
-            self.cws = self.config.cws_min
             outcome = "done"
         else:
             frame.failures += 1
-            self.cws = min(2 * self.cws + 1, self.config.cws_max)
             if frame.failures >= self.config.wigig_retry_limit:
                 frame.packet.lost = True
                 self.drops += 1
-                self.cws = self.config.cws_min
                 outcome = "drop"
             else:
                 self.queue.appendleft(frame)
                 outcome = "retry"
+        self._next_cws(outcome == "retry")
         if self.frame_trace is not None:
             self.frame_trace.append(
                 (self.engine.now, self.device.id, frame.sta.device.id,
@@ -134,8 +129,6 @@ class WigigAp(Backoff):
         self._current = None
         if self.queue:
             self._start_access()
-        else:
-            self.state = IDLE
 
 
 class WigigSta:
@@ -143,13 +136,12 @@ class WigigSta:
     frames, replies with SIFS-spaced ACKs, and runs the startup association
     handshake."""
 
-    def __init__(self, device: Device, ap: WigigAp, rng, t0_offset: int = 0) -> None:
+    def __init__(self, device: Device, ap: WigigAp, t0_offset: int = 0) -> None:
         self.device = device
         self.ap = ap
         self.env = ap.env
         self.config = ap.config
         self.engine = ap.engine
-        self.rng = rng
         self.sifs_ns = ap.config.sifs_ns
         self.ack_ns = ap.config.ack_ns
         self.table = self.env.link_table(device, ap.device)  # decodes along its beam to the AP
@@ -199,8 +191,6 @@ class WigigSta:
     # -- association ------------------------------------------------------------
 
     def _associate_attempt(self) -> None:
-        if self.association != "pending":
-            return
         if self.ap.medium_busy(self.device):
             # Busy medium: poll again shortly; count a missed attempt only
             # after the attempt window (half the spacing) is exhausted.

@@ -36,7 +36,6 @@ class Rig:
             los,
             shadowing_db,
             a.position.distance_3d(b.position),
-            a.position.distance_2d(b.position),
         )
 
     def emit(self, source, tx_power_dbm, duration_ns, rat="nru", beam_target=None):

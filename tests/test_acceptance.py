@@ -193,7 +193,7 @@ def test_criterion_6_latency_ordering(fairness_runs):
 def test_criterion_7_cat4_cws_trajectory():
     engine = Engine()
     streams = RngStreams(1)
-    env = RadioEnvironment(engine, streams)
+    env = RadioEnvironment(engine, streams, CampaignConfig())
     from coexsim.radio import AntennaArray, Device, Position
 
     dev = Device("gnb", "B", "gnb", Position(0, 0, 3), AntennaArray(8, 8))

@@ -2,8 +2,11 @@
 8 us defer, 5 us CCA slots, a counter that freezes on a busy medium and
 resumes after a fresh defer, and the rule for a busy edge that falls on a
 slot boundary: that slot counts, whatever order the events were queued in."""
+from dataclasses import replace
+
 import pytest
 
+from coexsim import CampaignConfig, run_once
 from coexsim.channel_access import CAT3, CAT4, Backoff, make_cam
 from coexsim.engine import MS
 from coexsim.radio import IDLE, RadioEnvironment
@@ -27,7 +30,7 @@ def _dcf(rig, dev, counter, log):
     ap = WigigAp(dev, rig.env, FixedRng(counter))
     user = rig.place(f"{dev.id}-sta", dev.position.x, 3.0, operator="A", role="sta")
     rig.force_link(dev, user)
-    sta = WigigSta(user, ap, FixedRng(0))
+    sta = WigigSta(user, ap)
     sta.association = "associated"
     sta.offer_packet(PacketRecord("f", 0, 1500, 0))
     return lambda: [em.start for em in log if em.source is dev]
@@ -212,3 +215,29 @@ def test_every_contention_field_is_on_the_instance_from_construction(rig):
     for obj in contenders:
         assert CONTENTION_FIELDS <= vars(obj).keys(), type(obj).__name__
         assert (obj.state, obj.counter) == (IDLE, 0)
+
+
+@pytest.mark.parametrize("label", ["Cat4/Cat2", "WiGig-only"])
+def test_the_listeners_are_exactly_the_contending_devices(monkeypatch, label):
+    """At every emission edge of a full-floor run, `_listeners` holds each
+    `Backoff` whose state is not IDLE once, and no other one: a contention
+    starts only from IDLE, and only its countdown ends it."""
+    backoffs, listening = [], []
+    init, notify = Backoff._init_backoff, RadioEnvironment._notify
+
+    def recording_init(obj, *args, **kwargs):
+        backoffs.append(obj)
+        init(obj, *args, **kwargs)
+
+    def checking_notify(env, em, rising):
+        ids = [id(obj) for obj in env._listeners]
+        assert len(set(ids)) == len(ids), "a listener registered twice"
+        assert set(ids) == {id(obj) for obj in backoffs if obj.state != IDLE}
+        listening.append(len(ids))
+        notify(env, em, rising)
+
+    monkeypatch.setattr(Backoff, "_init_backoff", recording_init)
+    monkeypatch.setattr(RadioEnvironment, "_notify", checking_notify)
+    run_once(replace(CampaignConfig().for_label(label), duration_s=0.02), 1)
+    assert len(backoffs) >= 3 and len(listening) > 1000
+    assert sum(n > 0 for n in listening) > 100 and max(listening) >= 2

@@ -136,7 +136,7 @@ def _delivered_flow(n_delivered, n_lost, n_pending):
     engine = Engine()
     flow = CbrFlow("f", "dev", 1500, lambda p: None)
     total = n_delivered + n_lost + n_pending
-    CbrArrivals(engine, [flow], 240_000, SEC).start(0)
+    CbrArrivals(engine, [flow], 240_000, SEC).start()
     engine.run_until((total - 1) * 240_000)
     for pkt in flow.records[:n_delivered]:
         pkt.credit(1500, pkt.created_at + 500_000)

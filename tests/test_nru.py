@@ -170,7 +170,7 @@ def test_an_lbt_grant_at_the_slot_start_is_too_late_for_that_slot(rig, order):
     gnb, [ue], trace = _gnb_rig(rig, n_ues=1)
     gnb.cam = make_cam(CAT4, gnb.device, rig.env, FixedRng(3))  # grants at 23 us
     ue.offer_packet(_pkt())
-    tb = TransportBlock(0, ue, 1500, gnb._take_bytes(ue, 1500), mcs=0, n_symbols=1)
+    tb = TransportBlock(0, ue, 1500, ue.take_bytes(1500), mcs=0, n_symbols=1)
 
     def commit():
         gnb._commit(2, [tb], {})
@@ -326,10 +326,10 @@ def test_segment_return_preserves_fifo_order(rig):
     p0, p1 = _pkt(0), _pkt(1)
     ue.offer_packet(p0)
     ue.offer_packet(p1)
-    segs = gnb._take_bytes(ue, 2000)  # all of p0 plus 500 B of p1
+    segs = ue.take_bytes(2000)  # all of p0 plus 500 B of p1
     assert [(p.seq, n) for p, n in segs] == [(0, 1500), (1, 500)]
     assert ue.buffered_bytes == 1000
     tb = TransportBlock(9, ue, 2000, segs, 0, 1)
-    gnb._return_segments(tb)
+    ue.return_segments(tb)
     assert ue.buffered_bytes == 3000
     assert [p.seq for p, _n in ue.buffer] == [0, 1]

@@ -405,6 +405,32 @@ def test_loop_opcodes_lists_the_same_unspecialised_sites_on_every_invocation():
     assert counts == sorted(counts, reverse=True) and sum(counts) <= int(executed)
 
 
+def test_run_coverage_lists_the_same_unexecuted_lines_on_every_invocation(tmp_path):
+    """No run calls `metrics.packet_conservation`, so the listing names every
+    line of it; and it repeats exactly, whatever the hash seed."""
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("access_sweep = Cat4/Cat2,WiGig-only\nsites_per_operator = 1\nusers_per_operator = 2\n")
+    args = [sys.executable, str(ROOT / "scripts" / "run_coverage.py"), "--configs", str(cfg),
+            "--campaign", str(cfg), "--seeds", "1", "--duration", "0.002"]
+    outs = [subprocess.run(args, env={**src_env(), "PYTHONHASHSEED": seed},
+                           capture_output=True, text=True, timeout=60)
+            for seed in ("0", "1")]
+    for out in outs:
+        assert out.returncode == 0, out.stderr
+    assert outs[0].stdout == outs[1].stdout
+    listed = {}
+    for row in outs[0].stdout.splitlines():
+        where, qualname, _text = row.split("\t")
+        name, line = where.split(":")
+        listed.setdefault((name, qualname), set()).add(int(line))
+    code = packet_conservation.__code__
+    assert listed[("metrics.py", "packet_conservation")] == {
+        line for _start, _end, line in code.co_lines() if line is not None
+    }
+    # The report ran: only box_stats' check of an empty sample is listed.
+    assert len(listed[("metrics.py", "box_stats")]) == 1
+
+
 def test_output_digests_against_a_digest_file_lists_each_difference(tmp_path):
     cfg = tmp_path / "two.cfg"
     cfg.write_text("access_sweep = Cat4/Cat2,WiGig-only\nsites_per_operator = 1\nusers_per_operator = 4\n")

@@ -13,7 +13,7 @@ def build(seed=1, **overrides):
     cfg = replace(CampaignConfig(), **overrides)
     engine = Engine()
     streams = RngStreams(seed)
-    env = RadioEnvironment(engine, streams)
+    env = RadioEnvironment(engine, streams, CampaignConfig())
     return build_scenario(cfg, streams, env), cfg
 
 

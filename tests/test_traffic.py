@@ -12,7 +12,7 @@ def test_packet_count_over_run():
     engine = Engine()
     got = []
     flow = CbrFlow("f", "dev", 1500, got.append)
-    CbrArrivals(engine, [flow], SPACING_NS, SEC).start(0)
+    CbrArrivals(engine, [flow], SPACING_NS, SEC).start()
     engine.run_until(SEC)
     # Arrivals at 0, 240 us, ... strictly before t_end.
     assert len(flow.records) == 1_000_000_000 // 240_000 + 1 == 4167
@@ -23,7 +23,7 @@ def test_packet_count_over_run():
 def test_arrival_timestamps_on_grid():
     engine = Engine()
     flow = CbrFlow("f", "dev", 1500, lambda p: None)
-    CbrArrivals(engine, [flow], SPACING_NS, 10 * 240_000).start(0)
+    CbrArrivals(engine, [flow], SPACING_NS, 10 * 240_000).start()
     engine.run_until(SEC)
     assert [p.created_at for p in flow.records] == [i * 240_000 for i in range(10)]
 
@@ -32,7 +32,7 @@ def test_flows_sharing_a_spacing_take_one_event_per_arrival_instant():
     engine = Engine()
     order = []
     flows = [CbrFlow(f"f{i}", f"d{i}", 1500, order.append) for i in range(5)]
-    CbrArrivals(engine, flows, SPACING_NS, 10 * 240_000).start(0)
+    CbrArrivals(engine, flows, SPACING_NS, 10 * 240_000).start()
     assert engine.run_until(SEC) == 10
     for flow in flows:
         assert [p.created_at for p in flow.records] == [k * 240_000 for k in range(10)]

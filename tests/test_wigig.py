@@ -44,7 +44,7 @@ def _ap_rig(rig):
     ap = WigigAp(site, rig.env, FixedRng(0))
     user = rig.place("sta0", 3.0, 0.0, operator="A", role="sta")
     rig.force_link(site, user)
-    sta = WigigSta(user, ap, FixedRng(0))
+    sta = WigigSta(user, ap)
     sta.association = "associated"
     return ap, sta
 
@@ -122,6 +122,32 @@ def test_queued_packet_transmits_and_delivers(rig):
     assert pkt.delivered_at >= 8 * US + PREAMBLE_NS
 
 
+@pytest.mark.parametrize("acked", [True, False], ids=["ack", "timeout"])
+def test_a_second_frame_contends_only_once_the_first_settles(rig, monkeypatch, acked):
+    """A frame handed to the AP while the one in hand awaits its ACK starts
+    no contention until that one settles, on its ACK or at its timeout (then
+    the first frame's retry contends first)."""
+    rig.env.traces["frames"] = settled = []
+    ap, sta = _ap_rig(rig)
+    if not acked:
+        monkeypatch.setattr(sta, "receive_frame", lambda frame, cap: None)  # lost on the air
+    starts = []
+    start_backoff = ap._start_backoff
+    monkeypatch.setattr(ap, "_start_backoff", lambda: (
+        starts.append((rig.engine.now, ap._current.packet.seq)), start_backoff()))
+    sta.offer_packet(PacketRecord("f", 0, 1500, 0))
+    rig.engine.run_until(10 * US)  # 8 us deferral, no backoff slot: the frame is on the air
+    assert [em.source for em in rig.env.active.values()] == [ap.device]
+    second = PacketRecord("f", 1, 1500, 0)
+    sta.offer_packet(second)
+    assert starts == [(0, 0)] and ap.state == ap.IDLE and ap not in rig.env._listeners
+    rig.engine.run_until(2 * MS)
+    t_settled, outcome = settled[0][0], settled[0][6]
+    assert outcome == ("done" if acked else "retry")
+    assert starts[1] == (t_settled, 1 if acked else 0)
+    assert second.delivered == acked
+
+
 def test_ack_success_settles_before_timeout(rig):
     ap, sta = _ap_rig(rig)
     pkt = PacketRecord("f", 0, 1500, 0)
@@ -158,7 +184,7 @@ def test_failed_association_loses_the_held_packets(rig):
     ap = WigigAp(site, rig.env, FixedRng(0))
     user = rig.place("sta1", 3.0, 0.0, operator="A", role="sta")
     rig.force_link(site, user, shadowing_db=200.0)  # no probe decodes
-    sta = WigigSta(user, ap, FixedRng(0))
+    sta = WigigSta(user, ap)
     held = [PacketRecord("f", i, 1500, 0) for i in range(2)]
     for pkt in held:
         sta.offer_packet(pkt)
@@ -175,7 +201,7 @@ def test_association_handshake_completes(rig):
     ap = WigigAp(site, rig.env, FixedRng(0))
     user = rig.place("sta1", 3.0, 0.0, operator="A", role="sta")
     rig.force_link(site, user)
-    sta = WigigSta(user, ap, FixedRng(0))
+    sta = WigigSta(user, ap)
     sta.start()
     rig.engine.run_until(1 * MS)
     assert sta.association == "associated"
