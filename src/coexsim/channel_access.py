@@ -214,10 +214,9 @@ class Backoff:
         self._defer_ns = self.config.defer_ns
         self._cca_slot_ns = self.config.cca_slot_ns
 
-    def _next_cws(self, grow: bool) -> int:
+    def _next_cws(self, grow: bool) -> None:
         """Double the window plus one, up to `cws_max`, or reset it to `cws_min`."""
         self.cws = min(2 * self.cws + 1, self._cws_max) if grow else self._cws_min
-        return self.cws
 
     def _start_backoff(self) -> None:
         self.counter = self.rng.randint(0, self.cws)
@@ -310,21 +309,15 @@ class LbtCam(Cam, Backoff):
         return g is not None and g.granted_at < self.engine.now and g.covers(t_end)
 
     def feedback(self, nacks: list[bool], cot_id: int) -> None:
-        """The first batch of each COT's feedback drives the Cat4 window."""
+        """Each Cat4 COT's first batch: >=80% NACKs double the window, fewer reset it."""
         if self.category == CAT4 and cot_id not in self._fed_cots:
             self._fed_cots.add(cot_id)
-            self.update_cws(nacks)
+            self._next_cws(sum(nacks) / len(nacks) >= 0.8)
 
     def request(self, on_grant: Callable[[ChannelGrant], None]) -> None:
         assert self._on_grant is None, "one outstanding LBT request per CAM"
         self._on_grant = on_grant
         self._start_backoff()
-
-    def update_cws(self, nacks: list[bool]) -> int:
-        """Cat4 exponential rule: >=80% NACK doubles, otherwise reset."""
-        if self.category != CAT4 or not nacks:
-            return self.cws
-        return self._next_cws(sum(nacks) / len(nacks) >= 0.8)
 
     def _backoff_done(self) -> None:
         callback = self._on_grant

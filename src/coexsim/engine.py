@@ -33,7 +33,6 @@ class Engine:
         self.now: int = 0
         self._heap: list[list] = []
         self._seq = 0
-        self.executed = 0
 
     def schedule(self, callback: Callable[[], None], due: int) -> list:
         if due < self.now:
@@ -76,7 +75,6 @@ class Engine:
                 gc.enable()
         if t_end > self.now:
             self.now = t_end
-        self.executed += executed
         return executed
 
 

@@ -5,6 +5,7 @@ simultaneous emissions by devices of one operator count once.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -34,12 +35,6 @@ class OccupancyLedger:
         elif last_end < end:
             ivs[-1] = (last_start, end)
 
-    def intervals(self, key: str) -> list[tuple[int, int]]:
-        return list(self._intervals.get(key, []))
-
-    def total(self, key: str) -> int:
-        return sum(e - s for s, e in self._intervals.get(key, []))
-
     def occupied_within(self, key: str, w_start: int, w_end: int) -> int:
         """Occupied time clipped to [w_start, w_end)."""
         return sum(
@@ -59,8 +54,6 @@ class BoxStats:
 
 def _rank(sorted_samples: Sequence[float], q: float) -> float:
     """Nearest-rank percentile: the ceil(q*n)-th smallest sample."""
-    import math
-
     n = len(sorted_samples)
     idx = max(1, math.ceil(q * n))
     return sorted_samples[min(idx, n) - 1]

@@ -42,8 +42,10 @@ def symbol_capacity_bytes(se: float, bandwidth_hz: float, overhead: float) -> in
     return int(se * bandwidth_hz * overhead * SYMBOL_NS * 1e-9 / 8)
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class TransportBlock:
+    """One HARQ process: its packet segments, its MCS and symbols, and the
+    linear SINR its copies have Chase-combined since it was last decoded."""
     pid: int
     ue: "NruUe"
     total_bytes: int
@@ -52,18 +54,19 @@ class TransportBlock:
     n_symbols: int
     tx_count: int = 0
     cot_id: int = -1
+    acc_sinr_lin: float = 0.0
 
 
 class NruUe:
     """One UE: its downlink queue at the gNB (only the UE takes bytes from it
     and returns them), its link adaptation state, and the receiver side:
-    decode with Chase combining, queue HARQ feedback."""
+    decode each block on the SINR it has combined, keep each answer pending
+    until its feedback symbol, and mark a dropped block's packets lost."""
 
     def __init__(self, device: Device, cam: Cam, gnb: "NruGnb") -> None:
         self.device = device
         self.cam = cam
         self.gnb = gnb
-        self.acc_sinr_lin: dict[int, float] = {}
         self.fb_pending: dict[int, tuple[bool, float]] = {}
         env = gnb.env  # the SINR is interference-free until the first feedback
         self.last_sinr_db = env.aligned_rx_power_dbm(gnb.device, device) - env.noise_dbm
@@ -107,26 +110,23 @@ class NruUe:
     def receive_tb(self, tb: TransportBlock, cap) -> None:
         env = self.gnb.env
         sinr_db = env.effective_sinr_db(cap, self.table)
-        acc = self.acc_sinr_lin.get(tb.pid, 0.0) + db_to_lin(sinr_db)
-        self.acc_sinr_lin[tb.pid] = acc
-        combined_db = lin_to_db(acc)
-        ack = combined_db >= MCS_TABLE[tb.mcs][0]
+        tb.acc_sinr_lin += db_to_lin(sinr_db)
+        ack = lin_to_db(tb.acc_sinr_lin) >= MCS_TABLE[tb.mcs][0]
         if ack:
             now = self.gnb.engine.now
             for pkt, n_bytes in tb.segments:
                 pkt.credit(n_bytes, now)
-            self.acc_sinr_lin.pop(tb.pid, None)
+            tb.acc_sinr_lin = 0.0  # a copy sent again after lost feedback combines afresh
         self.fb_pending[tb.pid] = (ack, sinr_db)
 
-    def drop_process(self, pid: int) -> None:
-        self.acc_sinr_lin.pop(pid, None)
+    def drop_process(self, tb: TransportBlock) -> None:
+        for pkt, _n in tb.segments:
+            pkt.lost = True
 
     def send_feedback(self, pids: list[int]) -> None:
         """Attempt the one-symbol uplink feedback emission at the reserved
         symbol; a failed CAM attempt drops the feedback (gNB times out)."""
-        items = [(pid, *self.fb_pending.pop(pid)) for pid in pids if pid in self.fb_pending]
-        if not items:
-            return
+        items = [(pid, *self.fb_pending.pop(pid)) for pid in pids]
         gnb = self.gnb
         t_end = gnb.engine.now + SYMBOL_NS
         # Inside the gNB's COT the UE's grant inherits the gNB deadline.
@@ -315,8 +315,6 @@ class NruGnb:
             if tb.tx_count < self.config.harq_max_tx:
                 self.retx.append(tb)
             else:
-                for pkt, _n in tb.segments:
-                    pkt.lost = True
-                tb.ue.drop_process(pid)
+                tb.ue.drop_process(tb)
         if nacks:  # the batch's first block names its COT
             self.cam.feedback(nacks, cot)

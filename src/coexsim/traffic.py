@@ -7,10 +7,10 @@ from typing import Callable, Optional
 from .engine import SEC, Engine
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class PacketRecord:
-    flow_id: str
-    seq: int
+    """One packet: its size, its creation time and its fate. Packets compare
+    by identity, so equal ones created at one instant stay distinct."""
     size_bytes: int
     created_at: int
     delivered_at: Optional[int] = None
@@ -53,7 +53,7 @@ class CbrFlow:
         self.records: list[PacketRecord] = []
 
     def arrive(self, now: int) -> None:
-        pkt = PacketRecord(self.flow_id, len(self.records), self.packet_bytes, now)
+        pkt = PacketRecord(self.packet_bytes, now)
         self.records.append(pkt)
         self.sink(pkt)
 

@@ -121,7 +121,7 @@ def test_criterion_3_duty_cycle_cap():
     r = run_once(cfg, 1)
     W = 180 * MS
     T = cfg.duration_ns
-    edges = [t for iv in r.env.ledger.intervals("B") for t in iv]
+    edges = [t for iv in r.env.ledger._intervals["B"] for t in iv]
     starts = sorted(
         {0, T - W}
         | {min(max(t, 0), T - W) for t in edges}
@@ -199,11 +199,13 @@ def test_criterion_7_cat4_cws_trajectory():
     dev = Device("gnb", "B", "gnb", Position(0, 0, 3), AntennaArray(8, 8))
     cam = make_cam("Cat4", dev, env, streams.stream("cam", dev.id))
     trajectory = [cam.cws]
-    for _ in range(7):
-        trajectory.append(cam.update_cws([True] * 8))  # 100% NACK batches
+    for cot_id in range(7):
+        cam.feedback([True] * 8, cot_id)  # 100% NACK batches
+        trajectory.append(cam.cws)
     assert tuple(trajectory[:7]) == CAT4_CWS_LADDER
     assert trajectory == [15, 31, 63, 127, 255, 511, 1023, 1023]
-    assert cam.update_cws([False, False, True]) == 15  # ACK-majority resets
+    cam.feedback([False, False, True], 7)
+    assert cam.cws == 15  # ACK-majority resets
     print(f"criterion 7 PASS: cws trajectory {trajectory} with reset to 15")
 
 
@@ -221,7 +223,7 @@ def test_criterion_8_ledger_matches_grid_oracle():
         led.record("A", s, s + ln)
         grid[s : s + ln] = True
     oracle = int(np.count_nonzero(grid))
-    rel = abs(led.total("A") - oracle) / oracle
+    rel = abs(sum(e - s for s, e in led._intervals["A"]) - oracle) / oracle
     assert rel <= 1e-3
     print(f"criterion 8 PASS: union of {n} intervals, relative error {rel:.1e}")
 

@@ -32,7 +32,7 @@ def _dcf(rig, dev, counter, log):
     rig.force_link(dev, user)
     sta = WigigSta(user, ap)
     sta.association = "associated"
-    sta.offer_packet(PacketRecord("f", 0, 1500, 0))
+    sta.offer_packet(PacketRecord(1500, 0))
     return lambda: [em.start for em in log if em.source is dev]
 
 

@@ -277,25 +277,29 @@ def test_cat4_cws_ladder_and_reset(rig):
     dev = rig.place("dev", 0.0)
     cam = _cam(rig, CAT4, dev)
     seen = [cam.cws]
-    for _ in range(7):
-        seen.append(cam.update_cws([True] * 10))
+    for cot_id in range(7):
+        cam.feedback([True] * 10, cot_id)
+        seen.append(cam.cws)
     assert tuple(seen[:-1]) == CAT4_CWS_LADDER
     assert seen[-1] == 1023  # saturates at the cap
-    assert cam.update_cws([True, False, False]) == 15  # ACK-majority resets
+    cam.feedback([True, False, False], 7)
+    assert cam.cws == 15  # ACK-majority resets
 
 
 def test_cat4_threshold_is_eighty_percent(rig):
     dev = rig.place("dev", 0.0)
     cam = _cam(rig, CAT4, dev)
-    assert cam.update_cws([True, True, True, True, False]) == 31  # exactly 80%
+    cam.feedback([True, True, True, True, False], 0)
+    assert cam.cws == 31  # exactly 80%
     cam.cws = 31
-    assert cam.update_cws([True, True, True, False, False]) == 15  # 60%
+    cam.feedback([True, True, True, False, False], 1)
+    assert cam.cws == 15  # 60%
 
 
 def test_cat3_never_changes_cws(rig):
     dev = rig.place("dev", 0.0)
     cam = _cam(rig, CAT3, dev)
-    assert cam.update_cws([True] * 10) == 15
+    cam.feedback([True] * 10, 0)
     assert cam.cws == 15
 
 

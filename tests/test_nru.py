@@ -1,8 +1,10 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from coexsim import parse_config, run_once
 from coexsim.channel_access import CAT3, CAT4, ONOFF, ChannelGrant, make_cam
 from coexsim.config import CampaignConfig
 from coexsim.engine import SEC
@@ -17,7 +19,7 @@ from coexsim.nru import (
     TransportBlock,
     symbol_capacity_bytes,
 )
-from coexsim.radio import Emission, select_mcs
+from coexsim.radio import Emission, db_to_lin, lin_to_db, select_mcs
 from coexsim.traffic import PacketRecord
 from tests.conftest import FixedRng, Rig
 
@@ -85,8 +87,8 @@ def _gnb_rig(rig, n_ues=2, distance=3.0):
     return gnb, ues, mac_trace
 
 
-def _pkt(i=0, size=1500):
-    return PacketRecord("flow", i, size, 0)
+def _pkt(size=1500):
+    return PacketRecord(size, 0)
 
 
 def test_single_packet_takes_one_whole_symbol(rig):
@@ -113,9 +115,9 @@ def test_an_idle_cell_schedules_no_commit(rig, monkeypatch):
 
 def test_round_robin_rotates_first_service(rig):
     gnb, ues, trace = _gnb_rig(rig, n_ues=2)
-    for i in range(40):
-        ues[0].offer_packet(_pkt(i))
-        ues[1].offer_packet(_pkt(i))
+    for _ in range(40):
+        ues[0].offer_packet(_pkt())
+        ues[1].offer_packet(_pkt())
     gnb.start()
     rig.engine.run_until(8 * SLOT_NS)
     by_slot = {}
@@ -157,7 +159,7 @@ def test_the_last_feedback_symbol_is_decoded_before_the_slot_end_timeout():
     rig = _slots_rig(80)
     gnb, [ue], trace = _gnb_rig(rig, n_ues=1)
     for i in range(40):  # 50 Mbps of 1500 B packets
-        rig.engine.schedule(lambda i=i: ue.offer_packet(_pkt(i)), i * 240_000)
+        rig.engine.schedule(lambda: ue.offer_packet(_pkt()), i * 240_000)
     gnb.start()
     rig.engine.run_until(80 * SLOT_NS)
     tx_rows = [r for r in trace if r[5] == "tx"]
@@ -271,11 +273,39 @@ def test_chase_combining_adds_linear_snr(rig):
         ue.receive_tb(tb, cap)
 
     one_tx()
-    first = 10 * math.log10(ue.acc_sinr_lin[0])
+    first = 10 * math.log10(tb.acc_sinr_lin)
     rig.engine.run_until(2 * SYMBOL_NS)
     one_tx()
-    second = 10 * math.log10(ue.acc_sinr_lin[0])
+    second = 10 * math.log10(tb.acc_sinr_lin)
     assert second - first == pytest.approx(10 * math.log10(2), abs=1e-9)
+
+
+def test_a_block_sent_again_after_lost_feedback_combines_afresh(rig):
+    """The UE decoded the first copy, but its feedback was lost, so the gNB
+    sends the block again. The second copy is decided on its own SINR: the
+    sum with the decoded copy would clear the threshold, the copy alone
+    does not."""
+    gnb, [ue], _ = _gnb_rig(rig, n_ues=1)
+    pkt = _pkt(100)
+    tb = TransportBlock(0, ue, 100, [(pkt, 100)], mcs=11, n_symbols=1, tx_count=1)
+    gnb.processes[0] = tb
+
+    def copy(power_dbm):
+        now = rig.engine.now
+        em = Emission(gnb.device, power_dbm, ue.device, now, now + SYMBOL_NS, "nru")
+        ue.receive_tb(tb, rig.env.add_emission(em, lambda cap: None))
+        rig.engine.run_until(now + 2 * SYMBOL_NS)
+        return ue.fb_pending.pop(0)
+
+    ack, sinr_db = copy(40.0)
+    assert ack and sinr_db >= MCS_TABLE[11][0] and pkt.delivered
+    gnb._feedback_timeout([0])  # no feedback reached the gNB
+    assert list(gnb.retx) == [tb]
+    tb.tx_count += 1
+    ack, weak_db = copy(40.0 - (sinr_db - MCS_TABLE[11][0]) - 3.0)
+    assert weak_db < MCS_TABLE[11][0] < lin_to_db(db_to_lin(sinr_db) + db_to_lin(weak_db))
+    assert not ack
+    assert tb.acc_sinr_lin == db_to_lin(weak_db)
 
 
 def test_harq_drops_after_max_transmissions(rig):
@@ -323,13 +353,52 @@ def test_feedback_reserves_tail_symbols_with_gap(rig):
 
 def test_segment_return_preserves_fifo_order(rig):
     gnb, [ue], _ = _gnb_rig(rig, n_ues=1)
-    p0, p1 = _pkt(0), _pkt(1)
+    p0, p1 = _pkt(), _pkt()
     ue.offer_packet(p0)
     ue.offer_packet(p1)
     segs = ue.take_bytes(2000)  # all of p0 plus 500 B of p1
-    assert [(p.seq, n) for p, n in segs] == [(0, 1500), (1, 500)]
+    assert segs == [(p0, 1500), (p1, 500)]
     assert ue.buffered_bytes == 1000
     tb = TransportBlock(9, ue, 2000, segs, 0, 1)
     ue.return_segments(tb)
     assert ue.buffered_bytes == 3000
-    assert [p.seq for p, _n in ue.buffer] == [0, 1]
+    assert [p for p, _n in ue.buffer] == [p0, p1]
+
+
+def test_equal_packets_of_one_instant_stay_distinct_in_a_ue_buffer(rig):
+    """Packets compare by identity: two of one size created at one instant
+    are unequal, and each is found as itself in the UE's queue."""
+    gnb, [ue], _ = _gnb_rig(rig, n_ues=1)
+    p0, p1 = _pkt(), _pkt()
+    assert p0 != p1
+    ue.offer_packet(p0)
+    ue.offer_packet(p1)
+    queued = [p for p, _n in ue.buffer]
+    assert queued.index(p0) == 0 and queued.index(p1) == 1
+    assert p1 not in [p0]
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize("cfg_name, label", [
+    ("full_campaign.cfg", "Cat4/Cat2"),
+    ("full_campaign.cfg", "Cat3/Cat2"),
+    ("non_default.cfg", "Cat4/Cat2"),
+])
+def test_every_feedback_pid_is_pending_at_its_symbol(monkeypatch, cfg_name, label):
+    """A reserved block ends at least FB_DELAY_SLOTS slots before its
+    feedback symbol, so the UE has decided it by then: `send_feedback` pops
+    every pid it is given."""
+    send_feedback = NruUe.send_feedback
+    sent = []
+
+    def checked(ue, pids):
+        assert all(pid in ue.fb_pending for pid in pids)
+        sent.extend(pids)
+        send_feedback(ue, pids)
+
+    monkeypatch.setattr(NruUe, "send_feedback", checked)
+    cfg = replace(parse_config(str(SCRIPTS / cfg_name)), duration_s=0.05)
+    run_once(cfg.for_label(label), 1)
+    assert len(sent) > 100

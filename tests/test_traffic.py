@@ -16,8 +16,7 @@ def test_packet_count_over_run():
     engine.run_until(SEC)
     # Arrivals at 0, 240 us, ... strictly before t_end.
     assert len(flow.records) == 1_000_000_000 // 240_000 + 1 == 4167
-    assert got == flow.records
-    assert [p.seq for p in flow.records[:3]] == [0, 1, 2]
+    assert got == flow.records  # the same packet objects, in order
 
 
 def test_arrival_timestamps_on_grid():
@@ -37,13 +36,11 @@ def test_flows_sharing_a_spacing_take_one_event_per_arrival_instant():
     for flow in flows:
         assert [p.created_at for p in flow.records] == [k * 240_000 for k in range(10)]
     # Every instant delivers one packet per flow, in flow order.
-    assert [(p.created_at, p.flow_id) for p in order] == [
-        (k * 240_000, f.flow_id) for k in range(10) for f in flows
-    ]
+    assert order == [f.records[k] for k in range(10) for f in flows]
 
 
 def test_partial_credit_completes_once():
-    pkt = PacketRecord("f", 0, 1500, 100)
+    pkt = PacketRecord(1500, 100)
     pkt.credit(700, 200)
     assert not pkt.delivered
     pkt.credit(800, 300)

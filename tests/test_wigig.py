@@ -52,7 +52,7 @@ def _ap_rig(rig):
 def test_cws_doubles_per_failure_and_caps(rig):
     ap, sta = _ap_rig(rig)
     ap.config = CampaignConfig(wigig_retry_limit=20)
-    frame = WigigFrame(sta, PacketRecord("f", 0, 1500, 0))
+    frame = WigigFrame(sta, PacketRecord(1500, 0))
     seen = []
     for _ in range(8):
         ap._current = frame
@@ -66,7 +66,7 @@ def test_cws_doubles_per_failure_and_caps(rig):
 def test_success_resets_cws(rig):
     ap, sta = _ap_rig(rig)
     ap.cws = 255
-    frame = WigigFrame(sta, PacketRecord("f", 0, 1500, 0))
+    frame = WigigFrame(sta, PacketRecord(1500, 0))
     ap._current = frame
     ap._ack_ok = True
     ap._settle(frame)
@@ -75,7 +75,7 @@ def test_success_resets_cws(rig):
 
 def test_drop_after_retry_limit(rig):
     ap, sta = _ap_rig(rig)
-    pkt = PacketRecord("f", 0, 1500, 0)
+    pkt = PacketRecord(1500, 0)
     frame = WigigFrame(sta, pkt, failures=6)
     ap._current = frame
     ap._ack_ok = False
@@ -113,7 +113,7 @@ def test_medium_busy_dual_thresholds(rig):
 
 def test_queued_packet_transmits_and_delivers(rig):
     ap, sta = _ap_rig(rig)
-    pkt = PacketRecord("f", 0, 1500, 0)
+    pkt = PacketRecord(1500, 0)
     sta.offer_packet(pkt)
     rig.engine.run_until(2 * MS)
     assert pkt.delivered
@@ -134,23 +134,24 @@ def test_a_second_frame_contends_only_once_the_first_settles(rig, monkeypatch, a
     starts = []
     start_backoff = ap._start_backoff
     monkeypatch.setattr(ap, "_start_backoff", lambda: (
-        starts.append((rig.engine.now, ap._current.packet.seq)), start_backoff()))
-    sta.offer_packet(PacketRecord("f", 0, 1500, 0))
+        starts.append((rig.engine.now, ap._current.packet)), start_backoff()))
+    first = PacketRecord(1500, 0)
+    sta.offer_packet(first)
     rig.engine.run_until(10 * US)  # 8 us deferral, no backoff slot: the frame is on the air
     assert [em.source for em in rig.env.active.values()] == [ap.device]
-    second = PacketRecord("f", 1, 1500, 0)
+    second = PacketRecord(1500, 0)
     sta.offer_packet(second)
-    assert starts == [(0, 0)] and ap.state == ap.IDLE and ap not in rig.env._listeners
+    assert starts == [(0, first)] and ap.state == ap.IDLE and ap not in rig.env._listeners
     rig.engine.run_until(2 * MS)
     t_settled, outcome = settled[0][0], settled[0][6]
     assert outcome == ("done" if acked else "retry")
-    assert starts[1] == (t_settled, 1 if acked else 0)
+    assert starts[1] == (t_settled, second if acked else first)
     assert second.delivered == acked
 
 
 def test_ack_success_settles_before_timeout(rig):
     ap, sta = _ap_rig(rig)
-    pkt = PacketRecord("f", 0, 1500, 0)
+    pkt = PacketRecord(1500, 0)
     sta.offer_packet(pkt)
     rig.engine.run_until(2 * MS)
     # First frame goes at the floor MCS (no SINR estimate yet): 8 us deferral
@@ -163,7 +164,7 @@ def test_ack_success_settles_before_timeout(rig):
 def test_holding_queue_until_association(rig):
     ap, sta = _ap_rig(rig)
     sta.association = "pending"
-    pkt = PacketRecord("f", 0, 1500, 0)
+    pkt = PacketRecord(1500, 0)
     sta.offer_packet(pkt)
     assert sta.holding == [pkt] and not ap.queue
     sta._end_association("associated")
@@ -174,7 +175,7 @@ def test_holding_queue_until_association(rig):
 def test_failed_association_drops_traffic(rig):
     ap, sta = _ap_rig(rig)
     sta.association = "failed"
-    pkt = PacketRecord("f", 0, 1500, 0)
+    pkt = PacketRecord(1500, 0)
     sta.offer_packet(pkt)
     assert pkt.lost and not ap.queue
 
@@ -185,7 +186,7 @@ def test_failed_association_loses_the_held_packets(rig):
     user = rig.place("sta1", 3.0, 0.0, operator="A", role="sta")
     rig.force_link(site, user, shadowing_db=200.0)  # no probe decodes
     sta = WigigSta(user, ap)
-    held = [PacketRecord("f", i, 1500, 0) for i in range(2)]
+    held = [PacketRecord(1500, 0) for _ in range(2)]
     for pkt in held:
         sta.offer_packet(pkt)
     assert sta.holding == held
