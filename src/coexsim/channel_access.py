@@ -94,7 +94,6 @@ class Cam:
         `Backoff` states. Only a sum in between is swept."""
         threshold = self.ed_threshold_lin
         ems = self.env.window_emissions(self.table, w_start, w_end)
-        ems.sort()  # eid order
         total = 0.0
         for _eid, _start, _end, lin in ems:
             if lin >= threshold:

@@ -179,6 +179,11 @@ def validate(cfg: CampaignConfig) -> CampaignConfig:
             raise ConfigError(f"unknown label in key 'access_sweep': '{label}'")
         if labels.count(label) > 1:  # its runs would share one run directory
             raise ConfigError(f"label listed twice in key 'access_sweep': '{label}'")
+    from .nru import MCS_TABLE, symbol_capacity_bytes  # here: nru imports config
+    if any(label != "WiGig-only" for label in labels) and not symbol_capacity_bytes(
+            MCS_TABLE[0][1], cfg.bandwidth_hz, cfg.nru_overhead):
+        raise ConfigError("values for keys 'bandwidth_ghz' and 'nru_overhead' leave "
+                          "an NR-U symbol at MCS 0 no whole byte")
     return cfg
 
 

@@ -43,9 +43,6 @@ class Engine:
         heappush(self._heap, entry)
         return entry
 
-    def schedule_in(self, callback: Callable[[], None], delay: int) -> list:
-        return self.schedule(callback, self.now + delay)
-
     def cancel(self, handle: list) -> bool:
         """Drop a pending event; False if it already fired or was cancelled."""
         pending = handle[2] is not None
@@ -84,19 +81,12 @@ class RngStreams:
     A stream is keyed by (component label, device id) and seeded from the
     campaign seed plus the key string, so adding a device never perturbs the
     draws seen by any other device. String seeding of ``random.Random`` goes
-    through SHA-512 and is stable across platforms and processes.
+    through SHA-512 and is stable across platforms and processes. Each call
+    starts the key's stream afresh, so a run asks for each key once.
     """
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
-        self._streams: dict[tuple[str, str], random.Random] = {}
-
-    def fresh(self, component: str, device: object = "") -> random.Random:
-        """A new, uncached stream of the key: for draws taken once."""
-        return random.Random(f"{self.seed}/{component}/{device}")
 
     def stream(self, component: str, device: object = "") -> random.Random:
-        key = (component, str(device))  # kept for the run
-        if key not in self._streams:
-            self._streams[key] = self.fresh(*key)
-        return self._streams[key]
+        return random.Random(f"{self.seed}/{component}/{device}")

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .channel_access import Cam
 from .config import ConfigError
-from .radio import Device, LinkTable, RadioEnvironment, db_to_lin, lin_to_db, select_mcs
+from .radio import Device, RadioEnvironment, db_to_lin, lin_to_db, select_mcs
 from .traffic import PacketRecord
 
 # 120 kHz subcarrier spacing: 8.92 us symbols, 14 per slot. The slot is taken
@@ -58,10 +58,11 @@ class TransportBlock:
 
 
 class NruUe:
-    """One UE: its downlink queue at the gNB (only the UE takes bytes from it
-    and returns them), its link adaptation state, and the receiver side:
-    decode each block on the SINR it has combined, keep each answer pending
-    until its feedback symbol, and mark a dropped block's packets lost."""
+    """One UE, in `gnb.ues` from when it is built: its downlink queue at the
+    gNB (only it takes bytes from it and returns them), its link adaptation
+    state, and the receiver side: decode each block on its combined SINR, keep
+    each answer pending until its feedback symbol, and mark a dropped block's
+    packets lost."""
 
     def __init__(self, device: Device, cam: Cam, gnb: "NruGnb") -> None:
         self.device = device
@@ -71,10 +72,12 @@ class NruUe:
         env = gnb.env  # the SINR is interference-free until the first feedback
         self.last_sinr_db = env.aligned_rx_power_dbm(gnb.device, device) - env.noise_dbm
         self.table = env.link_table(device, gnb.device)  # decodes along its beam to the gNB
+        self.fb_table = env.link_table(gnb.device, device)  # the gNB's, beamed at this UE
         self.buffer: deque[list] = deque()  # [pkt, bytes not yet taken]
         self.buffered_bytes = 0
         # (SINR, its MCS index, bytes per symbol); recomputed when the SINR changes
         self.adapted: Optional[tuple[float, int, int]] = None
+        gnb.ues.append(self)
 
     def offer_packet(self, pkt: PacketRecord) -> None:
         self.buffer.append([pkt, pkt.size_bytes])
@@ -154,15 +157,7 @@ class NruGnb:
         self.fb_reservations: dict[int, dict[NruUe, list[int]]] = {}
         self._resolved: set[int] = set()
         self.fb_on_air: dict = {}  # feedback captures not yet decoded, in start order
-        self.fb_tables: dict[NruUe, LinkTable] = {}  # feedback decoding, beamed at each UE
         self._next_pid = 0
-        self._rr = 0
-
-    # -- wiring -------------------------------------------------------------
-
-    def add_ue(self, ue: NruUe) -> None:
-        self.ues.append(ue)
-        self.fb_tables[ue] = self.env.link_table(self.device, ue.device)
 
     def start(self) -> None:
         if len(self.ues) > SYMBOLS_PER_SLOT:
@@ -171,15 +166,18 @@ class NruGnb:
                 f"value for key 'users_per_operator' puts {len(self.ues)} UEs on "
                 f"gNB {self.device.id}; at most {SYMBOLS_PER_SLOT} fit one slot's feedback"
             )
-        lead = self.config.mac_lead_slots
-        self.engine.schedule(lambda: self._plan(lead), 0)
+        self.engine.schedule(self._plan, 0)
 
     # -- scheduling -----------------------------------------------------------
 
-    def _plan(self, slot: int) -> None:
+    def _plan(self) -> None:
+        """Plan the slot `mac_lead_slots` ahead. Plans run at each slot start
+        from 0, so `rr` plans precede this one; round robin turns with it."""
+        rr = self.engine.now // SLOT_NS
+        slot = rr + self.config.mac_lead_slots
         t_slot = slot * SLOT_NS
         if t_slot < self.config.duration_ns:
-            self.engine.schedule(lambda: self._plan(slot + 1), self.engine.now + SLOT_NS)
+            self.engine.schedule(self._plan, self.engine.now + SLOT_NS)
         fb_entries = self.fb_reservations.pop(slot, {})
         n_fb = len(fb_entries)
         budget = SYMBOLS_PER_SLOT - n_fb - (FB_GAP_SYMBOLS if n_fb else 0)
@@ -195,7 +193,7 @@ class NruGnb:
         for k in range(n):
             if used >= budget:
                 break
-            ue = self.ues[(self._rr + k) % n]
+            ue = self.ues[(rr + k) % n]
             buf = ue.buffered_bytes
             if buf <= 0:
                 continue
@@ -214,7 +212,6 @@ class NruGnb:
             self._next_pid += 1
             alloc.append(tb)
             used += n_sym
-        self._rr = (self._rr + 1) % max(n, 1)
 
         if alloc:
             self.cam.prepare()
@@ -281,7 +278,7 @@ class NruGnb:
         if cap not in self.fb_on_air:
             return  # decoded already, by the slot-end event of the same nanosecond
         del self.fb_on_air[cap]
-        sinr = self.env.effective_sinr_db(cap, self.fb_tables[ue])
+        sinr = self.env.effective_sinr_db(cap, ue.fb_table)
         if sinr >= FB_DECODE_THRESHOLD_DB:  # else the slot-end timeout NACKs them
             self._resolve(items)
 

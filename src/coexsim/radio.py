@@ -285,7 +285,7 @@ class RadioEnvironment:
         key = frozenset((a.id, b.id))
         st = self._links.get(key)
         if st is None:
-            rng = self.streams.fresh("link", "|".join(sorted((a.id, b.id))))
+            rng = self.streams.stream("link", "|".join(sorted((a.id, b.id))))
             los = rng.random() < los_probability(a.position.distance_2d(b.position))
             sigma = SHADOW_SIGMA_LOS_DB if los else SHADOW_SIGMA_NLOS_DB
             st = LinkState(los, rng.gauss(0.0, sigma), a.position.distance_3d(b.position))
@@ -475,9 +475,8 @@ class RadioEnvironment:
     def window_emissions(self, table: LinkTable, w_start: int, w_end: int) -> list[tuple]:
         """(eid, start, end, linear power at `table`) of every emission on
         the air somewhere in the half-open window [w_start, w_end) and not
-        sourced by the table's receiver: the active ones in eid order, then
-        the ended ones latest end first. A window starting more than
-        `_retain_ns` before now would miss pruned emissions: ValueError."""
+        sourced by the table's receiver, in eid order. A window starting more
+        than `_retain_ns` before now would miss pruned emissions: ValueError."""
         now = self.engine.now
         if w_start < now - self._retain_ns:
             raise ValueError(f"window [{w_start}, {w_end}) starts before {now} - {self._retain_ns}")
@@ -491,6 +490,7 @@ class RadioEnvironment:
                 break
             if em.start < w_end and em.source is not device:
                 ems.append((em.eid, em.start, em.end, table[em.link_key][1]))
+        ems.sort()  # an ended emission may have started after an active one
         return ems
 
     def max_sensed_power_dbm(
@@ -504,7 +504,6 @@ class RadioEnvironment:
         summed in eid order at each point where an emission starts
         (`peak_power_lin`); see `window_emissions` for the window's bound."""
         ems = self.window_emissions(self.link_table(device, rx_beam_toward), w_start, w_end)
-        ems.sort()  # eid order, as the emissions started
         best = peak_power_lin(ems, w_start)
         return lin_to_db(best) if best > 0 else -math.inf
 

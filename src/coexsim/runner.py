@@ -89,7 +89,6 @@ def run_once(
                     # A UE senses along its transmit beam: toward its site.
                     ue_cam = make_cam(ue_cat, user, env, streams.stream("cam", user.id), site)
                     ue = NruUe(user, ue_cam, gnb)
-                    gnb.add_ue(ue)
                     add_flow(user, ue.offer_packet)
                 gnb.start()
         else:
@@ -172,10 +171,6 @@ PARTIAL_SUFFIX = ".partial"
 RUN_FILES = ("run.json", "metrics.csv", "scenario.csv")  # a complete run's result
 
 
-def _sanitize(label: str) -> str:
-    return label.replace("/", "-")
-
-
 def _campaign_worker(args) -> tuple[str, int, Optional[str], float]:
     cfg, seed, run_dir = args
     # Write into a fresh sibling, then swap it in whole: a re-run keeps no
@@ -207,7 +202,7 @@ def run_campaign(
     for label in cfg.sweep_labels():
         label_cfg = cfg.for_label(label)
         for seed in seeds:
-            run_dir = os.path.join(out_dir, "runs", f"{_sanitize(label)}_seed{seed}")
+            run_dir = os.path.join(out_dir, "runs", f"{label.replace('/', '-')}_seed{seed}")
             tasks.append((label_cfg, seed, run_dir))
     if parallelism > 1:
         from multiprocessing import get_context  # here: `import coexsim` needs no pool

@@ -21,13 +21,9 @@ MAX_DROP_DRAWS = 10_000  # per user; a floor this hard to hit is a config error
 
 
 def site_positions(cfg: CampaignConfig, operator: str) -> list[Position]:
-    y = ROW_Y[operator]
-    if cfg.sites_per_operator == 1:
-        xs = [cfg.floor_x / 2]
-    else:
-        step = cfg.floor_x / cfg.sites_per_operator
-        xs = [step / 2 + i * step for i in range(cfg.sites_per_operator)]
-    return [Position(x, y, SITE_HEIGHT) for x in xs]
+    step = cfg.floor_x / cfg.sites_per_operator
+    return [Position(step / 2 + i * step, ROW_Y[operator], SITE_HEIGHT)
+            for i in range(cfg.sites_per_operator)]
 
 
 @dataclass

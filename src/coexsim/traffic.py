@@ -36,8 +36,8 @@ def interarrival_ns(packet_bytes: int, rate_bps: float) -> int:
 
 
 class CbrFlow:
-    """Constant-bit-rate source: `CbrArrivals` hands it a packet every spacing
-    of the run, and it records the packet and passes it to its sink."""
+    """Constant-bit-rate source: its `sink` and the `records` of the packets
+    that `CbrArrivals` makes for it, one every spacing of the run."""
 
     def __init__(
         self,
@@ -52,16 +52,11 @@ class CbrFlow:
         self.sink = sink
         self.records: list[PacketRecord] = []
 
-    def arrive(self, now: int) -> None:
-        pkt = PacketRecord(self.packet_bytes, now)
-        self.records.append(pkt)
-        self.sink(pkt)
-
 
 class CbrArrivals:
-    """Drives flows that share one spacing: one event per arrival instant
-    hands each flow its packet, in flow order, as one event per flow would
-    unless a sink schedules an event exactly one spacing ahead."""
+    """Drives flows that share one spacing: one event per arrival instant makes,
+    records and sinks each flow's packet, in flow order, as one event per flow
+    would unless a sink schedules an event exactly one spacing ahead."""
 
     def __init__(self, engine: Engine, flows: list[CbrFlow], spacing_ns: int, t_end: int) -> None:
         self.engine = engine
@@ -75,7 +70,9 @@ class CbrArrivals:
     def _arrive(self) -> None:
         now = self.engine.now
         for flow in self.flows:
-            flow.arrive(now)
+            pkt = PacketRecord(flow.packet_bytes, now)
+            flow.records.append(pkt)
+            flow.sink(pkt)
         nxt = now + self.spacing_ns
         if nxt < self.t_end:
             self.engine.schedule(self._arrive, nxt)

@@ -199,7 +199,7 @@ class WigigSta:
                 self._busy_waits = 0
                 self._attempt_failed()
             else:
-                self.engine.schedule_in(self._associate_attempt, 100 * US)
+                self.engine.schedule(self._associate_attempt, self.engine.now + 100 * US)
             return
         self._busy_waits = 0
         self._probe(self.device, self.ap.device, self._probe_at_ap)
@@ -214,7 +214,7 @@ class WigigSta:
         if sinr < ACK_THRESHOLD_DB:
             self._attempt_failed()
             return
-        self.engine.schedule_in(self._probe_response, self.sifs_ns)
+        self.engine.schedule(self._probe_response, self.engine.now + self.sifs_ns)
 
     def _probe_response(self) -> None:
         self._probe(self.ap.device, self.device, self._response_at_sta)
@@ -231,7 +231,7 @@ class WigigSta:
         if self._assoc_tries >= self.config.assoc_attempts:
             self._end_association("failed")
         else:
-            self.engine.schedule_in(self._associate_attempt, ASSOC_SPACING_NS)
+            self.engine.schedule(self._associate_attempt, self.engine.now + ASSOC_SPACING_NS)
 
     def _end_association(self, outcome: str) -> None:
         """Settle the handshake, then offer the held packets again."""

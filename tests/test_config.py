@@ -1,9 +1,10 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from coexsim import nru
+from coexsim import nru, run_once
 from coexsim.config import ACCESS_MODES, CampaignConfig, ConfigError, parse_config, validate
 
 BOUNDED = [f for f in fields(CampaignConfig) if f.name != "access_sweep"]
@@ -208,3 +209,62 @@ def test_mac_lead_beyond_the_feedback_delay_rejected():
     with pytest.raises(ConfigError, match="mac_lead_slots"):
         validate(CampaignConfig(mac_lead_slots=5))
     validate(CampaignConfig(mac_lead_slots=4))
+
+
+# Per overhead, a bandwidth at which an MCS-0 symbol carries no whole byte,
+# and the next one up (0.1 MHz more), at which it carries one.
+@pytest.mark.parametrize("overhead, refused_ghz, accepted_ghz", [
+    (0.1, 0.0448, 0.0449), (0.75, 0.0059, 0.0060), (1.0, 0.0044, 0.0045),
+])
+def test_an_nru_symbol_without_a_whole_byte_at_mcs_0_is_refused(overhead, refused_ghz, accepted_ghz):
+    """The gNB fits data in a slot only if a symbol carries a whole byte at
+    the lowest MCS; whether a UE falls to it must not decide if a run works."""
+    se = nru.MCS_TABLE[0][1]
+    assert nru.symbol_capacity_bytes(se, refused_ghz * 1e9, overhead) == 0
+    assert nru.symbol_capacity_bytes(se, accepted_ghz * 1e9, overhead) == 1
+    cfg = CampaignConfig(nru_overhead=overhead, bandwidth_ghz=refused_ghz)
+    for refused in (cfg, cfg.for_label("On/On"), replace(cfg, access_sweep="WiGig-only,On/On")):
+        with pytest.raises(ConfigError, match="'bandwidth_ghz' and 'nru_overhead'"):
+            validate(refused)
+    validate(cfg.for_label("WiGig-only"))  # no NR-U symbol is sent
+    validate(replace(cfg, bandwidth_ghz=accepted_ghz))
+
+
+def _bounded(f):
+    """Every value of field `f`'s bound, its endpoints included."""
+    bound = f.metadata["bound"]
+    if isinstance(f.default, str):
+        return st.sampled_from(bound)
+    if isinstance(f.default, int):
+        return st.integers(*bound)
+    return st.floats(*bound)
+
+
+# Held so that a run stays short: at most 12 users per operator, 1 ms
+# simulated, and at most about 100,000 packets/s per flow (load_mbps is
+# drawn under a cap set by packet_bytes).
+HELD = {"users_per_operator", "duration_s", "load_mbps"}
+
+
+@st.composite
+def bounded_configs(draw):
+    values = {f.name: draw(_bounded(f)) for f in fields(CampaignConfig)
+              if "bound" in f.metadata and f.name not in HELD}
+    values["users_per_operator"] = draw(st.integers(1, 12))
+    values["load_mbps"] = draw(st.floats(0.001, min(100000.0, 0.8 * values["packet_bytes"])))
+    label = draw(st.sampled_from([*ACCESS_MODES, "WiGig-only"]))
+    return CampaignConfig(duration_s=0.001, **values).for_label(label)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(cfg=bounded_configs(), seed=st.integers(1, 3))
+@example(cfg=CampaignConfig(bandwidth_ghz=0.001, nru_overhead=0.1, duration_s=0.02)
+         .for_label("Cat4/Cat2"), seed=1)
+def test_a_config_within_its_bounds_runs_or_is_refused(cfg, seed):
+    """Every config that `validate()` accepts runs to its end; any other is
+    refused with a ConfigError, before or at the start of the run."""
+    try:
+        result = run_once(cfg, seed)
+    except ConfigError:
+        return
+    assert result.event_count >= 0

@@ -8,10 +8,8 @@ from hypothesis import given, strategies as st
 from coexsim import parse_config, run_once
 from coexsim.engine import Engine, RngStreams, SchedulingInPastError
 
-FULL_FLOOR = replace(
-    parse_config(str(Path(__file__).resolve().parent.parent / "scripts" / "full_campaign.cfg")),
-    duration_s=0.05,
-)
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+FULL_FLOOR = replace(parse_config(str(SCRIPTS / "full_campaign.cfg")), duration_s=0.05)
 
 
 def test_events_execute_in_time_order():
@@ -74,14 +72,6 @@ def test_run_until_stops_clock_at_boundary():
     assert seen == [7, 15] and engine.now == 20
 
 
-def test_schedule_in_is_relative():
-    engine = Engine()
-    seen = []
-    engine.schedule(lambda: engine.schedule_in(lambda: seen.append(engine.now), 5), 10)
-    engine.run_until(30)
-    assert seen == [15]
-
-
 @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=50))
 def test_executed_counter_matches_events(dues):
     engine = Engine()
@@ -105,15 +95,26 @@ def test_rng_streams_are_reproducible_and_independent():
 def test_rng_streams_distinct_components_differ():
     s = RngStreams(7)
     assert s.stream("cam", "x").random() != s.stream("drop", "x").random()
-    assert s.stream("cam", "x") is s.stream("cam", "x")
 
 
-def test_a_fresh_stream_draws_as_the_kept_one_and_is_not_kept():
-    s = RngStreams(7)
-    fresh = s.fresh("link", "a|b")
-    assert fresh is not s.fresh("link", "a|b")
-    assert not s._streams
-    assert [fresh.random() for _ in range(3)] == [s.stream("link", "a|b").random() for _ in range(3)]
+@pytest.mark.parametrize("cfg_name, label", [
+    (name, label) for name in ("full_campaign.cfg", "non_default.cfg")
+    for label in parse_config(str(SCRIPTS / name)).sweep_labels()
+])
+def test_a_run_asks_for_each_stream_key_once(monkeypatch, cfg_name, label):
+    """`stream` starts its key's stream afresh on every call, so a run that
+    asked for a key twice would replay its draws."""
+    stream = RngStreams.stream
+    keys = []
+
+    def recording(streams, component, device=""):
+        keys.append((component, str(device)))
+        return stream(streams, component, device)
+
+    monkeypatch.setattr(RngStreams, "stream", recording)
+    cfg = replace(parse_config(str(SCRIPTS / cfg_name)).for_label(label), duration_s=0.01)
+    run_once(cfg, 1)
+    assert len(keys) >= 8 and len(set(keys)) == len(keys)
 
 
 def test_cancel_after_the_event_fired_returns_false():

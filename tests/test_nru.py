@@ -81,9 +81,7 @@ def _gnb_rig(rig, n_ues=2, distance=3.0):
         dev = rig.place(f"ue{i}", distance, float(i), operator="B", role="ue")
         rig.force_link(site, dev)
         ue_cam = make_cam("Cat1", dev, rig.env, FixedRng(0), site)
-        ue = NruUe(dev, ue_cam, gnb)
-        gnb.add_ue(ue)
-        ues.append(ue)
+        ues.append(NruUe(dev, ue_cam, gnb))
     return gnb, ues, mac_trace
 
 
@@ -402,3 +400,46 @@ def test_every_feedback_pid_is_pending_at_its_symbol(monkeypatch, cfg_name, labe
     cfg = replace(parse_config(str(SCRIPTS / cfg_name)), duration_s=0.05)
     run_once(cfg.for_label(label), 1)
     assert len(sent) > 100
+
+
+def test_ues_join_their_gnb_in_build_order_with_its_feedback_table(rig):
+    gnb, ues, _trace = _gnb_rig(rig, n_ues=3)
+    assert gnb.ues == ues
+    for ue in ues:
+        assert ue.fb_table is rig.env.link_table(gnb.device, ue.device)
+
+
+@pytest.mark.parametrize("lead", [1, 4])
+def test_plans_run_at_every_slot_start_and_commit_their_lead_slot(monkeypatch, lead):
+    """`_plan` reads its slot off the clock: each gNB plans at every slot
+    start from 0 until it has planned the slot the run ends in, and the
+    blocks a plan makes are committed `mac_lead_slots` slots later, at that
+    slot's start."""
+    plan, commit = NruGnb._plan, NruGnb._commit
+    plans, planned_at, commits = {}, {}, []
+
+    def recording_plan(gnb):
+        plans.setdefault(gnb, []).append(gnb.engine.now)
+        first = gnb._next_pid
+        plan(gnb)
+        for pid in range(first, gnb._next_pid):
+            planned_at[gnb, pid] = gnb.engine.now  # pids count per gNB
+
+    def recording_commit(gnb, slot, alloc, fb_entries):
+        assert gnb.engine.now == slot * SLOT_NS
+        for tb in alloc:
+            if tb.tx_count == 0:  # not sent yet, so made by this slot's plan
+                assert planned_at[gnb, tb.pid] == (slot - lead) * SLOT_NS
+        commits.append(slot)
+        commit(gnb, slot, alloc, fb_entries)
+
+    monkeypatch.setattr(NruGnb, "_plan", recording_plan)
+    monkeypatch.setattr(NruGnb, "_commit", recording_commit)
+    cfg = replace(CampaignConfig().for_label("Cat4/Cat2"), mac_lead_slots=lead, duration_s=0.01)
+    run_once(cfg, 1)
+    assert len(plans) == cfg.sites_per_operator
+    for times in plans.values():
+        assert times == [k * SLOT_NS for k in range(len(times))]
+        last = len(times) - 1  # the last plan's slot starts at or after the run's end
+        assert (last - 1 + lead) * SLOT_NS < cfg.duration_ns <= (last + lead) * SLOT_NS
+    assert len(commits) > 100 and len(planned_at) > 100

@@ -139,10 +139,27 @@ def test_link_draws_keep_no_stream(rig):
     a = rig.place("a", 0.0, 0.0)
     b = rig.place("b", 30.0, 0.0)
     state = rig.env.link(b, a)
-    assert not rig.streams._streams
     rng = RngStreams(1).stream("link", "a|b")  # the link's seed, drawn in the same order
     assert state.los == (rng.random() < los_probability(30.0))
     assert state.shadowing_db == rng.gauss(0.0, SHADOW_SIGMA_LOS_DB if state.los else SHADOW_SIGMA_NLOS_DB)
+
+
+def test_window_emissions_come_in_eid_order_ended_ones_included(rig):
+    """e0 and e2 end before now, e1 is still on the air: the window lists
+    them in eid order, not the active one first."""
+    dev = rig.place("dev", 0.0)
+    sources = [rig.place(f"s{i}", 1.0 + i) for i in range(3)]
+    for src in sources:
+        rig.force_link(dev, src)
+    sent = []
+    for src, start, duration in zip(sources, (0, 1_000, 2_000), (10_000, 100_000, 15_000)):
+        rig.engine.schedule(lambda src=src, d=duration: sent.append(rig.emit(src, 0.0, d)[0]), start)
+    rig.engine.run_until(20_000)
+    assert [em.eid for em in rig.env.active.values()] == [sent[1].eid]
+    ems = rig.env.window_emissions(rig.env.link_table(dev), 0, 20_000)
+    assert [(eid, start, end) for eid, start, end, _lin in ems] == [
+        (em.eid, em.start, em.end) for em in sent  # sent in eid order
+    ]
 
 
 def _linear_select_mcs(table, sinr_db, margin_db):
