@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .radio import COUNT, IDLE, WAIT_IDLE, Device, RadioEnvironment, db_to_lin, peak_power_lin
+from .radio import (COUNT, IDLE, WAIT_IDLE, Device, Emission, LinkTable, RadioEnvironment,
+                    db_to_lin, peak_power_lin)
 
 CAT1 = "Cat1"
 CAT2 = "Cat2"
@@ -46,15 +47,13 @@ class Cam:
     """
 
     def __init__(
-        self, category: str, device: Device, env: RadioEnvironment, rng,
-        toward: Optional[Device] = None,
+        self, category: str, device: Device, env: RadioEnvironment, toward: Optional[Device] = None,
     ) -> None:
         self.category = category
         self.device = device
         self.env = env
         self.engine = env.engine
         self.config = config = env.config
-        self.rng = rng
         self.trace = env.traces.get("cam")
         directional = device.role == "ue"
         self.ed_threshold_lin = db_to_lin(
@@ -163,6 +162,13 @@ class Backoff:
     idle medium to defer again; with none left, the countdown, due at t,
     still fires.
 
+    Sensing reads `sense`, per link key what one emission adds to the
+    device's energy sum (`_sense_entry`, the one rule): the medium is busy
+    where an entry, or the eid-order sum of those on the air, reaches
+    `ed_threshold_lin`. Its own emissions add 0.0, which leaves a sum as it
+    is, and a WiGig preamble inf, loud and never summed. `add_emission`
+    appends each new key's entry.
+
     `RadioEnvironment._notify` re-senses a listener in full
     (`medium_changed`) only when an edge can flip its answer, from what it
     keeps of its last sense:
@@ -173,10 +179,10 @@ class Backoff:
       idle plus each rising edge's power since. Emissions start in eid
       order, so the sensed sum runs over a subsequence of its terms; a
       rising edge that keeps it under `ed_threshold_lin` is skipped.
-    - A rising edge loud on its own (at `ed_threshold_lin`, or a WiGig
-      preamble at `_preamble_dbm`) freezes the counter at once as the
-      witness: every other emission on the air is quiet, or the counter
-      would be frozen, so it is the one `medium_busy()` would record.
+    - A rising edge loud on its own (its entry at `ed_threshold_lin`)
+      freezes the counter at once as the witness: every other emission on
+      the air is quiet, or the counter would be frozen, so it is the one
+      `medium_busy()` would record.
     Both are exact by float monotonicity alone: a float sum of non-negative
     terms is at least each of its terms, and an eid-order sum over a
     subsequence never exceeds the sum over the whole sequence.
@@ -199,7 +205,8 @@ class Backoff:
                       trace: Optional[list] = None) -> None:
         """Set the contention fields in one order and resolve the window
         bounds, `defer_ns` and `cca_slot_ns`; the window starts at `cws`, or
-        at `cws_min` for None, and an inf `preamble_dbm` detects no preamble."""
+        at `cws_min` for None, and an inf `preamble_dbm` detects no preamble;
+        then fill `sense` for the link keys so far and register with `env`."""
         self._cws_min, self._cws_max = self.config.cws_min, self.config.cws_max
         self.cws = self._cws_min if cws is None else cws
         self.state = IDLE
@@ -212,6 +219,18 @@ class Backoff:
         self.trace = trace
         self._defer_ns = self.config.defer_ns
         self._cca_slot_ns = self.config.cca_slot_ns
+        env = self.env
+        self.sense = [self._sense_entry(self.table, em) for em in env._link_emissions]
+        env._backoffs.append(self)
+
+    def _sense_entry(self, table: LinkTable, em: Emission) -> float:
+        """What one emission of `em`'s link adds to the energy sum sensed at
+        `table`: 0.0 from the table's receiver itself, inf for a WiGig
+        preamble at `_preamble_dbm`, otherwise its linear power."""
+        if em.source is table.receiver:
+            return 0.0
+        p, lin = table[em.link_key]
+        return math.inf if em.rat == "wigig" and p >= self._preamble_dbm else lin
 
     def _next_cws(self, grow: bool) -> None:
         """Double the window plus one, up to `cws_max`, or reset it to `cws_min`."""
@@ -226,23 +245,26 @@ class Backoff:
             self._start_countdown()
 
     def medium_busy(self, device: Optional[Device] = None) -> bool:
-        """True iff an emission not sourced by the sensing device is loud, or
-        the eid-order sum of their linear powers reaches `ed_threshold_lin`.
-        At its own `table` it records the loud one as `_witness`, or None,
-        and an idle sum as `_bound`; with `device` it senses omni there,
-        recording nothing."""
-        table = self.table if device is None else self.env.link_table(device)
-        receiver = table.receiver
-        threshold, preamble_dbm = self.ed_threshold_lin, self._preamble_dbm
+        """True iff the `sense` entry of an emission on the air, or the
+        eid-order sum of their entries, reaches `ed_threshold_lin`. At its
+        own `sense` it records the loud one as `_witness`, or None, and an
+        idle sum as `_bound`; with `device` it senses omni there by the same
+        rule (`_sense_entry`), recording nothing."""
+        active = self.env.active.values()
+        if device is None:
+            sense = self.sense
+        else:
+            table = self.env.link_table(device)
+            sense = {em.link_key: self._sense_entry(table, em) for em in active}
+        threshold = self.ed_threshold_lin
         total = 0.0
-        for em in self.env.active.values():
-            if em.source is not receiver:
-                p, lin = table[em.link_key]
-                if lin >= threshold or (em.rat == "wigig" and p >= preamble_dbm):
-                    if device is None:
-                        self._witness = em
-                    return True
-                total += lin
+        for em in active:
+            lin = sense[em.link_key]
+            if lin >= threshold:
+                if device is None:
+                    self._witness = em
+                return True
+            total += lin
         busy = total >= threshold
         if device is None:
             self._witness = None
@@ -290,10 +312,12 @@ class Backoff:
 
 
 class LbtCam(Cam, Backoff):
-    """Cat3/Cat4: `Backoff`, then a grant bounded by the maximum COT."""
+    """Cat3/Cat4: `Backoff`, drawing from `rng`, then a grant bounded by the maximum COT."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, category: str, device: Device, env: RadioEnvironment, rng,
+                 toward: Optional[Device] = None) -> None:
+        super().__init__(category, device, env, toward)
+        self.rng = rng
         self._on_grant: Optional[Callable[[ChannelGrant], None]] = None
         self._fed_cots: set[int] = set()
         self._init_backoff(self.config.cat3_cws if self.category == CAT3 else None, trace=self.trace)
@@ -325,13 +349,10 @@ class LbtCam(Cam, Backoff):
 
 
 def make_cam(
-    category: str, device: Device, env: RadioEnvironment, rng, toward: Optional[Device] = None
+    category: str, device: Device, env: RadioEnvironment, toward: Optional[Device] = None
 ) -> Cam:
-    cls = {
-        CAT1: AlwaysOnCam,
-        CAT2: Cat2Cam,
-        CAT3: LbtCam,
-        CAT4: LbtCam,
-        ONOFF: OnOffCam,
-    }[category]
-    return cls(category, device, env, rng, toward)
+    """Only an `LbtCam` draws, from the run's ("cam", device id) stream."""
+    if category in (CAT3, CAT4):
+        return LbtCam(category, device, env, env.streams.stream("cam", device.id), toward)
+    cls = {CAT1: AlwaysOnCam, CAT2: Cat2Cam, ONOFF: OnOffCam}[category]
+    return cls(category, device, env, toward)

@@ -6,7 +6,9 @@ simultaneous emissions by devices of one operator count once.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .engine import SEC
@@ -36,11 +38,18 @@ class OccupancyLedger:
             ivs[-1] = (last_start, end)
 
     def occupied_within(self, key: str, w_start: int, w_end: int) -> int:
-        """Occupied time clipped to [w_start, w_end)."""
-        return sum(
-            max(0, min(e, w_end) - max(s, w_start))
-            for s, e in self._intervals.get(key, [])
-        )
+        """Occupied time clipped to [w_start, w_end): the intervals that end
+        after `w_start` and start before `w_end`, found by bisection (they
+        are disjoint, so ends ascend with starts), summed, then cut at the
+        window's two ends."""
+        ivs = self._intervals.get(key, [])
+        lo = bisect_right(ivs, w_start, key=itemgetter(1))
+        hi = bisect_left(ivs, w_end, lo, key=itemgetter(0))
+        if lo >= hi or w_end <= w_start:
+            return 0
+        inner = ivs[lo:hi]
+        total = sum(map(itemgetter(1), inner)) - sum(map(itemgetter(0), inner))
+        return total - max(0, w_start - inner[0][0]) - max(0, inner[-1][1] - w_end)
 
 
 @dataclass(frozen=True)

@@ -273,6 +273,7 @@ class RadioEnvironment:
         self._retain_ns = max(self.RETAIN_NS, config.cat2_defer_ns)
         self._open_captures: dict[int, Capture] = {}  # by signal eid
         self._listeners: list = []  # the `Backoff`s contending now, each once, for `_notify`
+        self._backoffs: list = []  # every `Backoff` built, whose `sense` a new link key extends
         self.ledger = OccupancyLedger()
         # Trace selector -> row list, one per selected trace; components take
         # theirs at construction, so fill it before building them.
@@ -391,9 +392,12 @@ class RadioEnvironment:
         link = (em.source.id, target.id if target is not None else "", em.tx_power_dbm, em.rat)
         key = self._link_keys.get(link)
         if key is None:
-            key = self._link_keys[link] = len(self._link_emissions)
+            em.link_key = key = self._link_keys[link] = len(self._link_emissions)
             self._link_emissions.append(em)
-        em.link_key = key
+            for obj in self._backoffs:
+                obj.sense.append(obj._sense_entry(obj.table, em))
+        else:
+            em.link_key = key
         interferers = []
         cap = Capture(self, em, interferers, at_end)
         open_captures = self._open_captures
@@ -418,24 +422,19 @@ class RadioEnvironment:
     def _notify(self, em: Emission, rising: bool) -> None:
         """Settle each `Backoff` listener's sensing as `em` starts or ends,
         calling medium_changed(), a full re-sense, only where it can flip. A
-        start can only make a counting listener busy: a loud `em` freezes it
-        at once as its witness, a quiet one adds to its `_bound`, re-sensed
-        only once that reaches `ed_threshold_lin`, and its own emission is
-        skipped. An end can only make a waiting (WAIT_IDLE) one idle, and not
-        while its `_witness` other than `em` is on the air. See `Backoff` for
-        why this is exact. Neither medium_changed() nor _freeze() may
-        (un)register."""
+        start can only make a counting listener busy: a loud `em` (its
+        `sense` entry at `ed_threshold_lin`) freezes it at once as its
+        witness, a quiet one adds its entry to its `_bound`, re-sensed only
+        once that reaches `ed_threshold_lin`; its own emission adds 0.0. An
+        end can only make a waiting (WAIT_IDLE) one idle, and not while its
+        `_witness` other than `em` is on the air. See `Backoff` for why this
+        is exact. Neither medium_changed() nor _freeze() may (un)register."""
         if rising:
             key = em.link_key
-            source = em.source
-            wigig = em.rat == "wigig"
             for obj in self._listeners:
                 if obj.state != WAIT_IDLE:
-                    table = obj.table
-                    if table.receiver is source:
-                        continue
-                    p, lin = table[key]
-                    if lin >= obj.ed_threshold_lin or (wigig and p >= obj._preamble_dbm):
+                    lin = obj.sense[key]
+                    if lin >= obj.ed_threshold_lin:
                         obj._witness = em
                         obj._freeze()
                     else:

@@ -83,11 +83,11 @@ def run_once(
         if tech == "NR-U":
             gnb_cat, ue_cat = ACCESS_MODES[cfg.nru_access]
             for site in scn.sites[op]:
-                cam = make_cam(gnb_cat, site, env, streams.stream("cam", site.id))
+                cam = make_cam(gnb_cat, site, env)
                 gnb = NruGnb(site, cam, env)
                 for user in scn.users_of_site(site):
                     # A UE senses along its transmit beam: toward its site.
-                    ue_cam = make_cam(ue_cat, user, env, streams.stream("cam", user.id), site)
+                    ue_cam = make_cam(ue_cat, user, env, site)
                     ue = NruUe(user, ue_cam, gnb)
                     add_flow(user, ue.offer_packet)
                 gnb.start()

@@ -66,7 +66,7 @@ class WigigAp(Backoff):
         self.table = env.link_table(device)  # omni reception at the AP
         self.ack_timeout_ns = config.ack_timeout_ns
         self._durations: dict[tuple[int, int], int] = {}  # (payload, MCS) -> ns
-        self._ack_timer = None
+        self._ack_due = 0  # the frame in hand's ACK timeout
         self._current: Optional[WigigFrame] = None
         self._ack_ok = False
         self.drops = 0
@@ -99,14 +99,16 @@ class WigigAp(Backoff):
         end = self.engine.now + dur
         self.env.transmit(self.device, sta.device, end, "wigig", partial(sta.receive_frame, frame))
         self._ack_ok = False
-        self._ack_timer = self.engine.schedule(lambda: self._settle(frame), end + self.ack_timeout_ns)
+        self._ack_due = end + self.ack_timeout_ns
 
     def ack_received(self, frame: WigigFrame, measured_sinr_db: float) -> None:
-        if frame is self._current:
-            self._ack_ok = True
-            frame.sta.last_sinr_db = measured_sinr_db
-            self.engine.cancel(self._ack_timer)
-            self._settle(frame)
+        self._ack_ok = True
+        frame.sta.last_sinr_db = measured_sinr_db
+        self._settle(frame)
+
+    def ack_missed(self, frame: WigigFrame) -> None:
+        """The STA lost `frame` or the AP its ACK: only now arm its timeout."""
+        self.engine.schedule(lambda: self._settle(frame), self._ack_due)
 
     def _settle(self, frame: WigigFrame) -> None:
         if self._ack_ok:
@@ -172,7 +174,8 @@ class WigigSta:
     def receive_frame(self, frame: WigigFrame, cap) -> None:
         sinr = self.env.effective_sinr_db(cap, self.table)
         if sinr < WIGIG_MCS[frame.mcs][0]:
-            return  # undecodable; AP times out
+            self.ap.ack_missed(frame)  # undecodable
+            return
         engine = self.engine
         frame.packet.credit(frame.packet.size_bytes, engine.now)  # the frame's end
         engine.schedule(lambda: self._send_ack(frame, sinr), engine.now + self.sifs_ns)
@@ -187,6 +190,8 @@ class WigigSta:
         sinr = self.env.effective_sinr_db(cap, self.ap.table)
         if sinr >= ACK_THRESHOLD_DB:
             self.ap.ack_received(frame, measured_sinr_db)
+        else:
+            self.ap.ack_missed(frame)
 
     # -- association ------------------------------------------------------------
 

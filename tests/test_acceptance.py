@@ -197,7 +197,7 @@ def test_criterion_7_cat4_cws_trajectory():
     from coexsim.radio import AntennaArray, Device, Position
 
     dev = Device("gnb", "B", "gnb", Position(0, 0, 3), AntennaArray(8, 8))
-    cam = make_cam("Cat4", dev, env, streams.stream("cam", dev.id))
+    cam = make_cam("Cat4", dev, env)
     trajectory = [cam.cws]
     for cot_id in range(7):
         cam.feedback([True] * 8, cot_id)  # 100% NACK batches

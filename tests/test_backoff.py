@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from coexsim import CampaignConfig, run_once
-from coexsim.channel_access import CAT3, CAT4, Backoff, make_cam
+from coexsim.channel_access import CAT3, CAT4, Backoff, LbtCam
 from coexsim.engine import MS
 from coexsim.radio import IDLE, RadioEnvironment
 from coexsim.traffic import PacketRecord
@@ -18,7 +18,7 @@ from tests.conftest import FixedRng
 def _lbt(rig, dev, counter, log):
     """A Cat4 request whose grant starts a 6 us burst, as a gNB's would; the
     grants are read from its callback, not from the emission `log`."""
-    cam = make_cam(CAT4, dev, rig.env, FixedRng(counter))
+    cam = LbtCam(CAT4, dev, rig.env, FixedRng(counter))
     grants = []
     cam.request(lambda g: (grants.append(g), rig.emit(dev, 17.0, 6_000)))
     return lambda: [g.granted_at for g in grants]
@@ -209,7 +209,7 @@ def test_every_contention_field_is_on_the_instance_from_construction(rig):
     contender holds them all from construction, and `Backoff` holds none."""
     dev = rig.place("dev", 0.0, role="ap")
     contenders = [WigigAp(dev, rig.env, FixedRng(0))] + [
-        make_cam(category, dev, rig.env, FixedRng(0)) for category in (CAT3, CAT4)
+        LbtCam(category, dev, rig.env, FixedRng(0)) for category in (CAT3, CAT4)
     ]
     assert not CONTENTION_FIELDS & vars(Backoff).keys()
     for obj in contenders:

@@ -9,6 +9,7 @@ from coexsim.channel_access import (
     CAT3,
     CAT4,
     ONOFF,
+    LbtCam,
     make_cam,
 )
 from coexsim.config import CampaignConfig
@@ -20,7 +21,10 @@ from tests.verify import verify_lbt_safety
 
 
 def _cam(rig, category, dev, rng=None, toward=None):
-    return make_cam(category, dev, rig.env, rng or FixedRng(0), toward)
+    """The manager of `category`; an LBT one draws from `rng` (0s by default)."""
+    if category in (CAT3, CAT4):
+        return LbtCam(category, dev, rig.env, rng or FixedRng(0), toward)
+    return make_cam(category, dev, rig.env, toward)
 
 
 def _interferer(rig, dev_id="intf", x=1.0):
@@ -135,19 +139,21 @@ def _threshold_rig(*powers_lin):
     a -82.3 dBm ED threshold, and one source per linear power in
     `powers_lin`: each source's emissions (17 dBm, NR-U, unbeamed) arrive at
     exactly that power, written into the gNB's and the AP's tables under the
-    link key a 1 ns emission at t=0 gives them. Returned at t=1 ns, once
-    those have ended."""
+    link key a 1 ns emission at t=0 gives them, before the managers and the
+    AP are built and fill their `sense` lists from those tables. Returned at
+    t=1 ns, once those emissions have ended."""
     rig = Rig(config=replace(CampaignConfig(), gnb_ed_threshold_dbm=THRESHOLD_DBM,
                              wigig_ed_threshold_dbm=THRESHOLD_DBM))
     gnb = rig.place("gnb", 0.0, role="gnb")
-    lbt = _cam(rig, CAT4, gnb, FixedRng(15))
-    cat2 = _cam(rig, CAT2, gnb)  # senses at the same omni table as `lbt`
-    ap = WigigAp(rig.place("ap", 0.0, 1.0, role="ap"), rig.env, FixedRng(15))
+    ap_dev = rig.place("ap", 0.0, 1.0, role="ap")
     sources = [rig.place(f"src{i}", 10.0 + i, operator="B") for i in range(len(powers_lin))]
     for src, lin in zip(sources, powers_lin):
         em, _ = rig.emit(src, 17.0, 1)
-        for table in (lbt.table, ap.table):
-            table[em.link_key] = (lin_to_db(lin), lin)
+        for dev in (gnb, ap_dev):
+            rig.env.link_table(dev)[em.link_key] = (lin_to_db(lin), lin)
+    lbt = _cam(rig, CAT4, gnb, FixedRng(15))
+    cat2 = _cam(rig, CAT2, gnb)  # senses at the same omni table as `lbt`
+    ap = WigigAp(ap_dev, rig.env, FixedRng(15))
     rig.engine.run_until(1)
     assert lbt.ed_threshold_lin == cat2.ed_threshold_lin == ap.ed_threshold_lin
     return rig, lbt, cat2, ap, sources
@@ -267,10 +273,21 @@ def test_backoff_draw_stays_within_window():
     for category, cws in ((CAT4, 15), (CAT3, 31)):
         for seed in range(8):
             dev = rig.place(f"{category}-dev{seed}", 0.0)
-            cam = make_cam(category, dev, rig.env, random.Random(seed))
+            cam = LbtCam(category, dev, rig.env, random.Random(seed))
             cam.request(lambda _grant: None)
             assert cam.counter == random.Random(seed).randint(0, cws)
             assert 0 <= cam.counter <= cws
+
+
+def test_make_cam_hands_a_stream_only_to_lbt(rig):
+    """Only Cat3/Cat4 draw, each from the run's ("cam", device id) stream."""
+    for category in (CAT1, CAT2, ONOFF, CAT3, CAT4):
+        dev = rig.place(f"{category}-dev", 0.0)
+        cam = make_cam(category, dev, rig.env)
+        if category in (CAT3, CAT4):
+            assert cam.rng.random() == rig.streams.stream("cam", dev.id).random()
+        else:
+            assert "rng" not in vars(cam)
 
 
 def test_cat4_cws_ladder_and_reset(rig):

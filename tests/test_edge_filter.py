@@ -5,7 +5,9 @@ freezes it at once; an emission end re-senses only the listeners that sensed
 busy and whose witness, if any, is the emission that ended. A Cat2 window is
 swept only when neither its loudest emission nor its whole sum settles it.
 Every shortcut must be exact: it leaves a listener as a full re-sense would,
-and a window reads as the sweep does."""
+and a window reads as the sweep does. Every contending device reads its
+sensing from a `sense` list, one entry per link key, that must follow the
+sensing rule at its table whenever the key was born."""
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -13,14 +15,17 @@ from pathlib import Path
 import pytest
 
 from coexsim import CampaignConfig, parse_config, run_once
-from coexsim.channel_access import Backoff, Cam
+from coexsim.channel_access import CAT4, Backoff, Cam, LbtCam
 from coexsim.radio import RadioEnvironment, peak_power_lin
 from coexsim.wigig import WigigAp
-from tests.conftest import FixedRng
+from tests.conftest import FixedRng, record_cams
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+LABELS = parse_config(str(SCRIPTS / "full_campaign.cfg")).sweep_labels()
 
 # The parameters of the golden non-default case, on the default full floor.
 NON_DEFAULT = replace(
-    parse_config(str(Path(__file__).resolve().parent.parent / "scripts" / "non_default.cfg")),
+    parse_config(str(SCRIPTS / "non_default.cfg")),
     sites_per_operator=CampaignConfig().sites_per_operator,
     users_per_operator=CampaignConfig().users_per_operator,
 )
@@ -33,6 +38,7 @@ class Probe:
     WAIT_IDLE = Backoff.WAIT_IDLE
     _witness = None
     _bound = ed_threshold_lin = _preamble_dbm = math.inf
+    sense = [0.0]  # the entry of the one link its tests emit on, key 0
 
     def __init__(self, state, table):
         self.state = state
@@ -87,14 +93,81 @@ def test_witness_keeps_the_ap_busy_until_it_ends(rig):
     assert calls == [20_000] and ap.state == ap.COUNT and ap._witness is None
 
 
+def sense_rule(obj, em) -> float:
+    """The entry `obj.sense` should hold for `em`'s link, from `obj.table`:
+    0.0 for the device's own emission, inf for a WiGig preamble at its
+    `_preamble_dbm`, otherwise the linear power."""
+    table = obj.table
+    if em.source is table.receiver:
+        return 0.0
+    p, lin = table[em.link_key]
+    return math.inf if em.rat == "wigig" and p >= obj._preamble_dbm else lin
+
+
+def sensed_busy(env, obj) -> bool:
+    """`obj`'s sensing now, without its `sense` list: busy iff an emission on
+    the air not its own is loud on its own (energy at `ed_threshold_lin`, or
+    a WiGig preamble at `_preamble_dbm`), or the eid-order sum of their
+    linear powers at its table reaches `ed_threshold_lin`."""
+    table = env.link_table(obj.table.receiver, obj.table.rx_beam)
+    total = 0.0
+    for em in env.active.values():
+        if em.source is not table.receiver:
+            p, lin = table[em.link_key]
+            if lin >= obj.ed_threshold_lin or (em.rat == "wigig" and p >= obj._preamble_dbm):
+                return True
+            total += lin
+    return total >= obj.ed_threshold_lin
+
+
+def test_a_sense_list_covers_the_keys_born_before_and_after_its_device(rig):
+    """A contender built after link keys exist gets their entries, and a key
+    born later extends every contender's list, whichever was built first."""
+    ap_dev = rig.place("ap", 0.0, role="ap")
+    gnb_dev = rig.place("gnb", 0.0, 2.0, operator="B", role="gnb")
+    src = rig.place("src", 20.0, operator="B")
+    for a, b in ((ap_dev, gnb_dev), (ap_dev, src), (gnb_dev, src)):
+        rig.force_link(a, b)
+    ap = WigigAp(ap_dev, rig.env, FixedRng(0))
+    assert ap.sense == [] and rig.env._backoffs == [ap]
+    ems = [rig.emit(ap_dev, 17.0, 1_000, rat="wigig")[0],
+           rig.emit(src, 6.0, 1_000, rat="wigig")[0],  # about -84 dBm at the AP
+           rig.emit(src, 6.0, 1_000, rat="nru")[0]]
+    lbt = LbtCam(CAT4, gnb_dev, rig.env, FixedRng(0))
+    p_ap, lin_ap = ap.table[ems[1].link_key]
+    assert lin_ap < ap.ed_threshold_lin and p_ap >= ap._preamble_dbm  # a preamble, quiet energy
+    assert ap.sense == [0.0, math.inf, ap.table[ems[2].link_key][1]]
+    assert lbt.sense == [lbt.table[em.link_key][1] for em in ems]  # no preamble rule
+    born, _ = rig.emit(gnb_dev, 17.0, 1_000)
+    assert ap.sense[3:] == [ap.table[born.link_key][1]] and lbt.sense[3:] == [0.0]
+    assert rig.env._backoffs == [ap, lbt]
+    for obj in (ap, lbt):
+        assert obj.sense == [sense_rule(obj, em) for em in rig.env._link_emissions]
+
+
+@pytest.mark.parametrize("base", [CampaignConfig(), NON_DEFAULT], ids=["default", "non-default"])
+@pytest.mark.parametrize("label", LABELS)
+def test_every_sense_entry_follows_the_rule_at_its_table(monkeypatch, base, label):
+    """After a full-floor run, every AP and LBT manager built is registered
+    once, and each entry of its `sense` list is the rule's at its table."""
+    cams = record_cams(monkeypatch)
+    result = run_once(replace(base.for_label(label), duration_s=0.05), 1)
+    env = result.env
+    contenders = result.aps + [cam for cam in cams if isinstance(cam, LbtCam)]
+    assert sorted(map(id, env._backoffs)) == sorted(map(id, contenders))
+    assert len(env._link_emissions) > 20
+    for obj in env._backoffs:
+        assert obj.sense == [sense_rule(obj, em) for em in env._link_emissions], obj.device.id
+
+
 @pytest.fixture
 def checked_notify(monkeypatch):
     """Check every listener `_notify` does not fully re-sense (skipped, bound
-    skipped or loud frozen): its sensing right after the edge must still
-    match its state (busy exactly in WAIT_IDLE), unless its countdown is due
-    at that nanosecond, as after a loud edge that found the counter spent:
-    it fires whatever the medium reads. The checking re-sense leaves the
-    listener's `_witness` and `_bound` as they were."""
+    skipped or loud frozen): its sensing right after the edge, summed by
+    `sensed_busy` without its `sense` list, must still match its state (busy
+    exactly in WAIT_IDLE), unless its countdown is due at that nanosecond,
+    as after a loud edge that found the counter spent: it fires whatever the
+    medium reads."""
     notify, changed, freeze = RadioEnvironment._notify, Backoff.medium_changed, Backoff._freeze
     called, frozen = [], []
     seen = dict.fromkeys(
@@ -129,11 +202,9 @@ def checked_notify(monkeypatch):
             if obj.state == Backoff.COUNT and obj._timer[0] == env.engine.now:
                 seen["due_now"] += 1
                 continue
-            saved = obj._witness, obj._bound
-            assert obj.medium_busy() == (obj.state == Backoff.WAIT_IDLE), (
+            assert sensed_busy(env, obj) == (obj.state == Backoff.WAIT_IDLE), (
                 f"{obj.device.id} skipped on a {'rising' if rising else 'falling'} edge"
             )
-            obj._witness, obj._bound = saved
 
     monkeypatch.setattr(Backoff, "medium_changed", recording_changed)
     monkeypatch.setattr(Backoff, "_freeze", recording_freeze)

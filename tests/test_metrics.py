@@ -86,6 +86,27 @@ def test_union_matches_grid_oracle(intervals):
     assert all(a[1] < b[0] for a, b in zip(ivs, ivs[1:]))  # disjoint, sorted
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 500), st.integers(1, 40)).map(
+            lambda p: (p[0], p[0] + p[1])
+        ),
+        max_size=40,
+    ),
+    st.integers(-10, 560),
+    st.integers(-10, 560),
+)
+def test_occupied_within_matches_the_grid_oracle_on_any_window(intervals, w_start, w_end):
+    led = OccupancyLedger()
+    for s, e in sorted(intervals):
+        led.record("A", s, e)
+    clipped = [(max(s, w_start, 0), min(e, w_end)) for s, e in intervals]
+    assert led.occupied_within("A", w_start, w_end) == brute_force_union(
+        [(s, e) for s, e in clipped if s < e], 600
+    )
+
+
 def union_from_scratch(intervals):
     """Sort by start, then merge every interval that overlaps or touches."""
     out = []

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from coexsim import parse_config, run_once
-from coexsim.channel_access import CAT3, CAT4, ONOFF, ChannelGrant, make_cam
+from coexsim.channel_access import CAT3, CAT4, ONOFF, ChannelGrant, LbtCam, make_cam
 from coexsim.config import CampaignConfig
 from coexsim.engine import SEC
 from coexsim.nru import (
@@ -73,14 +73,14 @@ def rig():
 
 def _gnb_rig(rig, n_ues=2, distance=3.0):
     site = rig.place("gnb0", 0.0, 0.0, z=3.0, operator="B", role="gnb")
-    cam = make_cam("Cat1", site, rig.env, FixedRng(0))
+    cam = make_cam("Cat1", site, rig.env)
     mac_trace = rig.env.traces["mac"] = []
     gnb = NruGnb(site, cam, rig.env)
     ues = []
     for i in range(n_ues):
         dev = rig.place(f"ue{i}", distance, float(i), operator="B", role="ue")
         rig.force_link(site, dev)
-        ue_cam = make_cam("Cat1", dev, rig.env, FixedRng(0), site)
+        ue_cam = make_cam("Cat1", dev, rig.env, site)
         ues.append(NruUe(dev, ue_cam, gnb))
     return gnb, ues, mac_trace
 
@@ -168,7 +168,7 @@ def test_the_last_feedback_symbol_is_decoded_before_the_slot_end_timeout():
 @pytest.mark.parametrize("order", ["commit first", "grant first"])
 def test_an_lbt_grant_at_the_slot_start_is_too_late_for_that_slot(rig, order):
     gnb, [ue], trace = _gnb_rig(rig, n_ues=1)
-    gnb.cam = make_cam(CAT4, gnb.device, rig.env, FixedRng(3))  # grants at 23 us
+    gnb.cam = LbtCam(CAT4, gnb.device, rig.env, FixedRng(3))  # grants at 23 us
     ue.offer_packet(_pkt())
     tb = TransportBlock(0, ue, 1500, ue.take_bytes(1500), mcs=0, n_symbols=1)
 
@@ -233,7 +233,7 @@ def test_the_mac_gets_on_the_air_through_the_cam_contract_alone(rig):
 @pytest.mark.parametrize("category", [CAT4, CAT3])
 def test_only_the_first_feedback_batch_of_a_cot_moves_the_cat4_window(rig, category):
     gnb, [ue], _ = _gnb_rig(rig, n_ues=1)
-    gnb.cam = make_cam(category, gnb.device, rig.env, FixedRng(0))
+    gnb.cam = LbtCam(category, gnb.device, rig.env, FixedRng(0))
 
     def batch(pid, cot_id, ack):
         gnb.processes[pid] = TransportBlock(pid, ue, 0, [], 0, 1, tx_count=1, cot_id=cot_id)
@@ -249,7 +249,7 @@ def test_only_the_first_feedback_batch_of_a_cot_moves_the_cat4_window(rig, categ
 @pytest.mark.parametrize("late_ns", [0, 1])
 def test_ue_feedback_must_end_by_the_gnb_cot_deadline(rig, emission_log, late_ns):
     gnb, [ue], _ = _gnb_rig(rig, n_ues=1)
-    gnb.cam = make_cam(ONOFF, gnb.device, rig.env, FixedRng(0))
+    gnb.cam = make_cam(ONOFF, gnb.device, rig.env)
     assert gnb._access_ok(SYMBOL_NS)  # a COT that ends with the duty cycle's on time
     t_send = rig.config.duty_on_ns - SYMBOL_NS + late_ns
     ue.fb_pending[0] = (True, 20.0)

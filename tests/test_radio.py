@@ -462,7 +462,7 @@ def test_sinr_sweep_ties_match_the_reference(rig, monkeypatch, case):
 )
 def test_link_tables_match_fresh_rx_power_sums(rig, emission_log, monkeypatch, seed, n_emissions,
                                               n_checks, span_ns):
-    from coexsim.channel_access import CAT4, make_cam
+    from coexsim.channel_access import CAT4, LbtCam
     from coexsim.wigig import WigigAp
     from tests.conftest import FixedRng
 
@@ -471,8 +471,8 @@ def test_link_tables_match_fresh_rx_power_sums(rig, emission_log, monkeypatch, s
     ap = WigigAp(rig.place("ap", 0.0, 0.0, z=3.0, role="ap", array=SITE), env, rng)
     gnb = rig.place("gnb", 6.0, 4.0, z=3.0, operator="B", role="gnb", array=SITE)
     ue = rig.place("ue", 9.0, 1.0, operator="B", role="ue", array=USER)
-    omni_cam = make_cam(CAT4, gnb, env, FixedRng(0))  # LBT: medium_busy and windows
-    beam_cam = make_cam(CAT4, ue, env, FixedRng(0), gnb)
+    omni_cam = LbtCam(CAT4, gnb, env, FixedRng(0))  # LBT: medium_busy and windows
+    beam_cam = LbtCam(CAT4, ue, env, FixedRng(0), gnb)
     devices = [ap.device, gnb, ue] + [
         rig.place(f"d{i}", rng.uniform(-15, 15), rng.uniform(-15, 15), array=USER)
         for i in range(5)

@@ -72,6 +72,19 @@ def test_packets_are_conserved_per_flow():
         assert generated > 0
 
 
+@pytest.mark.parametrize("label", parse_config(str(ROOT / "scripts" / "full_campaign.cfg")).sweep_labels())
+def test_no_device_starts_an_emission_before_its_last_one_ends(emission_log, label):
+    """Half-duplex: on the full floor, every device's emissions follow one
+    another on the air, each starting at or after the end of the one before."""
+    run_once(replace(CampaignConfig().for_label(label), duration_s=0.05), 1)
+    last_end = {}
+    for em in emission_log:  # eid order is start order
+        device = em.source.id
+        assert em.start >= last_end.get(device, 0), f"{device} overlaps itself at {em.start}"
+        last_end[device] = em.end
+    assert len(emission_log) > 1000 and len(last_end) >= 12
+
+
 def test_run_outputs_have_no_wallclock(tmp_path):
     run_once(reduced(), 1, out_dir=str(tmp_path))
     meta = json.loads((tmp_path / "run.json").read_text())

@@ -1,5 +1,9 @@
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
+from coexsim import parse_config, run_once
 from coexsim.config import CampaignConfig
 from coexsim.engine import MS, US
 from coexsim.radio import select_mcs
@@ -15,6 +19,10 @@ from coexsim.wigig import (
     frame_duration_ns,
 )
 from tests.conftest import FixedRng
+
+FULL_CAMPAIGN = parse_config(str(Path(__file__).resolve().parent.parent / "scripts" / "full_campaign.cfg"))
+WIGIG_LABELS = [label for label in FULL_CAMPAIGN.sweep_labels()
+                if "WiGig" in CampaignConfig().for_label(label).technologies().values()]
 
 
 def test_frame_duration_hand_values():
@@ -129,8 +137,8 @@ def test_a_second_frame_contends_only_once_the_first_settles(rig, monkeypatch, a
     the first frame's retry contends first)."""
     rig.env.traces["frames"] = settled = []
     ap, sta = _ap_rig(rig)
-    if not acked:
-        monkeypatch.setattr(sta, "receive_frame", lambda frame, cap: None)  # lost on the air
+    if not acked:  # a rate above the link's 13.9 dB: the STA cannot decode the frame
+        sta.last_sinr_db = 30.0
     starts = []
     start_backoff = ap._start_backoff
     monkeypatch.setattr(ap, "_start_backoff", lambda: (
@@ -206,3 +214,40 @@ def test_association_handshake_completes(rig):
     sta.start()
     rig.engine.run_until(1 * MS)
     assert sta.association == "associated"
+
+
+@pytest.mark.parametrize("label", WIGIG_LABELS)
+def test_every_frame_settles_once_on_its_ack_or_at_its_timeout(monkeypatch, label):
+    """On a full-floor run, each frame `_transmit` sends settles exactly once
+    before its AP sends again: on its ACK, SIFS plus the ACK after the frame
+    ends, or, when no ACK can come, `ack_timeout_ns` after it ends. Only a
+    frame still in hand when the run ends is left open."""
+    open_frames, settled = {}, {"ack": 0, "timeout": 0}
+    transmit, settle = WigigAp._transmit, WigigAp._settle
+
+    def recording_transmit(ap):
+        assert ap not in open_frames, f"{ap.device.id} sent before its frame settled"
+        transmit(ap)
+        em = list(ap.env.active.values())[-1]  # the frame just put on the air
+        assert em.source is ap.device
+        open_frames[ap] = ap._current, em.end
+
+    def checking_settle(ap, frame):
+        sent, end = open_frames.pop(ap)
+        assert frame is sent
+        config = ap.config
+        if ap._ack_ok:
+            assert ap.engine.now == end + config.sifs_ns + config.ack_ns
+            settled["ack"] += 1
+        else:
+            assert ap.engine.now == end + config.ack_timeout_ns
+            settled["timeout"] += 1
+        settle(ap, frame)
+
+    monkeypatch.setattr(WigigAp, "_transmit", recording_transmit)
+    monkeypatch.setattr(WigigAp, "_settle", checking_settle)
+    cfg = replace(CampaignConfig().for_label(label), duration_s=0.05)
+    run_once(cfg, 1)
+    for ap, (frame, end) in open_frames.items():  # too late to settle by the end
+        assert ap._current is frame and end + cfg.ack_timeout_ns > cfg.duration_ns
+    assert settled["ack"] > 500 and settled["timeout"] > 0, settled
