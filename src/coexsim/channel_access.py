@@ -166,8 +166,8 @@ class Backoff:
     device's energy sum (`_sense_entry`, the one rule): the medium is busy
     where an entry, or the eid-order sum of those on the air, reaches
     `ed_threshold_lin`. Its own emissions add 0.0, which leaves a sum as it
-    is, and a WiGig preamble inf, loud and never summed. `add_emission`
-    appends each new key's entry.
+    is, and a WiGig preamble inf, loud and never summed. An entry is None
+    until `add_emission` fills it as the link's first emission starts.
 
     `RadioEnvironment._notify` re-senses a listener in full
     (`medium_changed`) only when an edge can flip its answer, from what it
@@ -193,9 +193,10 @@ class Backoff:
     stopped listening. Its `__init__` calls `_init_backoff(cws, preamble_dbm,
     trace)`, which sets the contention window `cws` and puts every
     per-contention field on the instance: CPython 3.11 specialises those
-    reads, made on every edge. `_next_cws(grow)` is the one window rule. A
-    contention starts only from IDLE, so `env._listeners` holds each
-    contending device once. With a `trace` set, `_emit(event)` logs
+    reads, made on every edge, while an instance has at most 29 attributes
+    (from 30 on they move to a plain dict). `_next_cws(grow)` is the one
+    window rule. A contention starts only from IDLE, so `env._listeners`
+    holds each contending device once. With a `trace` set, `_emit(event)` logs
     defer_start and counter_frozen.
     """
 
@@ -206,12 +207,13 @@ class Backoff:
         """Set the contention fields in one order and resolve the window
         bounds, `defer_ns` and `cca_slot_ns`; the window starts at `cws`, or
         at `cws_min` for None, and an inf `preamble_dbm` detects no preamble;
-        then fill `sense` for the link keys so far and register with `env`."""
+        then fill `sense` for the links aired so far and register with `env`."""
         self._cws_min, self._cws_max = self.config.cws_min, self.config.cws_max
         self.cws = self._cws_min if cws is None else cws
         self.state = IDLE
         self.counter = 0
         self._timer = None
+        self._countdown = self._countdown_done  # the countdown event, bound once
         self._witness = None
         self._bound = 0.0
         self._count_from = 0
@@ -220,7 +222,8 @@ class Backoff:
         self._defer_ns = self.config.defer_ns
         self._cca_slot_ns = self.config.cca_slot_ns
         env = self.env
-        self.sense = [self._sense_entry(self.table, em) for em in env._link_emissions]
+        self.sense = [None if em.eid < 0 else self._sense_entry(self.table, em)
+                      for em in env._link_emissions]
         env._backoffs.append(self)
 
     def _sense_entry(self, table: LinkTable, em: Emission) -> float:
@@ -229,8 +232,9 @@ class Backoff:
         preamble at `_preamble_dbm`, otherwise its linear power."""
         if em.source is table.receiver:
             return 0.0
-        p, lin = table[em.link_key]
-        return math.inf if em.rat == "wigig" and p >= self._preamble_dbm else lin
+        key = em.link_key
+        lin = table.read(key)
+        return math.inf if em.rat == "wigig" and table.dbm[key] >= self._preamble_dbm else lin
 
     def _next_cws(self, grow: bool) -> None:
         """Double the window plus one, up to `cws_max`, or reset it to `cws_min`."""
@@ -301,7 +305,7 @@ class Backoff:
         engine = self.engine
         self._count_from = count_from = engine.now + self._defer_ns
         self._timer = engine.schedule(
-            self._countdown_done, count_from + self.counter * self._cca_slot_ns
+            self._countdown, count_from + self.counter * self._cca_slot_ns
         )
 
     def _countdown_done(self) -> None:

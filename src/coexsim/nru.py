@@ -73,6 +73,8 @@ class NruUe:
         self.last_sinr_db = env.aligned_rx_power_dbm(gnb.device, device) - env.noise_dbm
         self.table = env.link_table(device, gnb.device)  # decodes along its beam to the gNB
         self.fb_table = env.link_table(gnb.device, device)  # the gNB's, beamed at this UE
+        self.dl_key = env.link_key(gnb.device, device, "nru")  # its blocks
+        self.ul_key = env.link_key(device, gnb.device, "nru")  # its feedback
         self.buffer: deque[list] = deque()  # [pkt, bytes not yet taken]
         self.buffered_bytes = 0
         # (SINR, its MCS index, bytes per symbol); recomputed when the SINR changes
@@ -137,7 +139,7 @@ class NruUe:
         if not self.cam.access(t_end, cot.cot_deadline if cot else None):
             return
         at_end = partial(gnb.receive_feedback, items, self)
-        gnb.fb_on_air[gnb.env.transmit(self.device, gnb.device, t_end, "nru", at_end)] = None
+        gnb.fb_on_air[gnb.env.transmit(self.ul_key, t_end, at_end)] = None
 
 
 class NruGnb:
@@ -270,7 +272,7 @@ class NruGnb:
             )
 
     def _air_tb(self, ue: NruUe, tb: TransportBlock, end: int) -> None:
-        self.env.transmit(self.device, ue.device, end, "nru", partial(ue.receive_tb, tb))
+        self.env.transmit(ue.dl_key, end, partial(ue.receive_tb, tb))
 
     # -- HARQ resolution -----------------------------------------------------------
 

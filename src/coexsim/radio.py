@@ -11,7 +11,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from math import log10
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .config import CampaignConfig
@@ -21,6 +21,7 @@ from .metrics import OccupancyLedger
 SHADOW_SIGMA_LOS_DB = 3.0
 SHADOW_SIGMA_NLOS_DB = 8.03
 NOISE_PSD_DBM_HZ = -174.0
+Vector = tuple[float, float, float]  # a unit direction
 
 # The states of a `channel_access.Backoff` listener, read by `_notify`.
 IDLE, WAIT_IDLE, COUNT = range(3)
@@ -105,7 +106,7 @@ class AntennaArray:
     front_back_db: float = 30.0
 
 
-def _azel(v: tuple[float, float, float]) -> tuple[float, float]:
+def _azel(v: Vector) -> tuple[float, float]:
     az = math.degrees(math.atan2(v[1], v[0]))
     el = math.degrees(math.asin(max(-1.0, min(1.0, v[2]))))
     return az, el
@@ -127,17 +128,8 @@ def _dirichlet(n: int, u: float) -> float:
     return abs(math.sin(n * x) / s)
 
 
-def beam_gain_db(
-    array: AntennaArray,
-    steering: tuple[float, float, float],
-    target: tuple[float, float, float],
-) -> float:
-    """Array-factor plus element gain toward `target` when steered to `steering`.
-
-    The element boresight follows the steering direction, so the gain depends
-    only on the angular offset between the two unit vectors. Peak array factor
-    is 10*log10(rows*cols) over a single element.
-    """
+def steering_frame(steering: Vector) -> tuple[float, ...]:
+    """An array's local y' and z' axes steered to `steering`, then its azimuth and elevation."""
     sx, sy, sz = steering
     # Local frame: x along steering, z' the global-vertical component
     # orthogonal to it, y' completing the right-handed set.
@@ -146,21 +138,32 @@ def beam_gain_db(
     if norm < 1e-9:  # steering straight up/down: pick global x as reference
         zx, zy, zz, norm = 1.0, 0.0, 0.0, 1.0
     zx, zy, zz = zx / norm, zy / norm, zz / norm
-    yx = zy * sz - zz * sy
-    yy = zz * sx - zx * sz
-    yz = zx * sy - zy * sx
+    return (zy * sz - zz * sy, zz * sx - zx * sz, zx * sy - zy * sx, zx, zy, zz, *_azel(steering))
 
+
+def frame_gain_db(array: AntennaArray, frame: tuple[float, ...], target: Vector) -> float:
+    """`beam_gain_db` toward `target` of an array steered with `steering_frame` `frame`."""
+    yx, yy, yz, zx, zy, zz, s_az, s_el = frame
     tx, ty, tz = target
     a = tx * yx + ty * yy + tz * yz  # horizontal direction cosine offset
     b = tx * zx + ty * zy + tz * zz  # vertical direction cosine offset
     af_lin = (_dirichlet(array.cols, a) * _dirichlet(array.rows, b)) ** 2
     af_db = 10.0 * math.log10(max(af_lin / (array.rows * array.cols), 1e-30))
 
-    s_az, s_el = _azel(steering)
     t_az, t_el = _azel(target)
     d_az = (t_az - s_az + 180.0) % 360.0 - 180.0
     d_el = t_el - s_el
     return af_db + element_gain_db(array, d_az, d_el)
+
+
+def beam_gain_db(array: AntennaArray, steering: Vector, target: Vector) -> float:
+    """Array-factor plus element gain toward `target` when steered to `steering`.
+
+    The element boresight follows the steering direction, so the gain depends
+    only on the angular offset between the two unit vectors. Peak array factor
+    is 10*log10(rows*cols) over a single element.
+    """
+    return frame_gain_db(array, steering_frame(steering), target)
 
 
 @dataclass
@@ -180,63 +183,59 @@ class LinkState:
     distance_3d: float
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Emission:
+    """One transmission on link `link_key` and, once `add_emission` puts it
+    on the air, its own decode context: in start order, every other emission
+    that overlaps it in time (one that only touches it end to start is left
+    out). Its bound `_end` is its end event, after which the context is gone."""
     source: Device
     tx_power_dbm: float
     beam_target: Optional[Device]  # None transmits with 0 dB gain
     start: int
     end: int
     rat: str  # "nru" | "wigig"
+    link_key: int = -1  # one per (source, beam target, power, rat), from `link_key`
     eid: int = -1
-    link_key: int = -1  # one per (source, beam target, power, rat); set by add_emission
-
-
-class Capture:
-    """Decode context for one emission: the signal plus, in start order, every
-    other emission that overlaps it in time (one that only touches it end to
-    start is left out). Its bound `_end` is the emission's end event."""
-
-    __slots__ = ("env", "signal", "interferers", "at_end")
-
-    def __init__(self, env: "RadioEnvironment", signal: Emission, interferers: list[Emission],
-                 at_end: Callable[["Capture"], None]):
-        self.env = env
-        self.signal = signal
-        self.interferers = interferers
-        self.at_end = at_end
+    interferers: Optional[list["Emission"]] = field(default=None, repr=False)
+    at_end: Optional[Callable[["Emission"], None]] = field(default=None, repr=False)
+    env: Optional["RadioEnvironment"] = field(default=None, repr=False)
 
     def _end(self) -> None:
-        """Take the signal off the air, keep it for window sensing, notify
-        the listeners, then hand this capture to the receiver's `at_end`."""
+        """Take the emission off the air, keep it for window sensing, notify the listeners
+        and run `at_end`; then drop `interferers` and `at_end`, which would keep others alive."""
         env = self.env
-        em = self.signal
-        del env.active[em.eid]
-        del env._open_captures[em.eid]
+        del env.active[self.eid]
         ended = env._ended
-        ended.append(em)
+        ended.append(self)
         horizon = env.engine.now - env._retain_ns
         while ended[0].end < horizon:
             ended.popleft()
-        env._notify(em, False)
+        env._notify(self, False)
         self.at_end(self)
+        self.interferers = self.at_end = None
 
 
-class LinkTable(dict):
-    """Received power at one (receiver, rx beam) per emission link key, as
-    (dBm, linear); an entry is filled from `rx_power_dbm` on first lookup."""
+class LinkTable:
+    """Received power at one (receiver, rx beam) in two lists indexed by link
+    key, `dbm` and its linear `lin`; an entry is None until `read` fills it
+    from `rx_power_dbm`."""
+
+    __slots__ = ("env", "receiver", "rx_beam", "dbm", "lin")
 
     def __init__(self, env: "RadioEnvironment", receiver: Device, rx_beam: Optional[Device]):
-        super().__init__()
-        self.env = env
-        self.receiver = receiver
-        self.rx_beam = rx_beam
+        self.env, self.receiver, self.rx_beam = env, receiver, rx_beam
+        self.dbm: list[Optional[float]] = [None] * len(env._link_emissions)
+        self.lin: list[Optional[float]] = [None] * len(env._link_emissions)
 
-    def __missing__(self, key: int) -> tuple[float, float]:
-        env = self.env
-        p = env.rx_power_dbm(env._link_emissions[key], self.receiver, self.rx_beam)
-        entry = self[key] = (p, db_to_lin(p))
-        return entry
+    def read(self, key: int) -> float:
+        """The linear power of link `key`, both entries filled on first read."""
+        lin = self.lin[key]
+        if lin is None:
+            env = self.env
+            p = self.dbm[key] = env.rx_power_dbm(env._link_emissions[key], self.receiver, self.rx_beam)
+            lin = self.lin[key] = db_to_lin(p)
+        return lin
 
 
 class RadioEnvironment:
@@ -244,7 +243,8 @@ class RadioEnvironment:
 
     Link states (LOS flag, shadowing) are drawn lazily, once per undirected
     link per run, from the "link" RNG stream, which makes pathloss reciprocal
-    by construction. Sensing and SINR read received powers from one
+    by construction. Every emission is on a link that `link_key` registered
+    when its MAC was built. Sensing and SINR read received powers from one
     `LinkTable` per (receiver, rx beam), and every emission is recorded in
     the per-operator occupancy `ledger`. The run's `engine`, `config` and
     `traces` live here too, for every component built on this environment.
@@ -262,18 +262,19 @@ class RadioEnvironment:
         self.noise_lin = db_to_lin(self.noise_dbm)
         self._links: dict[frozenset, LinkState] = {}
         self._gain_cache: dict[tuple, float] = {}
+        self._frames: dict[tuple[str, str], tuple] = {}  # (owner, toward) -> steering_frame
+        self._pathloss: dict[tuple[str, str], float] = {}  # (a, b) -> link_pathloss_db
         self._rx_cache: dict[tuple, float] = {}
         self._tables: dict[tuple[str, Optional[str]], LinkTable] = {}
-        # (source id, beam target id or "", tx power, rat) -> link key, given on first sight
+        # (source id, beam target id or "", tx power, rat) -> link key
         self._link_keys: dict[tuple, int] = {}
-        self._link_emissions: list[Emission] = []  # link key -> the link's first emission
+        self._link_emissions: list[Emission] = []  # key -> its first aired, else one with eid -1
         self._dirs: dict[tuple[str, str], tuple[float, float, float]] = {}
         self.active: dict[int, Emission] = {}
         self._ended: deque[Emission] = deque()  # in end order
         self._retain_ns = max(self.RETAIN_NS, config.cat2_defer_ns)
-        self._open_captures: dict[int, Capture] = {}  # by signal eid
         self._listeners: list = []  # the `Backoff`s contending now, each once, for `_notify`
-        self._backoffs: list = []  # every `Backoff` built, whose `sense` a new link key extends
+        self._backoffs: list = []  # every `Backoff` built, whose `sense` each link extends
         self.ledger = OccupancyLedger()
         # Trace selector -> row list, one per selected trace; components take
         # theirs at construction, so fill it before building them.
@@ -294,11 +295,16 @@ class RadioEnvironment:
         return st
 
     def link_pathloss_db(self, a: Device, b: Device) -> float:
-        st = self.link(a, b)
-        pl = pathloss_db(st.distance_3d, self.config.center_frequency_ghz, st.los)
-        return pl + st.shadowing_db
+        """Pathloss plus shadowing, worked out once per (a, b)."""
+        key = (a.id, b.id)
+        pl = self._pathloss.get(key)
+        if pl is None:
+            st = self.link(a, b)
+            pl = pathloss_db(st.distance_3d, self.config.center_frequency_ghz, st.los)
+            pl = self._pathloss[key] = pl + st.shadowing_db
+        return pl
 
-    def direction(self, src: Device, dst: Device) -> tuple[float, float, float]:
+    def direction(self, src: Device, dst: Device) -> Vector:
         key = (src.id, dst.id)
         d = self._dirs.get(key)
         if d is None:
@@ -311,48 +317,33 @@ class RadioEnvironment:
         return d
 
     def gain_db(self, owner: Device, toward: Device, observed: Device) -> float:
-        """Gain of `owner`'s array steered toward `toward`, seen from `observed`."""
+        """Gain of `owner`'s array steered toward `toward`, seen from
+        `observed`: `beam_gain_db`, its steering frame kept per (owner, toward)."""
         key = (owner.id, toward.id, observed.id)
         g = self._gain_cache.get(key)
         if g is None:
-            g = beam_gain_db(
-                owner.array,
-                self.direction(owner, toward),
-                self.direction(owner, observed),
-            )
-            self._gain_cache[key] = g
+            frame = self._frames.get(key[:2])
+            if frame is None:
+                frame = self._frames[key[:2]] = steering_frame(self.direction(owner, toward))
+            target = self.direction(owner, observed)
+            g = self._gain_cache[key] = frame_gain_db(owner.array, frame, target)
         return g
 
-    def rx_power_dbm(
-        self,
-        em: Emission,
-        receiver: Device,
-        rx_beam_toward: Optional[Device] = None,
-    ) -> float:
-        """Received power; rx_beam_toward=None means 0 dB (omni) reception."""
-        key = (
-            em.source.id,
-            em.beam_target.id if em.beam_target else None,
-            receiver.id,
-            rx_beam_toward.id if rx_beam_toward else None,
-            em.tx_power_dbm,
-        )
+    def rx_power_dbm(self, em: Emission, receiver: Device,
+                     rx_beam_toward: Optional[Device] = None) -> float:
+        """Received power, the rule every `LinkTable` entry is filled by:
+        power plus both antenna gains (0 dB unbeamed; rx_beam_toward=None is
+        omni reception) minus `link_pathloss_db`, summed in that order."""
+        source, target = em.source, em.beam_target
+        key = (source.id, target.id if target else None, receiver.id,
+               rx_beam_toward.id if rx_beam_toward else None, em.tx_power_dbm)
         p = self._rx_cache.get(key)
         if p is None:
-            tx_gain = (
-                self.gain_db(em.source, em.beam_target, receiver)
-                if em.beam_target is not None
-                else 0.0
-            )
-            rx_gain = (
-                self.gain_db(receiver, rx_beam_toward, em.source)
-                if rx_beam_toward is not None
-                else 0.0
-            )
-            p = em.tx_power_dbm + tx_gain + rx_gain - self.link_pathloss_db(
-                em.source, receiver
-            )
-            self._rx_cache[key] = p
+            tx_gain = self.gain_db(source, target, receiver) if target is not None else 0.0
+            rx_gain = (self.gain_db(receiver, rx_beam_toward, source)
+                       if rx_beam_toward is not None else 0.0)
+            p = self._rx_cache[key] = (em.tx_power_dbm + tx_gain + rx_gain
+                                       - self.link_pathloss_db(source, receiver))
         return p
 
     def link_table(self, receiver: Device, rx_beam_toward: Optional[Device] = None) -> LinkTable:
@@ -373,45 +364,60 @@ class RadioEnvironment:
 
     # -- emissions --------------------------------------------------------
 
-    def transmit(self, source: Device, target: Device, end: int, rat: str,
-                 at_end: Callable[[Capture], None]) -> Capture:
-        """Emit at full power from `source`, beamed at `target`, from now to
-        `end`; the receiver's `at_end(capture)` runs in the end event."""
-        em = Emission(source, self.config.tx_power_dbm, target, self.engine.now, end, rat)
+    def link_key(self, source: Device, target: Optional[Device], rat: str,
+                 tx_power_dbm: Optional[float] = None) -> int:
+        """The key of the link from `source` beamed at `target`, at `tx_power_dbm` (None:
+        the configured power), in `rat`, registered on first call: a MAC's, when it is built."""
+        power = self.config.tx_power_dbm if tx_power_dbm is None else tx_power_dbm
+        link = (source.id, target.id if target is not None else "", power, rat)
+        key = self._link_keys.get(link)
+        if key is None:
+            key = self._link_keys[link] = len(self._link_emissions)
+            self._link_emissions.append(Emission(source, power, target, 0, 0, rat, key))
+            for table in self._tables.values():
+                table.dbm.append(None)
+                table.lin.append(None)
+            for obj in self._backoffs:
+                obj.sense.append(None)
+        return key
+
+    def transmit(self, key: int, end: int, at_end: Callable[[Emission], None]) -> Emission:
+        """Emit on link `key` from now to `end`; the receiver's
+        `at_end(emission)` runs in the end event."""
+        link = self._link_emissions[key]
+        em = Emission(link.source, link.tx_power_dbm, link.beam_target, self.engine.now, end,
+                      link.rat, key)
         return self.add_emission(em, at_end)
 
-    def add_emission(self, em: Emission, at_end: Callable[[Capture], None]) -> Capture:
-        """Register an emission starting now; its capture's `_end` ends it and
-        calls `at_end`. An emission ending now (its end event may still be
-        due) does not overlap it, so neither capture lists the other."""
+    def add_emission(self, em: Emission, at_end: Callable[[Emission], None]) -> Emission:
+        """Put an emission starting now on the air; its `_end` ends it and calls `at_end`. An
+        emission ending now (its end event may still be due) does not overlap it, so neither
+        lists the other. Its link must be registered (`link_key`), or ValueError."""
+        key = em.link_key
+        if key < 0:
+            target = em.beam_target.id if em.beam_target else None
+            raise ValueError(f"no registered link from {em.source.id} to {target}")
         start = em.start
         assert start == self.engine.now < em.end
         em.eid = eid = self._next_eid
         self._next_eid = eid + 1
-        target = em.beam_target
-        link = (em.source.id, target.id if target is not None else "", em.tx_power_dbm, em.rat)
-        key = self._link_keys.get(link)
-        if key is None:
-            em.link_key = key = self._link_keys[link] = len(self._link_emissions)
-            self._link_emissions.append(em)
-            for obj in self._backoffs:
-                obj.sense.append(obj._sense_entry(obj.table, em))
-        else:
-            em.link_key = key
         interferers = []
-        cap = Capture(self, em, interferers, at_end)
-        open_captures = self._open_captures
-        for open_cap in open_captures.values():  # the emissions on the air, in eid order
-            other = open_cap.signal
+        em.env, em.at_end, em.interferers = self, at_end, interferers
+        links = self._link_emissions
+        if links[key].eid < 0:  # the link's first emission
+            links[key] = em
+            for obj in self._backoffs:
+                obj.sense[key] = obj._sense_entry(obj.table, em)
+        active = self.active
+        for other in active.values():  # in eid order
             if other.end > start:
                 interferers.append(other)
-                open_cap.interferers.append(em)
-        open_captures[eid] = cap
-        self.active[eid] = em
+                other.interferers.append(em)
+        active[eid] = em
         self.ledger.record(em.source.operator, start, em.end)
-        self.engine.schedule(cap._end, em.end)
+        self.engine.schedule(em._end, em.end)
         self._notify(em, True)
-        return cap
+        return em
 
     def add_listener(self, obj) -> None:
         self._listeners.append(obj)
@@ -456,8 +462,8 @@ class RadioEnvironment:
         self, device: Device, rx_beam_toward: Optional[Device] = None
     ) -> list[tuple[Emission, float]]:
         """(emission, rx dBm) for every active emission not sourced by device."""
-        table = self.link_table(device, rx_beam_toward)
-        return [(em, table[em.link_key][0]) for em in self.active.values() if em.source is not device]
+        return [(em, self.rx_power_dbm(em, device, rx_beam_toward))
+                for em in self.active.values() if em.source is not device]
 
     def sensed_power_dbm(
         self, device: Device, rx_beam_toward: Optional[Device] = None
@@ -468,7 +474,7 @@ class RadioEnvironment:
         total = 0.0
         for em in self.active.values():
             if em.source is not device:
-                total += table[em.link_key][1]
+                total += table.read(em.link_key)
         return lin_to_db(total) if total > 0 else -math.inf
 
     def window_emissions(self, table: LinkTable, w_start: int, w_end: int) -> list[tuple]:
@@ -483,12 +489,12 @@ class RadioEnvironment:
         ems = []
         for em in self.active.values():
             if em.start < w_end and em.end > w_start and em.source is not device:
-                ems.append((em.eid, em.start, em.end, table[em.link_key][1]))
+                ems.append((em.eid, em.start, em.end, table.read(em.link_key)))
         for em in reversed(self._ended):  # end order: stop at the first one out
             if em.end <= w_start:
                 break
             if em.start < w_end and em.source is not device:
-                ems.append((em.eid, em.start, em.end, table[em.link_key][1]))
+                ems.append((em.eid, em.start, em.end, table.read(em.link_key)))
         ems.sort()  # an ended emission may have started after an active one
         return ems
 
@@ -506,9 +512,9 @@ class RadioEnvironment:
         best = peak_power_lin(ems, w_start)
         return lin_to_db(best) if best > 0 else -math.inf
 
-    def effective_sinr_db(self, cap: Capture, table: LinkTable) -> float:
-        """Duration-weighted linear-mean SINR over the signal's lifetime at
-        the receiver's `table` (its receiver and rx beam).
+    def effective_sinr_db(self, sig: Emission, table: LinkTable) -> float:
+        """Duration-weighted linear-mean SINR over the lifetime of `sig`, on the
+        air or ending, at the receiver's `table` (its receiver and rx beam).
 
         Interference is piecewise constant, so integrating per overlap
         segment is exact. Floats: a segment's interference is the `+=` sum
@@ -516,18 +522,17 @@ class RadioEnvironment:
         the segments' `(t1 - t0) * s_lin / (noise + i_lin)` are added in time
         order, never merged. No sum uses `sum()` (compensated since 3.12).
         """
-        sig = cap.signal
         start, end = sig.start, sig.end
         receiver = table.receiver
-        s_lin = table[sig.link_key][1]
+        s_lin = table.read(sig.link_key)
         noise = self.noise_lin
         i_lin = 0.0
         heard = False
-        for em in cap.interferers:  # all overlap the signal
+        for em in sig.interferers:  # all overlap the signal
             if em.source is not receiver:
                 if em.start > start or em.end < end:
                     break  # not on the air for the whole signal: integrate
-                i_lin += table[em.link_key][1]
+                i_lin += table.read(em.link_key)
                 heard = True
         else:
             if not heard:
@@ -535,9 +540,9 @@ class RadioEnvironment:
             # One segment: the loop below would add it to 0.0, which is exact.
             return 10.0 * log10((end - start) * s_lin / (noise + i_lin) / (end - start))
         infs, edges = [], {end}  # edges: the segments' ends, each in (start, end]
-        for em in cap.interferers:
+        for em in sig.interferers:
             if em.source is not receiver:
-                infs.append((em.start, em.end, table[em.link_key][1]))
+                infs.append((em.start, em.end, table.read(em.link_key)))
                 if em.start > start:
                     edges.add(em.start)
                 if em.end < end:

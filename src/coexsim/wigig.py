@@ -64,7 +64,6 @@ class WigigAp(Backoff):
         self.queue: deque[WigigFrame] = deque()
         self.ed_threshold_lin = db_to_lin(config.wigig_ed_threshold_dbm)
         self.table = env.link_table(device)  # omni reception at the AP
-        self.ack_timeout_ns = config.ack_timeout_ns
         self._durations: dict[tuple[int, int], int] = {}  # (payload, MCS) -> ns
         self._ack_due = 0  # the frame in hand's ACK timeout
         self._current: Optional[WigigFrame] = None
@@ -97,9 +96,9 @@ class WigigAp(Backoff):
         if dur is None:
             dur = self._durations[size, mcs] = frame_duration_ns(size, WIGIG_MCS[mcs][1])
         end = self.engine.now + dur
-        self.env.transmit(self.device, sta.device, end, "wigig", partial(sta.receive_frame, frame))
+        self.env.transmit(sta.dl_key, end, partial(sta.receive_frame, frame))
         self._ack_ok = False
-        self._ack_due = end + self.ack_timeout_ns
+        self._ack_due = end + self.config.ack_timeout_ns
 
     def ack_received(self, frame: WigigFrame, measured_sinr_db: float) -> None:
         self._ack_ok = True
@@ -147,6 +146,8 @@ class WigigSta:
         self.sifs_ns = ap.config.sifs_ns
         self.ack_ns = ap.config.ack_ns
         self.table = self.env.link_table(device, ap.device)  # decodes along its beam to the AP
+        self.dl_key = self.env.link_key(ap.device, device, "wigig")  # frames, probe responses
+        self.ul_key = self.env.link_key(device, ap.device, "wigig")  # ACKs, probes
         self.association = "pending"  # pending | associated | failed
         self.holding: list[PacketRecord] = []
         self.last_sinr_db = 0.0
@@ -183,7 +184,7 @@ class WigigSta:
     def _send_ack(self, frame: WigigFrame, measured_sinr_db: float) -> None:
         end = self.engine.now + self.ack_ns
         at_end = partial(self._deliver_ack, frame, measured_sinr_db)
-        self.env.transmit(self.device, self.ap.device, end, "wigig", at_end)
+        self.env.transmit(self.ul_key, end, at_end)
 
     def _deliver_ack(self, frame: WigigFrame, measured_sinr_db: float, cap) -> None:
         # Quasi-omnidirectional reception at the AP in the uplink.
@@ -207,12 +208,12 @@ class WigigSta:
                 self.engine.schedule(self._associate_attempt, self.engine.now + 100 * US)
             return
         self._busy_waits = 0
-        self._probe(self.device, self.ap.device, self._probe_at_ap)
+        self._probe(self.ul_key, self._probe_at_ap)
 
-    def _probe(self, source: Device, target: Device, at_end) -> None:
-        """Send one association frame at the floor rate; at_end(cap) at its end."""
+    def _probe(self, key: int, at_end) -> None:
+        """Send one association frame on link `key` at the floor rate; at_end(cap) at its end."""
         end = self.engine.now + frame_duration_ns(PROBE_BYTES, WIGIG_MCS[0][1])
-        self.env.transmit(source, target, end, "wigig", at_end)
+        self.env.transmit(key, end, at_end)
 
     def _probe_at_ap(self, cap) -> None:
         sinr = self.env.effective_sinr_db(cap, self.ap.table)
@@ -222,7 +223,7 @@ class WigigSta:
         self.engine.schedule(self._probe_response, self.engine.now + self.sifs_ns)
 
     def _probe_response(self) -> None:
-        self._probe(self.ap.device, self.device, self._response_at_sta)
+        self._probe(self.dl_key, self._response_at_sta)
 
     def _response_at_sta(self, cap) -> None:
         sinr = self.env.effective_sinr_db(cap, self.table)

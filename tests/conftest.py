@@ -1,5 +1,7 @@
 """Shared rigs: a tiny radio environment with hand-forced link states so that
 received powers in tests are exact, closed-form quantities."""
+from copy import copy
+
 import pytest
 
 from coexsim import runner
@@ -26,6 +28,7 @@ class Rig:
         self.streams = RngStreams(seed)
         self.config = config
         self.env = RadioEnvironment(self.engine, self.streams, self.config)
+        self.decoded = {}  # eid -> a copy of an ended `emit` emission, interferers kept
 
     def place(self, dev_id, x, y=0.0, z=1.5, operator="A", role="sta", array=OMNI):
         return Device(dev_id, operator, role, Position(x, y, z), array)
@@ -39,9 +42,19 @@ class Rig:
         )
 
     def emit(self, source, tx_power_dbm, duration_ns, rat="nru", beam_target=None):
+        """Put an emission over [now, now + duration_ns) on the air, on its
+        link, registered here. No receiver decodes it: its end event keeps a
+        copy in `decoded`, with the interferers the emission itself drops."""
         now = self.engine.now
-        em = Emission(source, tx_power_dbm, beam_target, now, now + duration_ns, rat)
-        return em, self.env.add_emission(em, lambda cap: None)  # no receiver decodes it
+        key = self.env.link_key(source, beam_target, rat, tx_power_dbm)
+        em = Emission(source, tx_power_dbm, beam_target, now, now + duration_ns, rat, key)
+        return self.env.add_emission(em, lambda em: self.decoded.__setitem__(em.eid, copy(em)))
+
+
+def table_entry(table, key):
+    """(dBm, linear power) of link `key` at a `LinkTable`, filled on first read."""
+    lin = table.read(key)
+    return table.dbm[key], lin
 
 
 class FixedRng:

@@ -185,7 +185,7 @@ def test_a_loud_edge_freezes_as_a_full_re_sense_would(
     seen = []
 
     def burst():
-        em, _ = rig.emit(intf, 17.0, 6_000)
+        em = rig.emit(intf, 17.0, 6_000)
         (obj,) = rig.env._listeners
         seen.append((obj.state, obj.counter, obj._witness is em, len(resensed)))
 
@@ -241,3 +241,14 @@ def test_the_listeners_are_exactly_the_contending_devices(monkeypatch, label):
     run_once(replace(CampaignConfig().for_label(label), duration_s=0.02), 1)
     assert len(backoffs) >= 3 and len(listening) > 1000
     assert sum(n > 0 for n in listening) > 100 and max(listening) >= 2
+
+
+@pytest.mark.parametrize("label", ["Cat4/Cat2", "Cat3/Cat2", "WiGig-only"])
+def test_every_contender_keeps_at_most_29_instance_attributes(label):
+    """CPython 3.11 moves an instance's attributes into a plain dict from the
+    30th on, and then stops specialising the reads `_notify` and
+    `medium_busy` make on every edge (`Backoff`'s docstring)."""
+    env = run_once(replace(CampaignConfig().for_label(label), duration_s=0.001), 1).env
+    assert env._backoffs
+    for obj in env._backoffs:
+        assert len(vars(obj)) <= 29, (type(obj).__name__, sorted(vars(obj)))

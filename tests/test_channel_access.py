@@ -148,9 +148,10 @@ def _threshold_rig(*powers_lin):
     ap_dev = rig.place("ap", 0.0, 1.0, role="ap")
     sources = [rig.place(f"src{i}", 10.0 + i, operator="B") for i in range(len(powers_lin))]
     for src, lin in zip(sources, powers_lin):
-        em, _ = rig.emit(src, 17.0, 1)
+        em = rig.emit(src, 17.0, 1)
         for dev in (gnb, ap_dev):
-            rig.env.link_table(dev)[em.link_key] = (lin_to_db(lin), lin)
+            table = rig.env.link_table(dev)
+            table.dbm[em.link_key], table.lin[em.link_key] = lin_to_db(lin), lin
     lbt = _cam(rig, CAT4, gnb, FixedRng(15))
     cat2 = _cam(rig, CAT2, gnb)  # senses at the same omni table as `lbt`
     ap = WigigAp(ap_dev, rig.env, FixedRng(15))
@@ -347,7 +348,7 @@ def test_verifier_flags_grant_inside_busy_window(rig):
     intf = _interferer(rig)
     rig.force_link(dev, intf)
     cam = _cam(rig, CAT4, dev)
-    em, _ = rig.emit(intf, 17.0, 9_000)
+    em = rig.emit(intf, 17.0, 9_000)
     rows = [
         (0, "dev", CAT4, "defer_start"),
         (83_000, "dev", CAT4, "grant"),  # lies: window [0, 83000) was busy
@@ -361,6 +362,6 @@ def test_verifier_accepts_clean_windows(rig):
     intf = _interferer(rig)
     rig.force_link(dev, intf)
     cam = _cam(rig, CAT4, dev)
-    em, _ = rig.emit(intf, 17.0, 9_000)
+    em = rig.emit(intf, 17.0, 9_000)
     rows = [(9_000, "dev", CAT4, "defer_start"), (92_000, "dev", CAT4, "grant")]
     assert verify_lbt_safety(rig.env, [cam], rows, [em]) == []

@@ -18,7 +18,7 @@ from coexsim import CampaignConfig, parse_config, run_once
 from coexsim.channel_access import CAT4, Backoff, Cam, LbtCam
 from coexsim.radio import RadioEnvironment, peak_power_lin
 from coexsim.wigig import WigigAp
-from tests.conftest import FixedRng, record_cams
+from tests.conftest import FixedRng, record_cams, table_entry
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 LABELS = parse_config(str(SCRIPTS / "full_campaign.cfg")).sweep_labels()
@@ -76,11 +76,11 @@ def test_witness_keeps_the_ap_busy_until_it_ends(rig):
         for src in (weak_src, strong_src):
             rig.force_link(rx, src)
     ap = WigigAp(ap_dev, rig.env, FixedRng(3))
-    weak, _ = rig.emit(weak_src, 0.0, 10_000)
-    strong, _ = rig.emit(strong_src, 17.0, 20_000)
+    weak = rig.emit(weak_src, 0.0, 10_000)
+    strong = rig.emit(strong_src, 17.0, 20_000)
     table = rig.env.link_table(ap_dev)
-    assert table[weak.link_key][1] < ap.ed_threshold_lin <= table[strong.link_key][1]
-    assert rig.env.link_table(sta)[weak.link_key][1] >= ap.ed_threshold_lin
+    assert table.read(weak.link_key) < ap.ed_threshold_lin <= table.read(strong.link_key)
+    assert rig.env.link_table(sta).read(weak.link_key) >= ap.ed_threshold_lin
     calls = []
     ap.medium_changed = lambda: (calls.append(rig.engine.now), Backoff.medium_changed(ap))
     ap._start_backoff()
@@ -100,7 +100,7 @@ def sense_rule(obj, em) -> float:
     table = obj.table
     if em.source is table.receiver:
         return 0.0
-    p, lin = table[em.link_key]
+    p, lin = table_entry(table, em.link_key)
     return math.inf if em.rat == "wigig" and p >= obj._preamble_dbm else lin
 
 
@@ -113,7 +113,7 @@ def sensed_busy(env, obj) -> bool:
     total = 0.0
     for em in env.active.values():
         if em.source is not table.receiver:
-            p, lin = table[em.link_key]
+            p, lin = table_entry(table, em.link_key)
             if lin >= obj.ed_threshold_lin or (em.rat == "wigig" and p >= obj._preamble_dbm):
                 return True
             total += lin
@@ -130,16 +130,16 @@ def test_a_sense_list_covers_the_keys_born_before_and_after_its_device(rig):
         rig.force_link(a, b)
     ap = WigigAp(ap_dev, rig.env, FixedRng(0))
     assert ap.sense == [] and rig.env._backoffs == [ap]
-    ems = [rig.emit(ap_dev, 17.0, 1_000, rat="wigig")[0],
-           rig.emit(src, 6.0, 1_000, rat="wigig")[0],  # about -84 dBm at the AP
-           rig.emit(src, 6.0, 1_000, rat="nru")[0]]
+    ems = [rig.emit(ap_dev, 17.0, 1_000, rat="wigig"),
+           rig.emit(src, 6.0, 1_000, rat="wigig"),  # about -84 dBm at the AP
+           rig.emit(src, 6.0, 1_000, rat="nru")]
     lbt = LbtCam(CAT4, gnb_dev, rig.env, FixedRng(0))
-    p_ap, lin_ap = ap.table[ems[1].link_key]
+    p_ap, lin_ap = table_entry(ap.table, ems[1].link_key)
     assert lin_ap < ap.ed_threshold_lin and p_ap >= ap._preamble_dbm  # a preamble, quiet energy
-    assert ap.sense == [0.0, math.inf, ap.table[ems[2].link_key][1]]
-    assert lbt.sense == [lbt.table[em.link_key][1] for em in ems]  # no preamble rule
-    born, _ = rig.emit(gnb_dev, 17.0, 1_000)
-    assert ap.sense[3:] == [ap.table[born.link_key][1]] and lbt.sense[3:] == [0.0]
+    assert ap.sense == [0.0, math.inf, ap.table.read(ems[2].link_key)]
+    assert lbt.sense == [lbt.table.read(em.link_key) for em in ems]  # no preamble rule
+    born = rig.emit(gnb_dev, 17.0, 1_000)
+    assert ap.sense[3:] == [ap.table.read(born.link_key)] and lbt.sense[3:] == [0.0]
     assert rig.env._backoffs == [ap, lbt]
     for obj in (ap, lbt):
         assert obj.sense == [sense_rule(obj, em) for em in rig.env._link_emissions]
@@ -149,7 +149,8 @@ def test_a_sense_list_covers_the_keys_born_before_and_after_its_device(rig):
 @pytest.mark.parametrize("label", LABELS)
 def test_every_sense_entry_follows_the_rule_at_its_table(monkeypatch, base, label):
     """After a full-floor run, every AP and LBT manager built is registered
-    once, and each entry of its `sense` list is the rule's at its table."""
+    once, and each entry of its `sense` list is the rule's at its table for
+    a link that has aired (eid set), None for one that has not."""
     cams = record_cams(monkeypatch)
     result = run_once(replace(base.for_label(label), duration_s=0.05), 1)
     env = result.env
@@ -157,7 +158,8 @@ def test_every_sense_entry_follows_the_rule_at_its_table(monkeypatch, base, labe
     assert sorted(map(id, env._backoffs)) == sorted(map(id, contenders))
     assert len(env._link_emissions) > 20
     for obj in env._backoffs:
-        assert obj.sense == [sense_rule(obj, em) for em in env._link_emissions], obj.device.id
+        want = [None if em.eid < 0 else sense_rule(obj, em) for em in env._link_emissions]
+        assert obj.sense == want, obj.device.id
 
 
 @pytest.fixture

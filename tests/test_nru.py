@@ -19,7 +19,7 @@ from coexsim.nru import (
     TransportBlock,
     symbol_capacity_bytes,
 )
-from coexsim.radio import Emission, db_to_lin, lin_to_db, select_mcs
+from coexsim.radio import db_to_lin, lin_to_db, select_mcs
 from coexsim.traffic import PacketRecord
 from tests.conftest import FixedRng, Rig
 
@@ -264,11 +264,7 @@ def test_chase_combining_adds_linear_snr(rig):
     tb = TransportBlock(0, ue, 100, [], mcs=11, n_symbols=1)  # 28 dB threshold
 
     def one_tx():
-        em = Emission(
-            gnb.device, 17.0, ue.device, rig.engine.now, rig.engine.now + SYMBOL_NS, "nru"
-        )
-        cap = rig.env.add_emission(em, lambda cap: None)
-        ue.receive_tb(tb, cap)
+        ue.receive_tb(tb, rig.emit(gnb.device, 17.0, SYMBOL_NS, beam_target=ue.device))
 
     one_tx()
     first = 10 * math.log10(tb.acc_sinr_lin)
@@ -290,8 +286,7 @@ def test_a_block_sent_again_after_lost_feedback_combines_afresh(rig):
 
     def copy(power_dbm):
         now = rig.engine.now
-        em = Emission(gnb.device, power_dbm, ue.device, now, now + SYMBOL_NS, "nru")
-        ue.receive_tb(tb, rig.env.add_emission(em, lambda cap: None))
+        ue.receive_tb(tb, rig.emit(gnb.device, power_dbm, SYMBOL_NS, beam_target=ue.device))
         rig.engine.run_until(now + 2 * SYMBOL_NS)
         return ue.fb_pending.pop(0)
 

@@ -4,7 +4,7 @@ import random
 from functools import partial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coexsim import radio
 from coexsim.engine import RngStreams
@@ -19,13 +19,16 @@ from coexsim.radio import (
     beam_gain_db,
     db_to_lin,
     element_gain_db,
+    frame_gain_db,
     lin_to_db,
     los_probability,
     noise_power_dbm,
     pathloss_db,
     select_mcs,
+    steering_frame,
 )
 from coexsim.wigig import WIGIG_MCS, WIGIG_MCS_THRESHOLDS
+from tests.conftest import OMNI, Rig, table_entry
 
 SITE = AntennaArray(rows=8, cols=8)
 USER = AntennaArray(rows=4, cols=4)
@@ -126,6 +129,91 @@ def test_steering_up_does_not_blow_up():
     assert g == pytest.approx(10 * math.log10(64) + 8.0, abs=1e-9)
 
 
+# -- cached link-budget terms ------------------------------------------------
+# The caches must give the uncached formulas' floats bit for bit: compared as
+# float.hex(), which also tells -0.0 from 0.0.
+
+def _ref_beam_gain_db(array, steering, target):
+    """`beam_gain_db` as one function that works out the steering frame on
+    every call, in the order the cached path must keep."""
+    sx, sy, sz = steering
+    zx, zy, zz = -sz * sx, -sz * sy, 1.0 - sz * sz
+    norm = math.sqrt(zx * zx + zy * zy + zz * zz)
+    if norm < 1e-9:
+        zx, zy, zz, norm = 1.0, 0.0, 0.0, 1.0
+    zx, zy, zz = zx / norm, zy / norm, zz / norm
+    yx = zy * sz - zz * sy
+    yy = zz * sx - zx * sz
+    yz = zx * sy - zy * sx
+    tx, ty, tz = target
+    a = tx * yx + ty * yy + tz * yz
+    b = tx * zx + ty * zy + tz * zz
+    af_lin = (_dirichlet(array.cols, a) * _dirichlet(array.rows, b)) ** 2
+    af_db = 10.0 * math.log10(max(af_lin / (array.rows * array.cols), 1e-30))
+    s_az = math.degrees(math.atan2(sy, sx))
+    s_el = math.degrees(math.asin(max(-1.0, min(1.0, sz))))
+    t_az = math.degrees(math.atan2(ty, tx))
+    t_el = math.degrees(math.asin(max(-1.0, min(1.0, tz))))
+    d_az = (t_az - s_az + 180.0) % 360.0 - 180.0
+    d_el = t_el - s_el
+    return af_db + element_gain_db(array, d_az, d_el)
+
+
+def _unit(v):
+    r = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+    return (v[0] / r, v[1] / r, v[2] / r)
+
+
+UNIT = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: v[0] * v[0] + v[1] * v[1] + v[2] * v[2] > 1e-6).map(_unit)
+UP, DOWN = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(array=st.sampled_from([SITE, USER, OMNI]), steering=UNIT,
+       targets=st.lists(UNIT, min_size=1, max_size=4))
+@example(array=SITE, steering=UP, targets=[UP, DOWN, (1.0, 0.0, 0.0)])
+@example(array=USER, steering=DOWN, targets=[DOWN, UP, (0.0, 1.0, 0.0)])
+@example(array=SITE, steering=(1.0, 0.0, 0.0), targets=[UP, DOWN])
+def test_a_kept_steering_frame_gives_the_uncached_gain_bit_for_bit(array, steering, targets):
+    frame = steering_frame(steering)  # one frame, reused for every target
+    for target in targets:
+        want = _ref_beam_gain_db(array, steering, target).hex()
+        assert frame_gain_db(array, frame, target).hex() == want
+        assert beam_gain_db(array, steering, target).hex() == want
+
+
+POSITION = st.tuples(st.floats(0.0, 60.0), st.floats(0.0, 20.0), st.sampled_from([1.5, 3.0]))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(points=st.lists(POSITION, min_size=3, max_size=6, unique=True), seed=st.integers(1, 5),
+       pinned=st.booleans())
+def test_cached_gains_and_pathloss_equal_the_uncached_formulas_bit_for_bit(points, seed, pinned):
+    rig = Rig(seed)
+    env, fc = rig.env, rig.config.center_frequency_ghz
+    devs = [rig.place(f"d{i}", x, y, z, array=SITE if z == 3.0 else USER)
+            for i, (x, y, z) in enumerate(points)]
+    if pinned:  # a link pinned as a test rig does, before anything reads it
+        rig.force_link(devs[0], devs[1], los=False, shadowing_db=-4.25)
+    for _ in range(2):  # the second pass reads every cache
+        for owner in devs:
+            for toward in devs:
+                if toward is owner:
+                    continue
+                for seen in devs:
+                    if seen is not owner:
+                        want = _ref_beam_gain_db(owner.array, env.direction(owner, toward),
+                                                 env.direction(owner, seen))
+                        assert env.gain_db(owner, toward, seen).hex() == want.hex()
+                st_ = env.link(owner, toward)
+                want = pathloss_db(st_.distance_3d, fc, st_.los) + st_.shadowing_db
+                assert env.link_pathloss_db(owner, toward).hex() == want.hex()
+    if pinned:
+        assert env.link_pathloss_db(devs[1], devs[0]) == pathloss_db(
+            devs[0].position.distance_3d(devs[1].position), fc, False) - 4.25
+
+
 # -- environment ------------------------------------------------------------
 
 def test_link_pathloss_is_reciprocal_and_cached(rig):
@@ -153,7 +241,7 @@ def test_window_emissions_come_in_eid_order_ended_ones_included(rig):
         rig.force_link(dev, src)
     sent = []
     for src, start, duration in zip(sources, (0, 1_000, 2_000), (10_000, 100_000, 15_000)):
-        rig.engine.schedule(lambda src=src, d=duration: sent.append(rig.emit(src, 0.0, d)[0]), start)
+        rig.engine.schedule(lambda src=src, d=duration: sent.append(rig.emit(src, 0.0, d)), start)
     rig.engine.run_until(20_000)
     assert [em.eid for em in rig.env.active.values()] == [sent[1].eid]
     ems = rig.env.window_emissions(rig.env.link_table(dev), 0, 20_000)
@@ -195,7 +283,7 @@ def test_forced_link_gives_closed_form_rx_power(rig):
     a = rig.place("a", 0.0, 0.0, z=1.5)
     b = rig.place("b", 10.0, 0.0, z=1.5)
     rig.force_link(a, b)
-    em, _ = rig.emit(a, 17.0, 1000)
+    em = rig.emit(a, 17.0, 1000)
     p = rig.env.rx_power_dbm(em, b)
     assert p == pytest.approx(17.0 - 84.9686, abs=1e-3)
 
@@ -253,7 +341,7 @@ def test_effective_sinr_piecewise_average(rig):
     jam = rig.place("jam", 2.0)  # also 1 m from rx, so it arrives at power s
     rig.force_link(tx, rx)
     rig.force_link(jam, rx)
-    _, cap = rig.emit(tx, 17.0, 1000)
+    cap = rig.emit(tx, 17.0, 1000)
     # Interferer covers only the second half of the signal.
     rig.engine.schedule(lambda: rig.emit(jam, 17.0, 600), 500)
     rig.engine.run_until(2000)
@@ -261,7 +349,7 @@ def test_effective_sinr_piecewise_average(rig):
     s = db_to_lin(17.0 - pathloss_db(1.0, 58.0, True))
     n = env.noise_lin
     expect = 10 * math.log10(0.5 * (s / n) + 0.5 * (s / (n + s)))
-    got = env.effective_sinr_db(cap, env.link_table(rx))
+    got = env.effective_sinr_db(rig.decoded[cap.eid], env.link_table(rx))
     assert got == pytest.approx(expect, abs=1e-6)
 
 
@@ -269,12 +357,12 @@ def test_capture_includes_later_overlapping_emission(rig):
     tx = rig.place("tx", 0.0, 0.0)
     rx = rig.place("rx", 1.0, 0.0)
     rig.force_link(tx, rx)
-    _, cap = rig.emit(tx, 17.0, 1000)
+    cap = rig.emit(tx, 17.0, 1000)
     late = rig.place("late", 0.0, 2.0)
     rig.force_link(late, rx)
     rig.engine.schedule(lambda: rig.emit(late, 17.0, 100), 900)
     rig.engine.run_until(2000)
-    assert any(e.source is late for e in cap.interferers)
+    assert any(e.source is late for e in rig.decoded[cap.eid].interferers)
 
 
 class _WaitingListener:
@@ -296,25 +384,62 @@ def test_transmit_hands_its_capture_to_at_end_in_its_one_end_event(rig):
     log, caps = [], {}
     env.add_listener(_WaitingListener(log))
     # Queued first: an emission starting at the exact nanosecond `a`'s ends.
-    engine.schedule(lambda: caps.setdefault("next", rig.emit(c, 17.0, 500)[1]), 1_000)
+    engine.schedule(lambda: caps.setdefault("next", rig.emit(c, 17.0, 500)), 1_000)
 
     def at_end(cap):
-        log.append(("at_end", engine.now, cap.signal.eid in env.active))
+        log.append(("at_end", engine.now, cap.eid in env.active, list(cap.interferers)))
 
     queued = len(engine._heap)
-    caps["tx"] = env.transmit(a, b, 1_000, "wigig", at_end)
+    caps["tx"] = env.transmit(env.link_key(a, b, "wigig"), 1_000, at_end)
     assert len(engine._heap) == queued + 1  # the end event, nothing else
     assert engine.run_until(1_000) == 2  # the queued start, then that end event
     # at_end ran last in the end event: off the air, listener notified first.
-    assert log == ["listener", ("at_end", 1_000, False)]
-    assert caps["tx"].interferers == [] and caps["next"].interferers == []
+    assert log == ["listener", ("at_end", 1_000, False, [])]
+    assert caps["next"].interferers == []
+    # Its receiver has run: the emission keeps neither its interferers nor at_end.
+    assert caps["tx"].interferers is None and caps["tx"].at_end is None
+
+
+def test_an_ended_emission_drops_its_interferers_and_at_end(rig):
+    """Its receiver gets the emission with its interferers in the end event;
+    afterwards it keeps neither them nor `at_end`, so emissions kept for
+    window sensing hold no others alive, while one still on the air keeps
+    the ended one among its interferers."""
+    env, engine = rig.env, rig.engine
+    a, b, rx = rig.place("a", 0.0), rig.place("b", 2.0), rig.place("rx", 1.0)
+    seen = []
+
+    def at_end(em):
+        seen.append((em.eid, list(em.interferers), em.at_end is at_end))
+
+    first = env.transmit(env.link_key(a, rx, "nru"), 1_000, at_end)
+    engine.schedule(lambda: seen.append(env.transmit(env.link_key(b, rx, "nru"), 1_500, at_end)),
+                    500)
+    engine.run_until(1_000)
+    second = seen.pop(0)
+    assert seen == [(first.eid, [second], True)]
+    assert first.interferers is None and first.at_end is None and first in env._ended
+    assert second.interferers == [first] and second.at_end is at_end
+    engine.run_until(2_000)
+    assert seen[1] == (second.eid, [first], True)
+    assert second.interferers is None and second.at_end is None
+
+
+def test_add_emission_refuses_an_emission_on_no_registered_link(rig):
+    src, tgt = rig.place("src", 0.0), rig.place("tgt", 1.0)
+    rig.env.link_key(src, tgt, "nru")  # registered, but the emission names no key
+    for target, name in ((tgt, "tgt"), (None, "None")):
+        em = Emission(src, 17.0, target, 0, 1_000, "nru")
+        with pytest.raises(ValueError, match=f"no registered link from src to {name}$"):
+            rig.env.add_emission(em, lambda em: None)
+    assert rig.env.active == {} and rig.engine._heap == []
 
 
 def test_receiver_own_emission_excluded_from_sinr(rig):
     tx = rig.place("tx", 0.0, 0.0)
     rx = rig.place("rx", 1.0, 0.0)
     rig.force_link(tx, rx)
-    _, cap = rig.emit(tx, 17.0, 1000)
+    cap = rig.emit(tx, 17.0, 1000)
     rig.emit(rx, 17.0, 1000)  # full-duplex artefact must not self-jam
     clean = 17.0 - 67.6686 - rig.env.noise_dbm
     assert rig.env.effective_sinr_db(cap, rig.env.link_table(rx)) == pytest.approx(clean, abs=1e-3)
@@ -373,7 +498,7 @@ def _ref_sinr_db(env, cap, receiver, beam):
 
 
 def _ref_sinr_lin(env, cap, receiver, beam):
-    sig = cap.signal
+    sig = cap
     s_lin = db_to_lin(env.rx_power_dbm(sig, receiver, beam))
     infs = [e for e in cap.interferers
             if e.source is not receiver and e.end > sig.start and e.start < sig.end]
@@ -434,16 +559,15 @@ def test_sinr_sweep_ties_match_the_reference(rig, monkeypatch, case):
     for name, start, duration in SWEEP_TIES[case]:
         emit = partial(rig.emit, devices[name], next(powers), duration,
                        beam_target=rx if name != "rx" else devices["sig"])
-        engine.schedule(lambda emit=emit, name=name: caps.setdefault(name, emit()[1]), start)
+        engine.schedule(lambda emit=emit, name=name: caps.setdefault(name, emit()), start)
     engine.run_until(100_000)
-    cap = caps["sig"]
-    sig = cap.signal
+    sig = cap = rig.decoded[caps["sig"].eid]
     assert (sig.start, sig.end) == (10_000, 50_000)
     # Only emissions that overlap the signal are in the capture, and at least
     # one of them does not span it: the decode takes the segment path.
     assert cap.interferers == sorted(
-        (c.signal for name, c in caps.items() if name != "sig"
-         and c.signal.start < sig.end and c.signal.end > sig.start), key=lambda e: e.eid)
+        (c for name, c in caps.items() if name != "sig" and c.start < sig.end and c.end > sig.start),
+        key=lambda e: e.eid)
     assert any(e.start > sig.start or e.end < sig.end for e in cap.interferers)
     for receiver in devices.values():
         if receiver is not devices["sig"]:
@@ -482,8 +606,8 @@ def test_link_tables_match_fresh_rx_power_sums(rig, emission_log, monkeypatch, s
     def emit():
         src = rng.choice(devices)
         target = rng.choice([None] + [d for d in devices if d is not src])
-        _em, cap = rig.emit(src, rng.choice([17.0, 5.0, -3.5]), rng.randrange(1_000, 40_000),
-                            rat=rng.choice(["nru", "wigig"]), beam_target=target)
+        cap = rig.emit(src, rng.choice([17.0, 5.0, -3.5]), rng.randrange(1_000, 40_000),
+                       rat=rng.choice(["nru", "wigig"]), beam_target=target)
         caps.append((cap, rng.choice(devices), rng.choice([None] + devices)))
 
     outcomes = set()
@@ -510,6 +634,7 @@ def test_link_tables_match_fresh_rx_power_sums(rig, emission_log, monkeypatch, s
     engine.run_until(span_ns + 100_000)
     assert outcomes == {True, False}
     for cap, receiver, beam in caps:
+        cap = rig.decoded[cap.eid]
         table = env.link_table(receiver, beam)
         assert env.effective_sinr_db(cap, table) == _ref_sinr_db(env, cap, receiver, beam)
         want = 10.0 * _ref_sinr_lin(env, cap, receiver, beam)
@@ -542,7 +667,7 @@ def test_sinr_when_every_interferer_spans_the_signal(rig):
             )
         target = rng.choice([d for d in devices if d is not src])
         engine.schedule(
-            lambda: caps.append(rig.emit(src, 17.0, 20_000, beam_target=target)[1]),
+            lambda: caps.append(rig.emit(src, 17.0, 20_000, beam_target=target)),
             engine.now + 10_000,
         )
 
@@ -551,7 +676,7 @@ def test_sinr_when_every_interferer_spans_the_signal(rig):
     engine.run_until(6_100_000)
     assert len(caps) == 60
     for cap in caps:
-        sig = cap.signal
+        sig = cap = rig.decoded[cap.eid]
         assert all(e.start <= sig.start and e.end >= sig.end for e in cap.interferers)
         assert any(e.source is sig.source for e in cap.interferers)
         for receiver in devices:
@@ -574,7 +699,7 @@ def test_back_to_back_emissions_stay_out_of_each_others_captures(rig, end_event_
     def emit(source, duration_ns):
         if source.id == "next":  # the first emission ends now: is its end event still due?
             caps["first_on_air"] = len(env.active) == 2
-        caps[source.id] = rig.emit(source, 17.0, duration_ns, beam_target=rx)[1]
+        caps[source.id] = rig.emit(source, 17.0, duration_ns, beam_target=rx)
 
     first, nxt, mid = devices[1:]
     if not end_event_first:  # queued ahead of the first emission's end event
@@ -586,17 +711,18 @@ def test_back_to_back_emissions_stay_out_of_each_others_captures(rig, end_event_
     engine.run_until(3_000)
 
     assert caps["first_on_air"] is not end_event_first
-    sig = {name: caps[name].signal for name in ("first", "next", "mid")}
-    assert caps["first"].interferers == [sig["mid"]]
-    assert caps["next"].interferers == [sig["mid"]]
-    assert caps["mid"].interferers == [sig["first"], sig["next"]]
-    for name in ("first", "next", "mid"):
+    sig = {name: caps[name] for name in ("first", "next", "mid")}
+    decoded = {name: rig.decoded[em.eid] for name, em in sig.items()}
+    assert decoded["first"].interferers == [sig["mid"]]
+    assert decoded["next"].interferers == [sig["mid"]]
+    assert decoded["mid"].interferers == [sig["first"], sig["next"]]
+    for name, cap in decoded.items():
         for receiver in devices:
             for beam in [None] + devices:
                 if beam is not receiver:
-                    want = _ref_sinr_db(env, caps[name], receiver, beam)
+                    want = _ref_sinr_db(env, cap, receiver, beam)
                     table = env.link_table(receiver, beam)
-                    assert env.effective_sinr_db(caps[name], table) == want
+                    assert env.effective_sinr_db(cap, table) == want
 
 
 def test_emissions_differing_in_target_power_or_rat_get_their_own_entries(rig):
@@ -606,27 +732,28 @@ def test_emissions_differing_in_target_power_or_rat_get_their_own_entries(rig):
     rx = rig.place("rx", 4.0, -2.0)
     base = dict(rat="nru", beam_target=near)
     variants = [
-        rig.emit(src, 17.0, 1_000, **base)[0],
-        rig.emit(src, 17.0, 1_000, rat="nru", beam_target=far)[0],
-        rig.emit(src, 10.0, 1_000, **base)[0],
-        rig.emit(src, 17.0, 1_000, rat="wigig", beam_target=near)[0],
-        rig.emit(src, 17.0, 1_000, rat="nru", beam_target=None)[0],
+        rig.emit(src, 17.0, 1_000, **base),
+        rig.emit(src, 17.0, 1_000, rat="nru", beam_target=far),
+        rig.emit(src, 10.0, 1_000, **base),
+        rig.emit(src, 17.0, 1_000, rat="wigig", beam_target=near),
+        rig.emit(src, 17.0, 1_000, rat="nru", beam_target=None),
     ]
     assert len({em.link_key for em in variants}) == len(variants)
     table = rig.env.link_table(rx)
     for em in variants:
         p = rig.env.rx_power_dbm(em, rx)
-        assert table[em.link_key] == (p, db_to_lin(p))
-    powers = [table[em.link_key][0] for em in variants]
+        assert table_entry(table, em.link_key) == (p, db_to_lin(p))
+    powers = [table.dbm[em.link_key] for em in variants]
     assert len({powers[0], powers[1], powers[2], powers[4]}) == 4
     # A repeat of an earlier emission shares its key and entry, and so does a
     # frame from `transmit`, which sends at the configured power.
-    again = rig.emit(src, 17.0, 1_000, **base)[0]
+    again = rig.emit(src, 17.0, 1_000, **base)
     assert rig.config.tx_power_dbm == 17.0
-    sent = rig.env.transmit(src, near, rig.engine.now + 1_000, "nru", lambda cap: None).signal
+    sent = rig.env.transmit(rig.env.link_key(src, near, "nru"), rig.engine.now + 1_000,
+                            lambda cap: None)
     assert again.link_key == sent.link_key == variants[0].link_key
-    assert table[sent.link_key] == table[variants[0].link_key]
-    assert len(table) == len(rig.env._link_emissions) == len(variants)
+    assert (sent.source, sent.tx_power_dbm, sent.beam_target, sent.rat) == (src, 17.0, near, "nru")
+    assert None not in table.lin and len(table.dbm) == len(rig.env._link_emissions) == len(variants)
 
 
 def test_capture_interferers_are_every_overlapping_emission_in_eid_order(rig, emission_log):
@@ -636,13 +763,20 @@ def test_capture_interferers_are_every_overlapping_emission_in_eid_order(rig, em
     rng = random.Random(17)
     env, engine = rig.env, rig.engine
     devices = [rig.place(f"d{i}", float(i)) for i in range(4)]
-    caps = []
+    caps, heard = [], {}  # heard: eid -> the interferers in its end event
 
     def emit(chain):
         """Emit now; a chained emission starts the next one in its end event."""
         now = engine.now
-        em = Emission(rng.choice(devices), 17.0, None, now, now + 1_000 * rng.randint(1, 5), "nru")
-        at_end = (lambda cap: emit(chain - 1)) if chain else (lambda cap: None)
+        src = rng.choice(devices)
+        em = Emission(src, 17.0, None, now, now + 1_000 * rng.randint(1, 5), "nru",
+                      env.link_key(src, None, "nru", 17.0))
+
+        def at_end(cap):
+            heard[cap.eid] = list(cap.interferers)
+            if chain:
+                emit(chain - 1)
+
         caps.append(env.add_emission(em, at_end))
 
     for _ in range(200):  # on a 1 us grid: many starts share a nanosecond with an edge
@@ -653,9 +787,8 @@ def test_capture_interferers_are_every_overlapping_emission_in_eid_order(rig, em
     starts = [em.start for em in log]
     assert len(set(starts)) < len(starts) // 2  # several starts in one nanosecond
     assert sum(em.end in starts for em in log) > 100  # zero-gap back-to-back
-    for cap in caps:
-        sig = cap.signal
-        assert cap.interferers == [
+    for sig in caps:
+        assert heard[sig.eid] == [
             e for e in log if e is not sig and e.start < sig.end and e.end > sig.start
         ]
 
@@ -670,10 +803,10 @@ def test_sinr_at_a_beamed_table_matches_the_reference(rig, j2_start, j2_duration
     caps = []
     rig.emit(jams[0], 17.0, 10_000, beam_target=rx)  # spans the signal [1000, 5000)
     engine.schedule(lambda: rig.emit(jams[1], 5.0, j2_duration), j2_start)
-    engine.schedule(lambda: caps.append(rig.emit(src, 17.0, 4_000, beam_target=rx)[1]), 1_000)
+    engine.schedule(lambda: caps.append(rig.emit(src, 17.0, 4_000, beam_target=rx)), 1_000)
     engine.run_until(20_000)
     (cap,) = caps
-    sig = cap.signal
+    sig = cap = rig.decoded[cap.eid]
     assert len(cap.interferers) == 2
     spanning = j2_start <= sig.start and j2_start + j2_duration >= sig.end
     assert spanning == all(e.start <= sig.start and e.end >= sig.end for e in cap.interferers)

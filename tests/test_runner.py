@@ -12,7 +12,9 @@ import pytest
 
 from coexsim import CampaignConfig, ConfigError, emit_report, parse_config, run_campaign, run_once
 from coexsim.cli import main
+from coexsim.engine import Engine
 from coexsim.metrics import packet_conservation
+from coexsim.radio import RadioEnvironment
 from coexsim.runner import TRACES
 
 REDUCED = dict(sites_per_operator=1, users_per_operator=4, duration_s=0.02)
@@ -83,6 +85,44 @@ def test_no_device_starts_an_emission_before_its_last_one_ends(emission_log, lab
         assert em.start >= last_end.get(device, 0), f"{device} overlaps itself at {em.start}"
         last_end[device] = em.end
     assert len(emission_log) > 1000 and len(last_end) >= 12
+
+
+LINK_GRAPH_CONFIGS = {name: parse_config(str(ROOT / "scripts" / f"{name}.cfg"))
+                      for name in ("full_campaign", "non_default")}
+
+
+@pytest.mark.parametrize("config", list(LINK_GRAPH_CONFIGS))
+@pytest.mark.parametrize("label", LINK_GRAPH_CONFIGS["full_campaign"].sweep_labels())
+def test_every_link_is_registered_before_the_loop_starts(monkeypatch, emission_log, config, label):
+    """The link graph is complete at build: no link key is registered once
+    `run_until` starts, and every emission carries the key registered for
+    its (source, beam target, power, rat). Once ended, none keeps its
+    interferers or `at_end`."""
+    looping, late = [], []
+    run_until, link_key = Engine.run_until, RadioEnvironment.link_key
+
+    def recording_run_until(engine, t_end):
+        looping.append(True)
+        return run_until(engine, t_end)
+
+    def recording_link_key(env, *args):
+        n = len(env._link_emissions)
+        key = link_key(env, *args)
+        if looping and len(env._link_emissions) > n:
+            late.append(args)
+        return key
+
+    monkeypatch.setattr(Engine, "run_until", recording_run_until)
+    monkeypatch.setattr(RadioEnvironment, "link_key", recording_link_key)
+    cfg = LINK_GRAPH_CONFIGS[config]
+    env = run_once(replace(cfg.for_label(label), duration_s=0.05), 1).env
+    assert looping and late == []
+    assert len(emission_log) > 500
+    for em in emission_log:
+        link = (em.source.id, em.beam_target.id, em.tx_power_dbm, em.rat)
+        assert env._link_keys[link] == em.link_key
+        if em.eid not in env.active:
+            assert em.interferers is None and em.at_end is None
 
 
 def test_run_outputs_have_no_wallclock(tmp_path):

@@ -105,17 +105,17 @@ def test_medium_busy_dual_thresholds(rig):
     intf = rig.place("intf", 0.0, 8.0, z=3.0, operator="B", role="gnb")
     rig.force_link(ap.device, intf)
     # 8 m LOS: rx = 17 - 83.29 = -66.3 dBm -> above both thresholds.
-    em, _ = rig.emit(intf, 17.0, 5_000, rat="nru")
+    em = rig.emit(intf, 17.0, 5_000, rat="nru")
     assert ap.medium_busy()
     rig.engine.run_until(10_000)
     assert not ap.medium_busy()
 
     # Attenuated to approximately -85 dBm: busy only if it is a same-tech
     # preamble; plain energy stays under the -79 dBm ED threshold.
-    em2, _ = rig.emit(intf, -1.7, 5_000, rat="nru")
+    em2 = rig.emit(intf, -1.7, 5_000, rat="nru")
     assert not ap.medium_busy()
     rig.engine.run_until(20_000)
-    em3, _ = rig.emit(intf, -1.7, 5_000, rat="wigig")
+    em3 = rig.emit(intf, -1.7, 5_000, rat="wigig")
     assert ap.medium_busy()
 
 
