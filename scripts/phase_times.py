@@ -14,7 +14,8 @@ returns. Every pair runs the same seed.
 
 Prints, per tree, the host medians over the pairs; per metric, the median of
 the paired ratios NEW / OLD and the pairs in which NEW read lower; and per
-tree the distinct `gc.get_count()` readings with how often each occurred.
+tree the distinct `gc.get_count()` readings with how often each occurred,
+and a WARNING line when the two trees' readings differ.
 Times are host seconds on whatever machine runs it, so compare only the two
 trees of one invocation.
 """
@@ -98,10 +99,13 @@ def main() -> None:
         wins = sum(n < o for o, n in zip(old, new))
         print(f"{m}\t{statistics.median(old):.4f}\t{statistics.median(new):.4f}\t"
               f"{statistics.median(ratios):.3f}\t{wins} of {len(ratios)}")
-    for side, rs in runs.items():
-        seen = Counter(tuple(r["gc_count"]) for r in rs)
+    seen = {side: Counter(tuple(r["gc_count"]) for r in rs) for side, rs in runs.items()}
+    for side, counts in seen.items():
         print(f"gc.get_count() at return, {side}: "
-              + ", ".join(f"{c} x{n}" for c, n in sorted(seen.items())))
+              + ", ".join(f"{c} x{n}" for c, n in sorted(counts.items())))
+    if seen["old"] != seen["new"]:
+        print("WARNING: the trees' gc.get_count() readings differ: the collector runs at "
+              "other points in each, so a loop-time gap may be the collector's, not the code's")
 
 
 if __name__ == "__main__":

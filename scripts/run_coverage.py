@@ -74,8 +74,10 @@ def executed_lines(configs: list[str], campaign: str, seeds: int, duration_s: fl
         executed.add((name, code.co_firstlineno, code.co_qualname, code.co_firstlineno))
         return on_line
 
-    campaign_cfg = out / "campaign.cfg"  # a later key overrides an earlier one
-    campaign_cfg.write_text(Path(campaign).read_text() + f"\nduration_s = {duration_s}\n")
+    campaign_cfg = out / "campaign.cfg"  # its duration_s line replaced: a key may not repeat
+    kept = [line for line in Path(campaign).read_text().splitlines()
+            if line.split("=", 1)[0].strip() != "duration_s"]
+    campaign_cfg.write_text("\n".join(kept) + f"\nduration_s = {duration_s}\n")
     sys.settrace(on_call)
     try:
         from coexsim import parse_config, run_once

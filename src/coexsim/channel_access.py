@@ -229,12 +229,14 @@ class Backoff:
     def _sense_entry(self, table: LinkTable, em: Emission) -> float:
         """What one emission of `em`'s link adds to the energy sum sensed at
         `table`: 0.0 from the table's receiver itself, inf for a WiGig
-        preamble at `_preamble_dbm`, otherwise its linear power."""
+        preamble at `_preamble_dbm` (compared in dBm, an order that `db_to_lin`
+        need not keep bit for bit), otherwise its linear power."""
         if em.source is table.receiver:
             return 0.0
-        key = em.link_key
-        lin = table.read(key)
-        return math.inf if em.rat == "wigig" and table.dbm[key] >= self._preamble_dbm else lin
+        if em.rat == "wigig" and (self.env.rx_power_dbm(em, table.receiver, table.rx_beam)
+                                  >= self._preamble_dbm):
+            return math.inf
+        return table.read(em.link_key)
 
     def _next_cws(self, grow: bool) -> None:
         """Double the window plus one, up to `cws_max`, or reset it to `cws_min`."""
@@ -248,33 +250,24 @@ class Backoff:
         else:
             self._start_countdown()
 
-    def medium_busy(self, device: Optional[Device] = None) -> bool:
+    def medium_busy(self) -> bool:
         """True iff the `sense` entry of an emission on the air, or the
-        eid-order sum of their entries, reaches `ed_threshold_lin`. At its
-        own `sense` it records the loud one as `_witness`, or None, and an
-        idle sum as `_bound`; with `device` it senses omni there by the same
-        rule (`_sense_entry`), recording nothing."""
-        active = self.env.active.values()
-        if device is None:
-            sense = self.sense
-        else:
-            table = self.env.link_table(device)
-            sense = {em.link_key: self._sense_entry(table, em) for em in active}
+        eid-order sum of their entries, reaches `ed_threshold_lin`. Records
+        the loud one as `_witness`, or None, and an idle sum as `_bound`."""
+        sense = self.sense
         threshold = self.ed_threshold_lin
         total = 0.0
-        for em in active:
+        for em in self.env.active.values():
             lin = sense[em.link_key]
             if lin >= threshold:
-                if device is None:
-                    self._witness = em
+                self._witness = em
                 return True
             total += lin
-        busy = total >= threshold
-        if device is None:
-            self._witness = None
-            if not busy:
-                self._bound = total
-        return busy
+        self._witness = None
+        if total >= threshold:
+            return True
+        self._bound = total
+        return False
 
     def medium_changed(self) -> None:
         """Re-sense on an emission edge; a device not contending ignores it."""

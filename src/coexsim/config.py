@@ -196,6 +196,7 @@ def parse_config(path: str) -> CampaignConfig:
     defaults = CampaignConfig()
     types = {f.name: type(getattr(defaults, f.name)) for f in fields(defaults)}
     values: dict[str, object] = {}
+    key_lines: dict[str, int] = {}
     for lineno, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -205,5 +206,8 @@ def parse_config(path: str) -> CampaignConfig:
         key, raw = (s.strip() for s in text.split("=", 1))
         if key not in types:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+        if key in key_lines:
+            raise ConfigError(f"{path}:{lineno}: key '{key}' repeats line {key_lines[key]}")
+        key_lines[key] = lineno
         values[key] = _convert(key, raw, types[key])
     return validate(CampaignConfig(**values))

@@ -139,7 +139,7 @@ class NruUe:
         if not self.cam.access(t_end, cot.cot_deadline if cot else None):
             return
         at_end = partial(gnb.receive_feedback, items, self)
-        gnb.fb_on_air[gnb.env.transmit(self.ul_key, t_end, at_end)] = None
+        gnb.fb_on_air[gnb.env.add_emission(self.ul_key, t_end, at_end)] = None
 
 
 class NruGnb:
@@ -272,7 +272,7 @@ class NruGnb:
             )
 
     def _air_tb(self, ue: NruUe, tb: TransportBlock, end: int) -> None:
-        self.env.transmit(ue.dl_key, end, partial(ue.receive_tb, tb))
+        self.env.add_emission(ue.dl_key, end, partial(ue.receive_tb, tb))
 
     # -- HARQ resolution -----------------------------------------------------------
 

@@ -217,23 +217,22 @@ class Emission:
 
 
 class LinkTable:
-    """Received power at one (receiver, rx beam) in two lists indexed by link
-    key, `dbm` and its linear `lin`; an entry is None until `read` fills it
-    from `rx_power_dbm`."""
+    """Linear received power at one (receiver, rx beam) in a list `lin`
+    indexed by link key; an entry is None until `read` fills it from
+    `rx_power_dbm`."""
 
-    __slots__ = ("env", "receiver", "rx_beam", "dbm", "lin")
+    __slots__ = ("env", "receiver", "rx_beam", "lin")
 
     def __init__(self, env: "RadioEnvironment", receiver: Device, rx_beam: Optional[Device]):
         self.env, self.receiver, self.rx_beam = env, receiver, rx_beam
-        self.dbm: list[Optional[float]] = [None] * len(env._link_emissions)
         self.lin: list[Optional[float]] = [None] * len(env._link_emissions)
 
     def read(self, key: int) -> float:
-        """The linear power of link `key`, both entries filled on first read."""
+        """The linear power of link `key`, filled on first read."""
         lin = self.lin[key]
         if lin is None:
             env = self.env
-            p = self.dbm[key] = env.rx_power_dbm(env._link_emissions[key], self.receiver, self.rx_beam)
+            p = env.rx_power_dbm(env._link_emissions[key], self.receiver, self.rx_beam)
             lin = self.lin[key] = db_to_lin(p)
         return lin
 
@@ -375,37 +374,25 @@ class RadioEnvironment:
             key = self._link_keys[link] = len(self._link_emissions)
             self._link_emissions.append(Emission(source, power, target, 0, 0, rat, key))
             for table in self._tables.values():
-                table.dbm.append(None)
                 table.lin.append(None)
             for obj in self._backoffs:
                 obj.sense.append(None)
         return key
 
-    def transmit(self, key: int, end: int, at_end: Callable[[Emission], None]) -> Emission:
-        """Emit on link `key` from now to `end`; the receiver's
-        `at_end(emission)` runs in the end event."""
+    def add_emission(self, key: int, end: int, at_end: Callable[[Emission], None]) -> Emission:
+        """Put an emission on link `key` on the air from now to `end`; its `_end` ends it
+        and calls `at_end(emission)`. An emission ending now (its end event may still be
+        due) does not overlap it, so neither lists the other."""
         link = self._link_emissions[key]
-        em = Emission(link.source, link.tx_power_dbm, link.beam_target, self.engine.now, end,
-                      link.rat, key)
-        return self.add_emission(em, at_end)
-
-    def add_emission(self, em: Emission, at_end: Callable[[Emission], None]) -> Emission:
-        """Put an emission starting now on the air; its `_end` ends it and calls `at_end`. An
-        emission ending now (its end event may still be due) does not overlap it, so neither
-        lists the other. Its link must be registered (`link_key`), or ValueError."""
-        key = em.link_key
-        if key < 0:
-            target = em.beam_target.id if em.beam_target else None
-            raise ValueError(f"no registered link from {em.source.id} to {target}")
-        start = em.start
-        assert start == self.engine.now < em.end
-        em.eid = eid = self._next_eid
+        start = self.engine.now
+        assert start < end
+        eid = self._next_eid
         self._next_eid = eid + 1
         interferers = []
-        em.env, em.at_end, em.interferers = self, at_end, interferers
-        links = self._link_emissions
-        if links[key].eid < 0:  # the link's first emission
-            links[key] = em
+        em = Emission(link.source, link.tx_power_dbm, link.beam_target, start, end, link.rat, key,
+                      eid, interferers, at_end, self)
+        if link.eid < 0:  # the link's first emission
+            self._link_emissions[key] = em
             for obj in self._backoffs:
                 obj.sense[key] = obj._sense_entry(obj.table, em)
         active = self.active
@@ -414,8 +401,8 @@ class RadioEnvironment:
                 interferers.append(other)
                 other.interferers.append(em)
         active[eid] = em
-        self.ledger.record(em.source.operator, start, em.end)
-        self.engine.schedule(em._end, em.end)
+        self.ledger.record(link.source.operator, start, end)
+        self.engine.schedule(em._end, end)
         self._notify(em, True)
         return em
 

@@ -237,6 +237,8 @@ def emit_report(in_dir: str, out_csv: str) -> None:
     """
     from statistics import median  # here: `import coexsim` needs no report
 
+    if not os.path.isdir(in_dir):
+        raise ConfigError(f"no run directory {in_dir}")
     runs_dir = os.path.join(in_dir, "runs")
     if not os.path.isdir(runs_dir):
         runs_dir = in_dir

@@ -96,7 +96,7 @@ class WigigAp(Backoff):
         if dur is None:
             dur = self._durations[size, mcs] = frame_duration_ns(size, WIGIG_MCS[mcs][1])
         end = self.engine.now + dur
-        self.env.transmit(sta.dl_key, end, partial(sta.receive_frame, frame))
+        self.env.add_emission(sta.dl_key, end, partial(sta.receive_frame, frame))
         self._ack_ok = False
         self._ack_due = end + self.config.ack_timeout_ns
 
@@ -184,7 +184,7 @@ class WigigSta:
     def _send_ack(self, frame: WigigFrame, measured_sinr_db: float) -> None:
         end = self.engine.now + self.ack_ns
         at_end = partial(self._deliver_ack, frame, measured_sinr_db)
-        self.env.transmit(self.ul_key, end, at_end)
+        self.env.add_emission(self.ul_key, end, at_end)
 
     def _deliver_ack(self, frame: WigigFrame, measured_sinr_db: float, cap) -> None:
         # Quasi-omnidirectional reception at the AP in the uplink.
@@ -196,8 +196,20 @@ class WigigSta:
 
     # -- association ------------------------------------------------------------
 
+    def medium_busy(self) -> bool:
+        """The AP's sensing rule (`_sense_entry`, `ed_threshold_lin`), omni at
+        this STA: busy iff the eid-order sum of the entries on the air, which
+        never drops as it runs, reaches the threshold."""
+        ap, table = self.ap, self.env.link_table(self.device)
+        total = 0.0
+        for em in self.env.active.values():
+            total += ap._sense_entry(table, em)
+            if total >= ap.ed_threshold_lin:
+                return True
+        return False
+
     def _associate_attempt(self) -> None:
-        if self.ap.medium_busy(self.device):
+        if self.medium_busy():
             # Busy medium: poll again shortly; count a missed attempt only
             # after the attempt window (half the spacing) is exhausted.
             self._busy_waits += 1
@@ -213,7 +225,7 @@ class WigigSta:
     def _probe(self, key: int, at_end) -> None:
         """Send one association frame on link `key` at the floor rate; at_end(cap) at its end."""
         end = self.engine.now + frame_duration_ns(PROBE_BYTES, WIGIG_MCS[0][1])
-        self.env.transmit(key, end, at_end)
+        self.env.add_emission(key, end, at_end)
 
     def _probe_at_ap(self, cap) -> None:
         sinr = self.env.effective_sinr_db(cap, self.ap.table)

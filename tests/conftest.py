@@ -45,16 +45,17 @@ class Rig:
         """Put an emission over [now, now + duration_ns) on the air, on its
         link, registered here. No receiver decodes it: its end event keeps a
         copy in `decoded`, with the interferers the emission itself drops."""
-        now = self.engine.now
         key = self.env.link_key(source, beam_target, rat, tx_power_dbm)
-        em = Emission(source, tx_power_dbm, beam_target, now, now + duration_ns, rat, key)
-        return self.env.add_emission(em, lambda em: self.decoded.__setitem__(em.eid, copy(em)))
+        return self.env.add_emission(key, self.engine.now + duration_ns,
+                                     lambda em: self.decoded.__setitem__(em.eid, copy(em)))
 
 
 def table_entry(table, key):
-    """(dBm, linear power) of link `key` at a `LinkTable`, filled on first read."""
+    """(dBm, linear power) of link `key` at a `LinkTable`: the power by the
+    table's rule, `rx_power_dbm`, and the entry, filled on first read."""
     lin = table.read(key)
-    return table.dbm[key], lin
+    env = table.env
+    return env.rx_power_dbm(env._link_emissions[key], table.receiver, table.rx_beam), lin
 
 
 class FixedRng:
@@ -80,9 +81,10 @@ def record_emissions(monkeypatch) -> list[Emission]:
     log = []
     add_emission = RadioEnvironment.add_emission
 
-    def recording(env, em, at_end):
+    def recording(env, key, end, at_end):
+        em = add_emission(env, key, end, at_end)
         log.append(em)
-        return add_emission(env, em, at_end)
+        return em
 
     monkeypatch.setattr(RadioEnvironment, "add_emission", recording)
     return log

@@ -151,7 +151,7 @@ def _threshold_rig(*powers_lin):
         em = rig.emit(src, 17.0, 1)
         for dev in (gnb, ap_dev):
             table = rig.env.link_table(dev)
-            table.dbm[em.link_key], table.lin[em.link_key] = lin_to_db(lin), lin
+            table.lin[em.link_key] = lin
     lbt = _cam(rig, CAT4, gnb, FixedRng(15))
     cat2 = _cam(rig, CAT2, gnb)  # senses at the same omni table as `lbt`
     ap = WigigAp(ap_dev, rig.env, FixedRng(15))

@@ -58,6 +58,12 @@ def test_unknown_key_names_the_key(tmp_path):
         parse_config(path)
 
 
+def test_repeated_key_names_the_key_and_both_lines(tmp_path):
+    path = write(tmp_path, "load_mbps = 10\n# a comment\nload_mbps = 20\n")
+    with pytest.raises(ConfigError, match=r":3: key 'load_mbps' repeats line 1$"):
+        parse_config(path)
+
+
 def test_malformed_line_reports_location(tmp_path):
     path = write(tmp_path, "load_mbps 50\n")
     with pytest.raises(ConfigError, match=":1"):

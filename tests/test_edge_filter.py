@@ -11,13 +11,14 @@ sensing rule at its table whenever the key was born."""
 import math
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from coexsim import CampaignConfig, parse_config, run_once
 from coexsim.channel_access import CAT4, Backoff, Cam, LbtCam
 from coexsim.radio import RadioEnvironment, peak_power_lin
-from coexsim.wigig import WigigAp
+from coexsim.wigig import WigigAp, WigigSta
 from tests.conftest import FixedRng, record_cams, table_entry
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -76,6 +77,7 @@ def test_witness_keeps_the_ap_busy_until_it_ends(rig):
         for src in (weak_src, strong_src):
             rig.force_link(rx, src)
     ap = WigigAp(ap_dev, rig.env, FixedRng(3))
+    sta_mac = WigigSta(sta, ap)
     weak = rig.emit(weak_src, 0.0, 10_000)
     strong = rig.emit(strong_src, 17.0, 20_000)
     table = rig.env.link_table(ap_dev)
@@ -85,7 +87,7 @@ def test_witness_keeps_the_ap_busy_until_it_ends(rig):
     ap.medium_changed = lambda: (calls.append(rig.engine.now), Backoff.medium_changed(ap))
     ap._start_backoff()
     assert ap.state == ap.WAIT_IDLE and ap._witness is strong
-    assert ap.medium_busy(sta) and ap._witness is strong  # a STA's sensing is not the AP's
+    assert sta_mac.medium_busy() and ap._witness is strong  # a STA's sensing is not the AP's
 
     rig.engine.run_until(10_000)  # the weak emission ends: no re-sensing
     assert calls == [] and ap.state == ap.WAIT_IDLE and ap.medium_busy()
@@ -102,6 +104,48 @@ def sense_rule(obj, em) -> float:
         return 0.0
     p, lin = table_entry(table, em.link_key)
     return math.inf if em.rat == "wigig" and p >= obj._preamble_dbm else lin
+
+
+@pytest.mark.parametrize("case, busy", [("preamble", True), ("quiet-sum", False),
+                                         ("sum-over", True)])
+def test_the_sta_association_check_is_the_ap_rule_at_the_sta(rig, case, busy):
+    """A STA's association check senses omni at the STA by the AP's rule
+    (`sense_rule`): busy on a WiGig preamble loud on its own, else iff the
+    eid-order sum reaches the AP's ED threshold. Its own emission adds
+    nothing, and the AP's own sensing state is left as it was."""
+    ap = WigigAp(rig.place("ap", 0.0, role="ap"), rig.env, FixedRng(0))
+    sta_dev = rig.place("sta", 20.0)
+    sta = WigigSta(sta_dev, ap)
+    srcs = [rig.place(f"src{i}", 25.0, 2.0 * i, operator="B") for i in range(3)]
+    for src in srcs:
+        rig.force_link(src, sta_dev)
+
+    def arrive(src, dbm, rat="nru"):
+        """Emit from `src` at the power that reaches the STA at about `dbm`."""
+        rig.emit(src, dbm + rig.env.link_pathloss_db(src, sta_dev), 10_000, rat=rat)
+
+    rig.emit(sta_dev, 17.0, 10_000, rat="wigig")  # its own: loud, never sensed
+    if case == "preamble":  # over the preamble threshold, under the ED one
+        arrive(srcs[0], -85.0, rat="wigig")
+    elif case == "quiet-sum":  # about -82 dBm in all; the WiGig one is no preamble
+        arrive(srcs[0], -85.0)
+        arrive(srcs[1], -85.0)
+        arrive(srcs[2], -95.0, rat="wigig")
+    else:  # each under the ED threshold, their sum about 0.1 dB over it
+        arrive(srcs[0], -81.9)
+        arrive(srcs[1], -81.9)
+    rule = SimpleNamespace(table=rig.env.link_table(sta_dev), _preamble_dbm=ap._preamble_dbm)
+    entries = [sense_rule(rule, em) for em in rig.env.active.values()]
+    assert entries[0] == 0.0
+    assert all(lin < ap.ed_threshold_lin for lin in entries if lin != math.inf)
+    total = 0.0
+    for lin in entries:
+        total += lin
+    assert (total >= ap.ed_threshold_lin) == busy
+    witness, bound = object(), ap.ed_threshold_lin / 2
+    ap._witness, ap._bound = witness, bound
+    assert sta.medium_busy() == busy
+    assert ap._witness is witness and ap._bound == bound
 
 
 def sensed_busy(env, obj) -> bool:

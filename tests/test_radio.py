@@ -13,7 +13,6 @@ from coexsim.radio import (
     SHADOW_SIGMA_LOS_DB,
     SHADOW_SIGMA_NLOS_DB,
     AntennaArray,
-    Emission,
     Position,
     _dirichlet,
     beam_gain_db,
@@ -378,7 +377,7 @@ class _WaitingListener:
         self.log.append("listener")
 
 
-def test_transmit_hands_its_capture_to_at_end_in_its_one_end_event(rig):
+def test_add_emission_hands_its_capture_to_at_end_in_its_one_end_event(rig):
     a, b, c = rig.place("a", 0.0), rig.place("b", 1.0), rig.place("c", 2.0)
     env, engine = rig.env, rig.engine
     log, caps = [], {}
@@ -390,7 +389,7 @@ def test_transmit_hands_its_capture_to_at_end_in_its_one_end_event(rig):
         log.append(("at_end", engine.now, cap.eid in env.active, list(cap.interferers)))
 
     queued = len(engine._heap)
-    caps["tx"] = env.transmit(env.link_key(a, b, "wigig"), 1_000, at_end)
+    caps["tx"] = env.add_emission(env.link_key(a, b, "wigig"), 1_000, at_end)
     assert len(engine._heap) == queued + 1  # the end event, nothing else
     assert engine.run_until(1_000) == 2  # the queued start, then that end event
     # at_end ran last in the end event: off the air, listener notified first.
@@ -412,9 +411,9 @@ def test_an_ended_emission_drops_its_interferers_and_at_end(rig):
     def at_end(em):
         seen.append((em.eid, list(em.interferers), em.at_end is at_end))
 
-    first = env.transmit(env.link_key(a, rx, "nru"), 1_000, at_end)
-    engine.schedule(lambda: seen.append(env.transmit(env.link_key(b, rx, "nru"), 1_500, at_end)),
-                    500)
+    first = env.add_emission(env.link_key(a, rx, "nru"), 1_000, at_end)
+    engine.schedule(lambda: seen.append(env.add_emission(env.link_key(b, rx, "nru"), 1_500,
+                                                         at_end)), 500)
     engine.run_until(1_000)
     second = seen.pop(0)
     assert seen == [(first.eid, [second], True)]
@@ -423,16 +422,6 @@ def test_an_ended_emission_drops_its_interferers_and_at_end(rig):
     engine.run_until(2_000)
     assert seen[1] == (second.eid, [first], True)
     assert second.interferers is None and second.at_end is None
-
-
-def test_add_emission_refuses_an_emission_on_no_registered_link(rig):
-    src, tgt = rig.place("src", 0.0), rig.place("tgt", 1.0)
-    rig.env.link_key(src, tgt, "nru")  # registered, but the emission names no key
-    for target, name in ((tgt, "tgt"), (None, "None")):
-        em = Emission(src, 17.0, target, 0, 1_000, "nru")
-        with pytest.raises(ValueError, match=f"no registered link from src to {name}$"):
-            rig.env.add_emission(em, lambda em: None)
-    assert rig.env.active == {} and rig.engine._heap == []
 
 
 def test_receiver_own_emission_excluded_from_sinr(rig):
@@ -587,7 +576,7 @@ def test_sinr_sweep_ties_match_the_reference(rig, monkeypatch, case):
 def test_link_tables_match_fresh_rx_power_sums(rig, emission_log, monkeypatch, seed, n_emissions,
                                               n_checks, span_ns):
     from coexsim.channel_access import CAT4, LbtCam
-    from coexsim.wigig import WigigAp
+    from coexsim.wigig import WigigAp, WigigSta
     from tests.conftest import FixedRng
 
     rng = random.Random(seed)
@@ -597,6 +586,7 @@ def test_link_tables_match_fresh_rx_power_sums(rig, emission_log, monkeypatch, s
     ue = rig.place("ue", 9.0, 1.0, operator="B", role="ue", array=USER)
     omni_cam = LbtCam(CAT4, gnb, env, FixedRng(0))  # LBT: medium_busy and windows
     beam_cam = LbtCam(CAT4, ue, env, FixedRng(0), gnb)
+    sta = WigigSta(ue, ap)  # its association check: the AP's rule at the UE
     devices = [ap.device, gnb, ue] + [
         rig.place(f"d{i}", rng.uniform(-15, 15), rng.uniform(-15, 15), array=USER)
         for i in range(5)
@@ -615,7 +605,7 @@ def test_link_tables_match_fresh_rx_power_sums(rig, emission_log, monkeypatch, s
     def check():
         ems = list(env.active.values())
         assert ap.medium_busy() == _ref_wigig_busy(env, ap.device, config, ems)
-        assert ap.medium_busy(ue) == _ref_wigig_busy(env, ue, config, ems)
+        assert sta.medium_busy() == _ref_wigig_busy(env, ue, config, ems)
         outcomes.add(ap.medium_busy())
         for cam, beam in ((omni_cam, None), (beam_cam, gnb)):
             ref = _ref_sensed_lin(env, cam.device, beam, ems)
@@ -743,17 +733,17 @@ def test_emissions_differing_in_target_power_or_rat_get_their_own_entries(rig):
     for em in variants:
         p = rig.env.rx_power_dbm(em, rx)
         assert table_entry(table, em.link_key) == (p, db_to_lin(p))
-    powers = [table.dbm[em.link_key] for em in variants]
+    powers = [table.lin[em.link_key] for em in variants]
     assert len({powers[0], powers[1], powers[2], powers[4]}) == 4
     # A repeat of an earlier emission shares its key and entry, and so does a
-    # frame from `transmit`, which sends at the configured power.
+    # frame on the link a MAC registers, which sends at the configured power.
     again = rig.emit(src, 17.0, 1_000, **base)
     assert rig.config.tx_power_dbm == 17.0
-    sent = rig.env.transmit(rig.env.link_key(src, near, "nru"), rig.engine.now + 1_000,
-                            lambda cap: None)
+    sent = rig.env.add_emission(rig.env.link_key(src, near, "nru"), rig.engine.now + 1_000,
+                                lambda cap: None)
     assert again.link_key == sent.link_key == variants[0].link_key
     assert (sent.source, sent.tx_power_dbm, sent.beam_target, sent.rat) == (src, 17.0, near, "nru")
-    assert None not in table.lin and len(table.dbm) == len(rig.env._link_emissions) == len(variants)
+    assert None not in table.lin and len(table.lin) == len(rig.env._link_emissions) == len(variants)
 
 
 def test_capture_interferers_are_every_overlapping_emission_in_eid_order(rig, emission_log):
@@ -769,15 +759,14 @@ def test_capture_interferers_are_every_overlapping_emission_in_eid_order(rig, em
         """Emit now; a chained emission starts the next one in its end event."""
         now = engine.now
         src = rng.choice(devices)
-        em = Emission(src, 17.0, None, now, now + 1_000 * rng.randint(1, 5), "nru",
-                      env.link_key(src, None, "nru", 17.0))
+        key, end = env.link_key(src, None, "nru", 17.0), now + 1_000 * rng.randint(1, 5)
 
         def at_end(cap):
             heard[cap.eid] = list(cap.interferers)
             if chain:
                 emit(chain - 1)
 
-        caps.append(env.add_emission(em, at_end))
+        caps.append(env.add_emission(key, end, at_end))
 
     for _ in range(200):  # on a 1 us grid: many starts share a nanosecond with an edge
         engine.schedule(partial(emit, rng.randrange(3)), 1_000 * rng.randrange(80))

@@ -308,6 +308,16 @@ def test_report_refuses_a_run_missing_a_result_file(tmp_path, capsys, name):
     assert err.startswith("error: ") and f"{run_dir} has no complete result" in err
 
 
+@pytest.mark.parametrize("make", [None, Path.touch], ids=["missing", "a-file"])
+def test_report_on_no_directory_is_a_config_error(tmp_path, capsys, make):
+    in_dir = tmp_path / "camp"
+    if make is not None:
+        make(in_dir)
+    assert main(["report", "--in", str(in_dir), "--out", str(tmp_path / "box.csv")]) == 2
+    assert capsys.readouterr().err == f"error: no run directory {in_dir}\n"
+    assert not (tmp_path / "box.csv").exists()
+
+
 def _keep_the_header(path):
     path.write_text(path.read_text().splitlines(keepends=True)[0])
 
