@@ -14,8 +14,10 @@ returns. Every pair runs the same seed.
 
 Prints, per tree, the host medians over the pairs; per metric, the median of
 the paired ratios NEW / OLD and the pairs in which NEW read lower; and per
-tree the distinct `gc.get_count()` readings with how often each occurred,
-and a WARNING line when the two trees' readings differ.
+tree the distinct `gc.get_count()` readings with how often each occurred.
+A WARNING line follows when the two trees' readings differ, and one when
+their event counts differ: a change meant to keep outputs byte-identical
+then runs another event sequence, or was timed against the wrong tree.
 Times are host seconds on whatever machine runs it, so compare only the two
 trees of one invocation.
 """
@@ -106,6 +108,9 @@ def main() -> None:
     if seen["old"] != seen["new"]:
         print("WARNING: the trees' gc.get_count() readings differ: the collector runs at "
               "other points in each, so a loop-time gap may be the collector's, not the code's")
+    if events["old"] != events["new"]:
+        print("WARNING: the trees' event counts differ: they do not run the same events, "
+              "so the pairs do not time like for like")
 
 
 if __name__ == "__main__":

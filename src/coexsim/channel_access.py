@@ -190,26 +190,25 @@ class Backoff:
     A subclass provides `engine`, `env`, `rng`, `config`, its sensing
     `table`, its energy-detection threshold `ed_threshold_lin`, and
     `_backoff_done()`, called once the counter runs out and the device has
-    stopped listening. Its `__init__` calls `_init_backoff(cws, preamble_dbm,
-    trace)`, which sets the contention window `cws` and puts every
-    per-contention field on the instance: CPython 3.11 specialises those
-    reads, made on every edge, while an instance has at most 29 attributes
-    (from 30 on they move to a plain dict). `_next_cws(grow)` is the one
-    window rule. A contention starts only from IDLE, so `env._listeners`
-    holds each contending device once. With a `trace` set, `_emit(event)` logs
-    defer_start and counter_frozen.
+    stopped listening, and `trace`: with it set, `_emit(event)` logs
+    defer_start and counter_frozen. Its `__init__` calls
+    `_init_backoff(cws, preamble_dbm)`, which sets the contention window
+    `cws` and puts every per-contention field on the instance: CPython 3.11
+    specialises those reads, made on every edge, while an instance has at
+    most 29 attributes (from 30 on they move to a plain dict).
+    `_next_cws(grow)` is the one window rule, read from `config`'s
+    `cws_min` and `cws_max`. A contention starts only from IDLE, so
+    `env._listeners` holds each contending device once.
     """
 
     IDLE, WAIT_IDLE, COUNT = IDLE, WAIT_IDLE, COUNT  # the `radio` states, for readers
 
-    def _init_backoff(self, cws: Optional[int] = None, preamble_dbm: float = math.inf,
-                      trace: Optional[list] = None) -> None:
-        """Set the contention fields in one order and resolve the window
-        bounds, `defer_ns` and `cca_slot_ns`; the window starts at `cws`, or
-        at `cws_min` for None, and an inf `preamble_dbm` detects no preamble;
-        then fill `sense` for the links aired so far and register with `env`."""
-        self._cws_min, self._cws_max = self.config.cws_min, self.config.cws_max
-        self.cws = self._cws_min if cws is None else cws
+    def _init_backoff(self, cws: Optional[int] = None, preamble_dbm: float = math.inf) -> None:
+        """Set the contention fields in one order and resolve `defer_ns` and
+        `cca_slot_ns`; the window starts at `cws`, or at `cws_min` for None,
+        and an inf `preamble_dbm` detects no preamble; then fill `sense` for
+        the links aired so far and register with `env`."""
+        self.cws = self.config.cws_min if cws is None else cws
         self.state = IDLE
         self.counter = 0
         self._timer = None
@@ -218,7 +217,6 @@ class Backoff:
         self._bound = 0.0
         self._count_from = 0
         self._preamble_dbm = preamble_dbm
-        self.trace = trace
         self._defer_ns = self.config.defer_ns
         self._cca_slot_ns = self.config.cca_slot_ns
         env = self.env
@@ -240,7 +238,7 @@ class Backoff:
 
     def _next_cws(self, grow: bool) -> None:
         """Double the window plus one, up to `cws_max`, or reset it to `cws_min`."""
-        self.cws = min(2 * self.cws + 1, self._cws_max) if grow else self._cws_min
+        self.cws = min(2 * self.cws + 1, self.config.cws_max) if grow else self.config.cws_min
 
     def _start_backoff(self) -> None:
         self.counter = self.rng.randint(0, self.cws)
@@ -317,7 +315,7 @@ class LbtCam(Cam, Backoff):
         self.rng = rng
         self._on_grant: Optional[Callable[[ChannelGrant], None]] = None
         self._fed_cots: set[int] = set()
-        self._init_backoff(self.config.cat3_cws if self.category == CAT3 else None, trace=self.trace)
+        self._init_backoff(self.config.cat3_cws if self.category == CAT3 else None)
 
     def prepare(self) -> None:
         if self.live_cot() is None and self._on_grant is None:

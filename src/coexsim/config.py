@@ -82,8 +82,9 @@ class CampaignConfig:
     duty_on_ms: float = _key(9.0, 0.1, 1000.0)
     duty_off_ms: float = _key(9.0, 0.1, 1000.0)
     # NR-U MAC
-    # At most nru.FB_DELAY_SLOTS (config cannot import nru): a longer lead
-    # reserves HARQ feedback in slots already planned, so it is never sent.
+    # At most nru.FB_DELAY_SLOTS, written out: nru imports config, so validate()
+    # may import nru but a field line cannot. A longer lead reserves HARQ
+    # feedback in slots already planned, so it is never sent.
     mac_lead_slots: int = _key(2, 1, 4)
     harq_max_tx: int = _key(4, 1, 16)
     mcs_margin_db: float = _key(1.0, 0.0, 10.0)

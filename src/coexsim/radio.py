@@ -268,7 +268,6 @@ class RadioEnvironment:
         # (source id, beam target id or "", tx power, rat) -> link key
         self._link_keys: dict[tuple, int] = {}
         self._link_emissions: list[Emission] = []  # key -> its first aired, else one with eid -1
-        self._dirs: dict[tuple[str, str], tuple[float, float, float]] = {}
         self.active: dict[int, Emission] = {}
         self._ended: deque[Emission] = deque()  # in end order
         self._retain_ns = max(self.RETAIN_NS, config.cat2_defer_ns)
@@ -304,16 +303,11 @@ class RadioEnvironment:
         return pl
 
     def direction(self, src: Device, dst: Device) -> Vector:
-        key = (src.id, dst.id)
-        d = self._dirs.get(key)
-        if d is None:
-            dx = dst.position.x - src.position.x
-            dy = dst.position.y - src.position.y
-            dz = dst.position.z - src.position.z
-            r = math.sqrt(dx * dx + dy * dy + dz * dz)
-            d = (dx / r, dy / r, dz / r) if r > 0 else (1.0, 0.0, 0.0)
-            self._dirs[key] = d
-        return d
+        dx = dst.position.x - src.position.x
+        dy = dst.position.y - src.position.y
+        dz = dst.position.z - src.position.z
+        r = math.sqrt(dx * dx + dy * dy + dz * dz)
+        return (dx / r, dy / r, dz / r) if r > 0 else (1.0, 0.0, 0.0)
 
     def gain_db(self, owner: Device, toward: Device, observed: Device) -> float:
         """Gain of `owner`'s array steered toward `toward`, seen from

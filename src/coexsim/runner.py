@@ -63,6 +63,8 @@ def run_once(
     unknown = sorted(set(traces) - TRACES.keys())
     if unknown:
         raise ConfigError(f"unknown trace selector(s): {unknown}")
+    if out_dir is not None:
+        _make_out_dir(out_dir)
     t_wall = time.perf_counter()
     t_end = cfg.duration_ns
     engine = Engine()
@@ -127,8 +129,15 @@ def run_once(
     return result
 
 
+def _make_out_dir(path: str) -> None:
+    """Make directory `path` unless it exists, before any run or report work."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:  # a file at `path` or on the way to it
+        raise ConfigError(f"cannot make output directory {path}: {exc.strerror}") from None
+
+
 def _write_run(result, scn, out_dir) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "metrics.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(METRICS_HEADER)
@@ -198,6 +207,7 @@ def run_campaign(
     verbose: bool = True,
 ) -> list[tuple[str, int, Optional[str], float]]:
     validate(cfg)  # once here, not once per task
+    _make_out_dir(os.path.join(out_dir, "runs"))
     tasks = []
     for label in cfg.sweep_labels():
         label_cfg = cfg.for_label(label)
@@ -226,12 +236,13 @@ def run_campaign(
 
 def emit_report(in_dir: str, out_csv: str) -> None:
     """Pool every run directory under `in_dir` (or its `runs/`) per label into
-    box statistics in `out_csv`.
+    box statistics in `out_csv`, making its directory if missing.
 
-    Raises ConfigError on a run directory without a complete result or whose
-    files are malformed or disagree, on a `metrics.csv` with another header,
-    on one label run under two configurations, and on a label lacking a seed
-    that another label has.
+    Raises ConfigError, before pooling, on an `out_csv` that is a directory
+    or whose directory cannot be made; then on a run directory without a
+    complete result or whose files are malformed or disagree, on a
+    `metrics.csv` with another header, on one label run under two
+    configurations, and on a label lacking a seed that another label has.
     A seed missing from every label cannot be told apart from one never
     run, since the report has no campaign manifest.
     """
@@ -239,6 +250,9 @@ def emit_report(in_dir: str, out_csv: str) -> None:
 
     if not os.path.isdir(in_dir):
         raise ConfigError(f"no run directory {in_dir}")
+    if os.path.isdir(out_csv):
+        raise ConfigError(f"report output {out_csv} is a directory")
+    _make_out_dir(os.path.dirname(out_csv) or ".")
     runs_dir = os.path.join(in_dir, "runs")
     if not os.path.isdir(runs_dir):
         runs_dir = in_dir

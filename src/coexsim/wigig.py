@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Optional
 
 from .channel_access import Backoff
@@ -33,6 +33,7 @@ ACK_THRESHOLD_DB = 1.0  # decode threshold of ACKs and association frames
 ASSOC_SPACING_NS = 2 * MS
 
 
+@cache  # a pure function of the few (payload, rate) pairs a run sends
 def frame_duration_ns(payload_bytes: int, rate_bps: float) -> int:
     if payload_bytes <= 0:
         raise ValueError("payload must be positive")
@@ -64,11 +65,11 @@ class WigigAp(Backoff):
         self.queue: deque[WigigFrame] = deque()
         self.ed_threshold_lin = db_to_lin(config.wigig_ed_threshold_dbm)
         self.table = env.link_table(device)  # omni reception at the AP
-        self._durations: dict[tuple[int, int], int] = {}  # (payload, MCS) -> ns
         self._ack_due = 0  # the frame in hand's ACK timeout
         self._current: Optional[WigigFrame] = None
         self._ack_ok = False
         self.drops = 0
+        self.trace = None  # no contention trace
         self._init_backoff(preamble_dbm=config.wigig_preamble_threshold_dbm)
 
     # -- queueing -----------------------------------------------------------
@@ -91,11 +92,7 @@ class WigigAp(Backoff):
     def _transmit(self) -> None:
         frame = self._current
         sta = frame.sta
-        size, mcs = frame.packet.size_bytes, frame.mcs
-        dur = self._durations.get((size, mcs))
-        if dur is None:
-            dur = self._durations[size, mcs] = frame_duration_ns(size, WIGIG_MCS[mcs][1])
-        end = self.engine.now + dur
+        end = self.engine.now + frame_duration_ns(frame.packet.size_bytes, WIGIG_MCS[frame.mcs][1])
         self.env.add_emission(sta.dl_key, end, partial(sta.receive_frame, frame))
         self._ack_ok = False
         self._ack_due = end + self.config.ack_timeout_ns
@@ -220,29 +217,24 @@ class WigigSta:
                 self.engine.schedule(self._associate_attempt, self.engine.now + 100 * US)
             return
         self._busy_waits = 0
-        self._probe(self.ul_key, self._probe_at_ap)
-
-    def _probe(self, key: int, at_end) -> None:
-        """Send one association frame on link `key` at the floor rate; at_end(cap) at its end."""
-        end = self.engine.now + frame_duration_ns(PROBE_BYTES, WIGIG_MCS[0][1])
-        self.env.add_emission(key, end, at_end)
-
-    def _probe_at_ap(self, cap) -> None:
-        sinr = self.env.effective_sinr_db(cap, self.ap.table)
-        if sinr < ACK_THRESHOLD_DB:
-            self._attempt_failed()
-            return
-        self.engine.schedule(self._probe_response, self.engine.now + self.sifs_ns)
+        engine = self.engine  # the AP answers a heard probe SIFS later
+        self._probe(self.ul_key, self.ap.table,
+                    lambda: engine.schedule(self._probe_response, engine.now + self.sifs_ns))
 
     def _probe_response(self) -> None:
-        self._probe(self.dl_key, self._response_at_sta)
+        self._probe(self.dl_key, self.table, partial(self._end_association, "associated"))
 
-    def _response_at_sta(self, cap) -> None:
-        sinr = self.env.effective_sinr_db(cap, self.table)
-        if sinr < ACK_THRESHOLD_DB:
+    def _probe(self, key: int, table, heard) -> None:
+        """Send one association frame on link `key` at the floor rate; at its
+        end, `heard()` if it decodes at `table`, else the attempt fails."""
+        end = self.engine.now + frame_duration_ns(PROBE_BYTES, WIGIG_MCS[0][1])
+        self.env.add_emission(key, end, partial(self._probe_end, table, heard))
+
+    def _probe_end(self, table, heard, cap) -> None:
+        if self.env.effective_sinr_db(cap, table) < ACK_THRESHOLD_DB:
             self._attempt_failed()
-            return
-        self._end_association("associated")
+        else:
+            heard()
 
     def _attempt_failed(self) -> None:
         self._assoc_tries += 1

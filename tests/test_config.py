@@ -64,6 +64,13 @@ def test_repeated_key_names_the_key_and_both_lines(tmp_path):
         parse_config(path)
 
 
+def test_mac_lead_slots_bound_is_the_feedback_delay():
+    """config cannot import nru at module level, so the field line writes
+    FB_DELAY_SLOTS out; the two must not drift apart."""
+    (field,) = [f for f in fields(CampaignConfig) if f.name == "mac_lead_slots"]
+    assert field.metadata["bound"][1] == nru.FB_DELAY_SLOTS
+
+
 def test_malformed_line_reports_location(tmp_path):
     path = write(tmp_path, "load_mbps 50\n")
     with pytest.raises(ConfigError, match=":1"):

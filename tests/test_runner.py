@@ -318,6 +318,47 @@ def test_report_on_no_directory_is_a_config_error(tmp_path, capsys, make):
     assert not (tmp_path / "box.csv").exists()
 
 
+def _tiny_config(tmp_path):
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text("sites_per_operator = 1\nusers_per_operator = 2\nduration_s = 0.002\n")
+    return str(cfg_path)
+
+
+@pytest.mark.parametrize("command", ["run", "campaign"])
+def test_run_or_campaign_into_a_file_is_refused_before_any_run(tmp_path, capsys, monkeypatch,
+                                                               command):
+    out = tmp_path / "out"
+    out.write_text("kept")
+    monkeypatch.setattr(Engine, "run_until", lambda *args: pytest.fail("a run started"))
+    args = ["--seed", "1"] if command == "run" else ["--seeds", "1"]
+    assert main([command, "--config", _tiny_config(tmp_path), "--out", str(out)] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot make output directory {out}")
+    assert out.read_text() == "kept"
+
+
+@pytest.mark.parametrize("where", ["a-directory", "in-a-file"])
+def test_report_into_no_file_path_is_refused_before_pooling(tmp_path, capsys, where):
+    (tmp_path / "camp").mkdir()  # holds no run: pooling would refuse that instead
+    if where == "a-directory":
+        out = tmp_path / "box.csv"
+        out.mkdir()
+        want = f"error: report output {out} is a directory"
+    else:
+        (tmp_path / "f").write_text("kept")
+        out = tmp_path / "f" / "box.csv"
+        want = f"error: cannot make output directory {tmp_path / 'f'}"
+    assert main(["report", "--in", str(tmp_path / "camp"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(want)
+
+
+def test_report_makes_its_missing_output_directory(tmp_path):
+    run_campaign(reduced(duration_s=0.002), [1], str(tmp_path / "camp"), verbose=False)
+    out = tmp_path / "new" / "deeper" / "box.csv"
+    assert main(["report", "--in", str(tmp_path / "camp"), "--out", str(out)]) == 0
+    assert out.read_text().startswith("config,metric,technology,")
+
+
 def _keep_the_header(path):
     path.write_text(path.read_text().splitlines(keepends=True)[0])
 
@@ -528,3 +569,23 @@ def test_output_digests_against_a_digest_file_lists_each_difference(tmp_path):
         "differs WiGig-only_seed1 run.json",
         f"event_count WiGig-only_seed1 {count} -> {count + 5}",
     ]
+
+
+def test_phase_times_on_one_tree_prints_every_metric_and_no_warning(tmp_path):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("sites_per_operator = 1\nusers_per_operator = 2\n")
+    args = [sys.executable, str(ROOT / "scripts" / "phase_times.py"), str(SRC), str(SRC),
+            "--config", str(cfg), "--label", "WiGig-only", "--duration", "0.002", "--pairs", "1"]
+    out = subprocess.run(args, env=src_env(), capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    first, header, *rows = out.stdout.splitlines()
+    assert first.startswith("WiGig-only at 0.002 s, seed 1, 1 pairs; events old [")
+    assert header.split("\t")[0] == "metric"
+    metrics = [row.split("\t") for row in rows[:5]]
+    assert [m[0] for m in metrics] == ["import_s", "build_s", "loop_s", "post_loop_s", "peak_rss_mb"]
+    for _name, old, new, ratio, lower in metrics:
+        assert float(old) > 0 and float(new) > 0 and float(ratio) > 0
+        assert lower in ("0 of 1", "1 of 1")
+    assert [row.split(": (")[0] for row in rows[5:]] == [
+        "gc.get_count() at return, old", "gc.get_count() at return, new"]
+    assert "WARNING" not in out.stdout

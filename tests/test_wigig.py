@@ -9,7 +9,9 @@ from coexsim.engine import MS, US
 from coexsim.radio import select_mcs
 from coexsim.traffic import PacketRecord
 from coexsim.wigig import (
+    ASSOC_SPACING_NS,
     PREAMBLE_NS,
+    PROBE_BYTES,
     WIGIG_MCS,
     WIGIG_MCS_MARGIN_DB,
     WIGIG_MCS_THRESHOLDS,
@@ -200,6 +202,48 @@ def test_failed_association_loses_the_held_packets(rig):
     assert sta.holding == held
     sta.start()
     rig.engine.run_until(rig.config.assoc_attempts * 2 * MS)
+    assert sta.association == "failed"
+    assert all(pkt.lost and not pkt.delivered for pkt in held)
+    assert not sta.holding and not ap.queue and ap._current is None
+
+
+def test_a_probe_response_lost_at_the_sta_fails_the_attempt(rig, monkeypatch):
+    """The AP decodes every probe, but an interferer beside the STA drowns
+    each probe response: each attempt fails at the response's end, the next
+    starts ASSOC_SPACING_NS later, and the last failure loses the held packets."""
+    site = rig.place("ap1", 0.0, 0.0, z=3.0, operator="A", role="ap")
+    ap = WigigAp(site, rig.env, FixedRng(0))
+    user = rig.place("sta1", 3.0, 0.0, operator="A", role="sta")
+    jammer = rig.place("jam", 2.5, 0.0, operator="B", role="ue")  # in the STA's beam
+    for a, b in ((site, user), (jammer, user), (jammer, site)):
+        rig.force_link(a, b)
+    sta = WigigSta(user, ap)
+    held = [PacketRecord(1500, 0) for _ in range(2)]
+    for pkt in held:
+        sta.offer_packet(pkt)
+    probe_ns, sifs_ns = frame_duration_ns(PROBE_BYTES, WIGIG_MCS[0][1]), rig.config.sifs_ns
+    attempts, failures = [], []
+    attempt, failed = WigigSta._associate_attempt, WigigSta._attempt_failed
+
+    def jammed_attempt(self):
+        # On the air from after the probe's end until after the response's.
+        attempts.append(rig.engine.now)
+        rig.engine.schedule(lambda: rig.emit(jammer, 17.0, sifs_ns + probe_ns),
+                            rig.engine.now + probe_ns + sifs_ns // 2)
+        attempt(self)
+
+    def recording_failed(self):
+        failures.append(rig.engine.now)
+        failed(self)
+
+    monkeypatch.setattr(WigigSta, "_associate_attempt", jammed_attempt)
+    monkeypatch.setattr(WigigSta, "_attempt_failed", recording_failed)
+    sta.start()
+    rig.engine.run_until(rig.config.assoc_attempts * 3 * MS)
+    assert len(attempts) == len(failures) == rig.config.assoc_attempts
+    # Each failure falls at the response's end: the AP heard the probe.
+    assert failures == [t + 2 * probe_ns + sifs_ns for t in attempts]
+    assert attempts[1:] == [t + ASSOC_SPACING_NS for t in failures[:-1]]
     assert sta.association == "failed"
     assert all(pkt.lost and not pkt.delivered for pkt in held)
     assert not sta.holding and not ap.queue and ap._current is None
