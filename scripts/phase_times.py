@@ -12,9 +12,13 @@ follows the loop, and writing the run directory to a temporary folder). It
 reads its peak RSS (`ru_maxrss`) and `gc.get_count()` as `run_once`
 returns. Every pair runs the same seed.
 
-Prints, per tree, the host medians over the pairs; per metric, the median of
-the paired ratios NEW / OLD and the pairs in which NEW read lower; and per
-tree the distinct `gc.get_count()` readings with how often each occurred.
+Prints, per tree, the host medians over the pairs; per metric, the median
+and quartiles of the paired ratios NEW / OLD, the pairs in which NEW read
+lower, and whether a gain may be claimed ("holds" when NEW read lower in
+at least nine tenths of the pairs, ties counting for neither, and OLD's
+median exceeds NEW's by more than the distance between OLD's quartiles;
+else "fails"); and per tree the distinct `gc.get_count()`
+readings with how often each occurred.
 A WARNING line follows when the two trees' readings differ, and one when
 their event counts differ: a change meant to keep outputs byte-identical
 then runs another event sequence, or was timed against the wrong tree.
@@ -66,6 +70,22 @@ print(json.dumps({
 METRICS = ("import_s", "build_s", "loop_s", "post_loop_s", "peak_rss_mb")
 
 
+def quartiles(xs: list[float]) -> tuple[float, float]:
+    """The first and third quartiles of `xs` (`statistics.quantiles`); one value is both."""
+    if len(xs) < 2:
+        return xs[0], xs[0]
+    q1, _q2, q3 = statistics.quantiles(xs, n=4)
+    return q1, q3
+
+
+def gain_holds(old: list[float], new: list[float]) -> bool:
+    """Whether paired runs show a gain in a lower-is-better metric: NEW lower in at
+    least nine tenths of the pairs, and a median gap over OLD's quartile spread."""
+    wins = sum(n < o for o, n in zip(old, new))
+    q1, q3 = quartiles(old)
+    return 10 * wins >= 9 * len(old) and statistics.median(old) - statistics.median(new) > q3 - q1
+
+
 def run_child(src: str, args) -> dict:
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
@@ -93,14 +113,17 @@ def main() -> None:
     events = {side: {r["events"] for r in rs} for side, rs in runs.items()}
     print(f"{args.label} at {args.duration} s, seed {args.seed}, {args.pairs} pairs; "
           f"events old {sorted(events['old'])}, new {sorted(events['new'])}")
-    print("metric\told median\tnew median\tnew/old (median of pairs)\tnew lower")
+    print("metric\told median\tnew median\tnew/old (median of pairs)\tnew/old q1\t"
+          "new/old q3\tnew lower\tgain claim")
     for m in METRICS:
         old = [r[m] for r in runs["old"]]
         new = [r[m] for r in runs["new"]]
         ratios = [n / o for o, n in zip(old, new)]
         wins = sum(n < o for o, n in zip(old, new))
+        q1, q3 = quartiles(ratios)
         print(f"{m}\t{statistics.median(old):.4f}\t{statistics.median(new):.4f}\t"
-              f"{statistics.median(ratios):.3f}\t{wins} of {len(ratios)}")
+              f"{statistics.median(ratios):.3f}\t{q1:.3f}\t{q3:.3f}\t{wins} of {len(ratios)}\t"
+              f"{'holds' if gain_holds(old, new) else 'fails'}")
     seen = {side: Counter(tuple(r["gc_count"]) for r in rs) for side, rs in runs.items()}
     for side, counts in seen.items():
         print(f"gc.get_count() at return, {side}: "

@@ -169,16 +169,18 @@ class Backoff:
     is, and a WiGig preamble inf, loud and never summed. An entry is None
     until `add_emission` fills it as the link's first emission starts.
 
-    `RadioEnvironment._notify` re-senses a listener in full
-    (`medium_changed`) only when an edge can flip its answer, from what it
-    keeps of its last sense:
+    `RadioEnvironment._notify` re-senses a listener in full (`medium_busy`)
+    only when an edge can flip its answer, from what it keeps of its last
+    sense:
     - `_witness`, an on-air emission that alone keeps `medium_busy()` true,
       or None; a waiting listener is re-sensed only when it ends, or on any
-      falling edge when there is none.
+      falling edge when there is none, and `_notify` starts its countdown
+      itself when it then reads idle.
     - `_bound`, while counting: the eid-order sum of the last sense that read
       idle plus each rising edge's power since. Emissions start in eid
       order, so the sensed sum runs over a subsequence of its terms; a
-      rising edge that keeps it under `ed_threshold_lin` is skipped.
+      rising edge that keeps it under `ed_threshold_lin` is skipped, and
+      one that does not re-senses it through `medium_changed()`.
     - A rising edge loud on its own (its entry at `ed_threshold_lin`)
       freezes the counter at once as the witness: every other emission on
       the air is quiet, or the counter would be frozen, so it is the one
@@ -241,7 +243,15 @@ class Backoff:
         self.cws = min(2 * self.cws + 1, self.config.cws_max) if grow else self.config.cws_min
 
     def _start_backoff(self) -> None:
-        self.counter = self.rng.randint(0, self.cws)
+        # The draw CPython 3.11's `randint(0, cws)` makes (`_randbelow(cws + 1)`
+        # redraws k random bits until they fit), without its three frames.
+        cws = self.cws
+        k = (cws + 1).bit_length()
+        getrandbits = self.rng.getrandbits
+        counter = getrandbits(k)
+        while counter > cws:
+            counter = getrandbits(k)
+        self.counter = counter
         self.env.add_listener(self)
         if self.medium_busy():
             self.state = WAIT_IDLE
@@ -268,12 +278,9 @@ class Backoff:
         return False
 
     def medium_changed(self) -> None:
-        """Re-sense on an emission edge; a device not contending ignores it."""
-        state = self.state
-        if state == WAIT_IDLE:
-            if not self.medium_busy():
-                self._start_countdown()
-        elif state == COUNT and self.medium_busy():
+        """Re-sense a counting listener on a rising edge that its `_bound`
+        cannot settle, and freeze it on a busy medium."""
+        if self.medium_busy():
             self._freeze()
 
     def _freeze(self) -> None:

@@ -51,20 +51,24 @@ class Engine:
 
     def run_until(self, t_end: int) -> int:
         """Execute every event due at or before t_end; clock ends at t_end.
-        The cyclic garbage collector is off meanwhile, then as it was before."""
+        The cyclic garbage collector is off meanwhile, then as it was before.
+        The one entry popped past t_end is pushed back."""
         executed = 0
         heap = self._heap
         pop = heappop
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            while heap and heap[0][0] <= t_end:
+            while heap:
                 entry = pop(heap)
-                action = entry[2]
+                due, _seq, action = entry
+                if due > t_end:
+                    heappush(heap, entry)
+                    break
                 if action is None:
                     continue  # cancelled
                 entry[2] = None
-                self.now = entry[0]
+                self.now = due
                 action()
                 executed += 1
         finally:

@@ -219,7 +219,9 @@ class Emission:
 class LinkTable:
     """Linear received power at one (receiver, rx beam) in a list `lin`
     indexed by link key; an entry is None until `read` fills it from
-    `rx_power_dbm`."""
+    `rx_power_dbm`. Decoding and window sensing read `lin[key] or
+    read(key)`: a filled entry straight from the list, and `read` only for
+    None (or a 0.0, which `read` returns as it is)."""
 
     __slots__ = ("env", "receiver", "rx_beam", "lin")
 
@@ -408,14 +410,16 @@ class RadioEnvironment:
 
     def _notify(self, em: Emission, rising: bool) -> None:
         """Settle each `Backoff` listener's sensing as `em` starts or ends,
-        calling medium_changed(), a full re-sense, only where it can flip. A
-        start can only make a counting listener busy: a loud `em` (its
+        re-sensing it in full (`medium_busy()`) only where the edge can flip
+        it. A start can only make a counting listener busy: a loud `em` (its
         `sense` entry at `ed_threshold_lin`) freezes it at once as its
-        witness, a quiet one adds its entry to its `_bound`, re-sensed only
-        once that reaches `ed_threshold_lin`; its own emission adds 0.0. An
-        end can only make a waiting (WAIT_IDLE) one idle, and not while its
-        `_witness` other than `em` is on the air. See `Backoff` for why this
-        is exact. Neither medium_changed() nor _freeze() may (un)register."""
+        witness, a quiet one adds its entry to its `_bound`, and only once
+        that reaches `ed_threshold_lin` is it re-sensed, by medium_changed();
+        its own emission adds 0.0. An end can only make a waiting (WAIT_IDLE)
+        one idle, and not while its `_witness` other than `em` is on the air:
+        one it can is re-sensed here and, sensing idle, starts its countdown.
+        See `Backoff` for why this is exact. None of medium_changed(),
+        medium_busy(), _start_countdown() and _freeze() may (un)register."""
         if rising:
             key = em.link_key
             for obj in self._listeners:
@@ -434,8 +438,8 @@ class RadioEnvironment:
             for obj in self._listeners:
                 if obj.state == WAIT_IDLE:
                     witness = obj._witness
-                    if witness is None or witness is em:
-                        obj.medium_changed()
+                    if (witness is None or witness is em) and not obj.medium_busy():
+                        obj._start_countdown()
 
     # -- sensing & SINR ---------------------------------------------------
 
@@ -466,16 +470,18 @@ class RadioEnvironment:
         now = self.engine.now
         if w_start < now - self._retain_ns:
             raise ValueError(f"window [{w_start}, {w_end}) starts before {now} - {self._retain_ns}")
-        device = table.receiver
+        device, lins = table.receiver, table.lin
         ems = []
         for em in self.active.values():
             if em.start < w_end and em.end > w_start and em.source is not device:
-                ems.append((em.eid, em.start, em.end, table.read(em.link_key)))
+                key = em.link_key
+                ems.append((em.eid, em.start, em.end, lins[key] or table.read(key)))
         for em in reversed(self._ended):  # end order: stop at the first one out
             if em.end <= w_start:
                 break
             if em.start < w_end and em.source is not device:
-                ems.append((em.eid, em.start, em.end, table.read(em.link_key)))
+                key = em.link_key
+                ems.append((em.eid, em.start, em.end, lins[key] or table.read(key)))
         ems.sort()  # an ended emission may have started after an active one
         return ems
 
@@ -504,8 +510,8 @@ class RadioEnvironment:
         order, never merged. No sum uses `sum()` (compensated since 3.12).
         """
         start, end = sig.start, sig.end
-        receiver = table.receiver
-        s_lin = table.read(sig.link_key)
+        receiver, lins = table.receiver, table.lin
+        s_lin = lins[sig.link_key] or table.read(sig.link_key)
         noise = self.noise_lin
         i_lin = 0.0
         heard = False
@@ -513,7 +519,7 @@ class RadioEnvironment:
             if em.source is not receiver:
                 if em.start > start or em.end < end:
                     break  # not on the air for the whole signal: integrate
-                i_lin += table.read(em.link_key)
+                i_lin += lins[em.link_key] or table.read(em.link_key)
                 heard = True
         else:
             if not heard:
@@ -523,7 +529,7 @@ class RadioEnvironment:
         infs, edges = [], {end}  # edges: the segments' ends, each in (start, end]
         for em in sig.interferers:
             if em.source is not receiver:
-                infs.append((em.start, em.end, table.read(em.link_key)))
+                infs.append((em.start, em.end, lins[em.link_key] or table.read(em.link_key)))
                 if em.start > start:
                     edges.add(em.start)
                 if em.end < end:

@@ -180,12 +180,20 @@ PARTIAL_SUFFIX = ".partial"
 RUN_FILES = ("run.json", "metrics.csv", "scenario.csv")  # a complete run's result
 
 
+def _remove_stale(path: str) -> None:
+    """Remove what a former campaign left at `path`: a directory tree or a file."""
+    if os.path.isdir(path) and not os.path.islink(path):
+        shutil.rmtree(path, ignore_errors=True)
+    elif os.path.lexists(path):
+        os.remove(path)
+
+
 def _campaign_worker(args) -> tuple[str, int, Optional[str], float]:
     cfg, seed, run_dir = args
     # Write into a fresh sibling, then swap it in whole: a re-run keeps no
     # stale file, and an interrupted one leaves no complete-looking run_dir.
     partial_dir = run_dir + PARTIAL_SUFFIX
-    shutil.rmtree(partial_dir, ignore_errors=True)
+    _remove_stale(partial_dir)
     try:
         result = run_once(cfg, seed, out_dir=partial_dir)
         outcome = (cfg.label, seed, None, result.wall_s)
@@ -194,7 +202,7 @@ def _campaign_worker(args) -> tuple[str, int, Optional[str], float]:
         with open(os.path.join(partial_dir, "error.txt"), "w") as fh:
             fh.write(f"{type(exc).__name__}: {exc}\n")
         outcome = (cfg.label, seed, f"{type(exc).__name__}: {exc}", 0.0)
-    shutil.rmtree(run_dir, ignore_errors=True)
+    _remove_stale(run_dir)
     os.replace(partial_dir, run_dir)
     return outcome
 

@@ -59,14 +59,19 @@ def table_entry(table, key):
 
 
 class FixedRng:
-    """randint stub returning a scripted sequence (last value repeats)."""
+    """Backoff-draw stub returning a scripted sequence (last value repeats).
+
+    A window [0, cws] is drawn `getrandbits(k)` with k = (cws + 1).bit_length(),
+    redrawn while over cws. Every window drawn with k bits holds [0, 2**(k-1) - 1],
+    which is the window itself for the 2**n - 1 windows that doubling from
+    `cws_min` gives; a value beyond it is refused, never redrawn forever."""
 
     def __init__(self, *values):
         self.values = list(values)
 
-    def randint(self, a, b):
+    def getrandbits(self, k):
         v = self.values.pop(0) if len(self.values) > 1 else self.values[0]
-        assert a <= v <= b, f"scripted draw {v} outside [{a}, {b}]"
+        assert 0 <= v < 1 << (k - 1), f"scripted draw {v} outside [0, {(1 << (k - 1)) - 1}]"
         return v
 
 

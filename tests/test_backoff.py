@@ -2,6 +2,7 @@
 8 us defer, 5 us CCA slots, a counter that freezes on a busy medium and
 resumes after a fresh defer, and the rule for a busy edge that falls on a
 slot boundary: that slot counts, whatever order the events were queued in."""
+import random
 from dataclasses import replace
 
 import pytest
@@ -12,7 +13,7 @@ from coexsim.engine import MS
 from coexsim.radio import IDLE, RadioEnvironment
 from coexsim.traffic import PacketRecord
 from coexsim.wigig import WigigAp, WigigSta
-from tests.conftest import FixedRng
+from tests.conftest import CAT4_CWS_LADDER, FixedRng, Rig
 
 
 def _lbt(rig, dev, counter, log):
@@ -128,6 +129,38 @@ def _count_backoff_events(engine):
 
     engine.schedule = counting
     return counts
+
+
+class _SilentAp(WigigAp):
+    """A WiGig AP whose won contention sends nothing."""
+
+    def _backoff_done(self):
+        pass
+
+
+def test_every_counter_is_the_streams_randint_draw():
+    """Contention after contention, an LBT manager's and a WiGig AP's counter
+    is the draw `randint(0, cws)` makes on its seeded stream, at a window of
+    0, at each the doubling from `cws_min` reaches, and at a Cat3 window that
+    is no 2**n - 1: each equals a twin stream's, so runs draw as they did."""
+    rig = Rig(config=replace(CampaignConfig(), cat3_cws=20))
+    cases = []
+    for k, cws in enumerate((0,) + CAT4_CWS_LADDER):
+        cam = LbtCam(CAT4, rig.place(f"gnb{k}", 0.0, role="gnb"), rig.env, random.Random(k))
+        ap = _SilentAp(rig.place(f"ap{k}", 0.0, role="ap"), rig.env, random.Random(100 + k))
+        cases += [(cam, cws, lambda cam=cam: cam.request(lambda _grant: None)),
+                  (ap, cws, ap._start_backoff)]
+    cat3 = LbtCam(CAT3, rig.place("cat3", 0.0, role="gnb"), rig.env, random.Random(200))
+    cases.append((cat3, 20, lambda: cat3.request(lambda _grant: None)))
+    for obj, cws, start in cases:
+        twin = random.Random()
+        twin.setstate(obj.rng.getstate())
+        obj.cws = cws
+        for _ in range(40):
+            start()
+            assert obj.counter == twin.randint(0, cws), (obj.device.id, cws)
+            rig.engine.run_until(rig.engine.now + 10 * MS)  # the idle medium's countdown ends
+            assert obj.state == IDLE and obj.cws == cws
 
 
 @pytest.mark.parametrize("freeze", [False, True])

@@ -33,8 +33,10 @@ NON_DEFAULT = replace(
 
 
 class Probe:
-    """A listener stub sitting in one Backoff state, counting notifications;
-    with no room under its bound, every rising edge re-senses it."""
+    """A listener stub sitting in one Backoff state, counting re-senses:
+    with no room under its bound, every rising edge re-senses it through
+    medium_changed(), and a falling edge through medium_busy(), which reads
+    busy, so it stays waiting."""
 
     WAIT_IDLE = Backoff.WAIT_IDLE
     _witness = None
@@ -48,6 +50,10 @@ class Probe:
 
     def medium_changed(self):
         self.calls += 1
+
+    def medium_busy(self):
+        self.calls += 1
+        return True
 
 
 def test_start_skips_busy_listeners_and_end_skips_idle_ones(rig):
@@ -83,14 +89,14 @@ def test_witness_keeps_the_ap_busy_until_it_ends(rig):
     table = rig.env.link_table(ap_dev)
     assert table.read(weak.link_key) < ap.ed_threshold_lin <= table.read(strong.link_key)
     assert rig.env.link_table(sta).read(weak.link_key) >= ap.ed_threshold_lin
-    calls = []
-    ap.medium_changed = lambda: (calls.append(rig.engine.now), Backoff.medium_changed(ap))
     ap._start_backoff()
     assert ap.state == ap.WAIT_IDLE and ap._witness is strong
     assert sta_mac.medium_busy() and ap._witness is strong  # a STA's sensing is not the AP's
+    calls = []  # the times `_notify` re-senses the AP
+    ap.medium_busy = lambda: (calls.append(rig.engine.now), Backoff.medium_busy(ap))[1]
 
     rig.engine.run_until(10_000)  # the weak emission ends: no re-sensing
-    assert calls == [] and ap.state == ap.WAIT_IDLE and ap.medium_busy()
+    assert calls == [] and ap.state == ap.WAIT_IDLE and Backoff.medium_busy(ap)
     rig.engine.run_until(20_000)  # the witness ends: the AP re-senses idle
     assert calls == [20_000] and ap.state == ap.COUNT and ap._witness is None
 
@@ -208,21 +214,22 @@ def test_every_sense_entry_follows_the_rule_at_its_table(monkeypatch, base, labe
 
 @pytest.fixture
 def checked_notify(monkeypatch):
-    """Check every listener `_notify` does not fully re-sense (skipped, bound
-    skipped or loud frozen): its sensing right after the edge, summed by
-    `sensed_busy` without its `sense` list, must still match its state (busy
+    """Check every listener after each edge `_notify` settles, whether it
+    skipped it (skipped, bound skipped or loud frozen) or re-sensed it in
+    full (`medium_busy()`; on a falling edge `_notify` then starts the
+    countdown itself): its sensing right after the edge, summed by
+    `sensed_busy` without its `sense` list, must match its state (busy
     exactly in WAIT_IDLE), unless its countdown is due at that nanosecond,
     as after a loud edge that found the counter spent: it fires whatever the
     medium reads."""
-    notify, changed, freeze = RadioEnvironment._notify, Backoff.medium_changed, Backoff._freeze
+    notify, busy, freeze = RadioEnvironment._notify, Backoff.medium_busy, Backoff._freeze
     called, frozen = [], []
-    seen = dict.fromkeys(
-        ("skipped", "bound_skipped", "loud_frozen", "notified", "witness_skipped", "due_now"), 0
-    )
+    seen = dict.fromkeys(("skipped", "bound_skipped", "loud_frozen", "notified",
+                          "witness_skipped", "resensed_falling", "due_now"), 0)
 
-    def recording_changed(listener):
+    def recording_busy(listener):
         called.append(listener)
-        changed(listener)
+        return busy(listener)
 
     def recording_freeze(listener):
         frozen.append(listener)
@@ -236,9 +243,10 @@ def checked_notify(monkeypatch):
         notify(env, em, rising)
         seen["notified"] += len(called)
         for obj, bound in zip(listeners, bounds):
-            if any(obj is c for c in called):
-                continue
-            if any(obj is f for f in frozen):
+            resensed = any(obj is c for c in called)
+            if resensed:
+                seen["resensed_falling"] += not rising
+            elif any(obj is f for f in frozen):
                 seen["loud_frozen"] += 1
             elif obj._bound != bound:
                 seen["bound_skipped"] += 1
@@ -249,10 +257,11 @@ def checked_notify(monkeypatch):
                 seen["due_now"] += 1
                 continue
             assert sensed_busy(env, obj) == (obj.state == Backoff.WAIT_IDLE), (
-                f"{obj.device.id} skipped on a {'rising' if rising else 'falling'} edge"
+                f"{obj.device.id} {'re-sensed' if resensed else 'skipped'} on a "
+                f"{'rising' if rising else 'falling'} edge"
             )
 
-    monkeypatch.setattr(Backoff, "medium_changed", recording_changed)
+    monkeypatch.setattr(Backoff, "medium_busy", recording_busy)
     monkeypatch.setattr(Backoff, "_freeze", recording_freeze)
     monkeypatch.setattr(RadioEnvironment, "_notify", checking_notify)
     return seen
@@ -268,7 +277,7 @@ def test_skipped_listeners_would_not_have_changed(checked_notify, label, base, s
     cfg = replace(base.for_label(label), duration_s=0.05)
     run_once(cfg, 1)
     assert checked_notify["skipped"] > 1000 and checked_notify["notified"] > 1000
-    assert checked_notify["witness_skipped"] > 100
+    assert checked_notify["witness_skipped"] > 100 and checked_notify["resensed_falling"] > 100
     assert checked_notify["bound_skipped"] > shortcuts and checked_notify["loud_frozen"] > shortcuts
 
 

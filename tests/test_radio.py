@@ -365,7 +365,8 @@ def test_capture_includes_later_overlapping_emission(rig):
 
 
 class _WaitingListener:
-    """A listener stub waiting for an idle medium, logging notifications."""
+    """A listener stub waiting for an idle medium, logging each re-sense
+    (a falling edge's `medium_busy()`) and sensing busy on."""
 
     WAIT_IDLE = state = 1
     _witness = None
@@ -373,8 +374,9 @@ class _WaitingListener:
     def __init__(self, log):
         self.log = log
 
-    def medium_changed(self):
+    def medium_busy(self):
         self.log.append("listener")
+        return True
 
 
 def test_add_emission_hands_its_capture_to_at_end_in_its_one_end_event(rig):

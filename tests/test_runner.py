@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import runpy
 import shutil
 import signal
 import subprocess
@@ -15,7 +16,7 @@ from coexsim.cli import main
 from coexsim.engine import Engine
 from coexsim.metrics import packet_conservation
 from coexsim.radio import RadioEnvironment
-from coexsim.runner import TRACES
+from coexsim.runner import RUN_FILES, TRACES
 
 REDUCED = dict(sites_per_operator=1, users_per_operator=4, duration_s=0.02)
 ROOT = Path(__file__).resolve().parent.parent
@@ -298,6 +299,21 @@ def test_rerun_into_the_same_campaign_dir_replaces_the_failed_run(tmp_path):
         emit_report(str(tmp_path), str(tmp_path / "box.csv"))
 
 
+@pytest.mark.parametrize("name", ["Cat4-Cat2_seed1.partial", "Cat4-Cat2_seed1"],
+                         ids=["partial", "run-dir"])
+def test_a_stale_file_where_a_run_writes_is_replaced(tmp_path, name):
+    """A file (not a directory) left where a campaign writes a run, or its
+    partial sibling, gives way to the complete run directory."""
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    (runs / name).touch()
+    [(_l, _s, err, _w)] = run_campaign(reduced(duration_s=0.002), [1], str(tmp_path), verbose=False)
+    assert err is None
+    assert sorted(os.listdir(runs)) == ["Cat4-Cat2_seed1"]
+    assert sorted(os.listdir(runs / "Cat4-Cat2_seed1")) == sorted(RUN_FILES)
+    emit_report(str(tmp_path), str(tmp_path / "box.csv"))
+
+
 @pytest.mark.parametrize("name", ["run.json", "metrics.csv", "scenario.csv"])
 def test_report_refuses_a_run_missing_a_result_file(tmp_path, capsys, name):
     run_campaign(reduced(duration_s=0.002), [1], str(tmp_path), verbose=False)
@@ -571,6 +587,18 @@ def test_output_digests_against_a_digest_file_lists_each_difference(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("new, holds", [
+    ([9.0] * 9 + [11.0], True),  # 9 of 10 lower, medians 10 -> 9 against a spread of 0.5
+    ([9.0] * 8 + [11.0] * 2, False),  # 8 of 10 lower
+    ([9.9] * 10, False),  # 10 of 10 lower, but the gap is inside OLD's quartile spread
+], ids=["9-of-10", "8-of-10", "inside-spread"])
+def test_phase_times_claims_a_gain_on_nine_tenths_of_pairs_and_a_gap_over_the_spread(new, holds):
+    phase_times = runpy.run_path(str(ROOT / "scripts" / "phase_times.py"))
+    old = [9.75, 10.25] * 5  # median 10.0, quartiles 9.75 and 10.25
+    assert phase_times["quartiles"](old) == (9.75, 10.25)
+    assert phase_times["gain_holds"](old, new) is holds
+
+
 def test_phase_times_on_one_tree_prints_every_metric_and_no_warning(tmp_path):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text("sites_per_operator = 1\nusers_per_operator = 2\n")
@@ -583,9 +611,12 @@ def test_phase_times_on_one_tree_prints_every_metric_and_no_warning(tmp_path):
     assert header.split("\t")[0] == "metric"
     metrics = [row.split("\t") for row in rows[:5]]
     assert [m[0] for m in metrics] == ["import_s", "build_s", "loop_s", "post_loop_s", "peak_rss_mb"]
-    for _name, old, new, ratio, lower in metrics:
+    for _name, old, new, ratio, q1, q3, lower, gain in metrics:
         assert float(old) > 0 and float(new) > 0 and float(ratio) > 0
+        assert float(q1) == float(q3) == float(ratio)  # one pair: its ratio is every quartile
         assert lower in ("0 of 1", "1 of 1")
+        # One pair: a gain iff NEW is lower, so by a gap over OLD's quartile spread, 0.
+        assert gain == ("holds" if lower == "1 of 1" else "fails")
     assert [row.split(": (")[0] for row in rows[5:]] == [
         "gc.get_count() at return, old", "gc.get_count() at return, new"]
     assert "WARNING" not in out.stdout
