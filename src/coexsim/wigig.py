@@ -83,13 +83,7 @@ class WigigAp(Backoff):
 
     def _start_access(self) -> None:
         frame = self._current = self.queue.popleft()
-        sta = frame.sta
-        sinr = sta.last_sinr_db
-        adapted = sta.adapted
-        if adapted is None or adapted[0] != sinr:
-            adapted = sta.adapted = (sinr, select_mcs(WIGIG_MCS_THRESHOLDS, sinr,
-                                                      WIGIG_MCS_MARGIN_DB))
-        frame.mcs = adapted[1]
+        frame.mcs = select_mcs(WIGIG_MCS_THRESHOLDS, frame.sta.last_sinr_db, WIGIG_MCS_MARGIN_DB)
         self._start_backoff()
 
     def _backoff_done(self) -> None:
@@ -154,9 +148,6 @@ class WigigSta:
         self.association = "pending"  # pending | associated | failed
         self.holding: list[PacketRecord] = []
         self.last_sinr_db = 0.0
-        # (SINR, its MCS index), recomputed when the SINR changes; here, not on
-        # the AP, which holds 26 of the 29 attributes CPython 3.11 keeps inline
-        self.adapted: Optional[tuple[float, int]] = None
         self._assoc_tries = 0
         self._busy_waits = 0
         self._t0 = t0_offset
