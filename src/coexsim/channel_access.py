@@ -108,8 +108,11 @@ class Cam:
         g = ChannelGrant(self.engine.now, deadline)
         self._emit("grant")
         if deadline is not None and self.trace is not None:
-            self.engine.schedule(lambda: self._emit("cot_end"), deadline)
+            self.engine.schedule(self._cot_end, deadline)
         return g
+
+    def _cot_end(self) -> None:
+        self._emit("cot_end")
 
 
 class AlwaysOnCam(Cam):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 from .channel_access import Cam
@@ -56,6 +55,11 @@ class TransportBlock:
     cot_id: int = -1
     acc_sinr_lin: float = 0.0
 
+    def air(self) -> None:
+        """A copy's start event, set up by `NruGnb._commit`: on the air for `n_symbols`."""
+        gnb = self.ue.gnb
+        gnb._air_tb(self.ue, self, gnb.engine.now + self.n_symbols * SYMBOL_NS)
+
 
 class NruUe:
     """One UE, in `gnb.ues` from when it is built: its downlink queue at the
@@ -69,6 +73,7 @@ class NruUe:
         self.cam = cam
         self.gnb = gnb
         self.fb_pending: dict[int, tuple[bool, float]] = {}
+        self.fb_pids: list[int] = []  # the pids its next feedback symbol answers
         env = gnb.env  # the SINR is interference-free until the first feedback
         self.last_sinr_db = env.aligned_rx_power_dbm(gnb.device, device) - env.noise_dbm
         self.table = env.link_table(device, gnb.device)  # decodes along its beam to the gNB
@@ -112,7 +117,8 @@ class NruUe:
                 buf.appendleft([pkt, n_bytes])
         self.buffered_bytes += tb.total_bytes
 
-    def receive_tb(self, tb: TransportBlock, cap) -> None:
+    def receive_tb(self, cap) -> None:
+        tb = cap.payload
         env = self.gnb.env
         sinr_db = env.effective_sinr_db(cap, self.table)
         tb.acc_sinr_lin += db_to_lin(sinr_db)
@@ -128,18 +134,18 @@ class NruUe:
         for pkt, _n in tb.segments:
             pkt.lost = True
 
-    def send_feedback(self, pids: list[int]) -> None:
-        """Attempt the one-symbol uplink feedback emission at the reserved
-        symbol; a failed CAM attempt drops the feedback (gNB times out)."""
-        items = [(pid, *self.fb_pending.pop(pid)) for pid in pids]
+    def send_feedback(self) -> None:
+        """Attempt the one-symbol uplink feedback emission for `fb_pids` at the
+        reserved symbol; a failed CAM attempt drops the feedback (gNB times out)."""
+        items = [(pid, *self.fb_pending.pop(pid)) for pid in self.fb_pids]
         gnb = self.gnb
         t_end = gnb.engine.now + SYMBOL_NS
         # Inside the gNB's COT the UE's grant inherits the gNB deadline.
         cot = gnb.cam.live_cot()
         if not self.cam.access(t_end, cot.cot_deadline if cot else None):
             return
-        at_end = partial(gnb.receive_feedback, items, self)
-        gnb.fb_on_air[gnb.env.add_emission(self.ul_key, t_end, at_end)] = None
+        em = gnb.env.add_emission(self.ul_key, t_end, gnb.receive_feedback, (items, self))
+        gnb.fb_on_air[em] = None
 
 
 class NruGnb:
@@ -157,6 +163,9 @@ class NruGnb:
         self.processes: dict[int, TransportBlock] = {}
         # slot -> UE -> pids; insertion order is the feedback symbol order
         self.fb_reservations: dict[int, dict[NruUe, list[int]]] = {}
+        # slot -> its blocks, their symbols and its feedback reservations, for `_commit`
+        self.plans: dict[int, tuple[list[TransportBlock], int, Optional[dict]]] = {}
+        self._close_pids: list[int] = []  # the pids the next slot-end timeout settles
         self._resolved: set[int] = set()
         self.fb_on_air: dict = {}  # feedback captures not yet decoded, in start order
         self._next_pid = 0
@@ -180,9 +189,8 @@ class NruGnb:
         t_slot = slot * SLOT_NS
         if t_slot < self.config.duration_ns:
             self.engine.schedule(self._plan, self.engine.now + SLOT_NS)
-        fb_entries = self.fb_reservations.pop(slot, {})
-        n_fb = len(fb_entries)
-        budget = SYMBOLS_PER_SLOT - n_fb - (FB_GAP_SYMBOLS if n_fb else 0)
+        fb_entries = self.fb_reservations.pop(slot, None)
+        budget = SYMBOLS_PER_SLOT - (len(fb_entries) + FB_GAP_SYMBOLS if fb_entries else 0)
         alloc: list[TransportBlock] = []
         used = 0
 
@@ -218,18 +226,19 @@ class NruGnb:
         if alloc:
             self.cam.prepare()
         if alloc or fb_entries:  # an empty commit would change nothing
-            self.engine.schedule(lambda: self._commit(slot, alloc, fb_entries), t_slot)
+            self.plans[slot] = (alloc, used, fb_entries)
+            self.engine.schedule(self._commit, t_slot)
 
     def _access_ok(self, emissions_end: int) -> bool:
         return self.cam.access(emissions_end)
 
     # -- per-slot execution -------------------------------------------------------
 
-    def _commit(self, slot: int, alloc: list[TransportBlock],
-                fb_entries: dict[NruUe, list[int]]) -> None:
+    def _commit(self) -> None:
         t_slot = self.engine.now
+        slot = t_slot // SLOT_NS
+        alloc, total_sym, fb_entries = self.plans.pop(slot)
         if alloc:
-            total_sym = sum(tb.n_symbols for tb in alloc)
             emissions_end = t_slot + total_sym * SYMBOL_NS
             if self._access_ok(emissions_end):
                 fb_slot = slot + FB_DELAY_SLOTS
@@ -239,14 +248,11 @@ class NruGnb:
                 for tb in alloc:
                     ue, n_sym = tb.ue, tb.n_symbols
                     start = t_slot + offset * SYMBOL_NS
-                    end = start + n_sym * SYMBOL_NS
                     offset += n_sym
                     tb.tx_count += 1
                     tb.cot_id = self.cam.cot_id
                     self.processes[tb.pid] = tb
-                    self.engine.schedule(
-                        lambda ue=ue, tb=tb, end=end: self._air_tb(ue, tb, end), start
-                    )
+                    self.engine.schedule(tb.air, start)
                     fb.setdefault(ue, []).append(tb.pid)
                     if self.mac_trace is not None:
                         self.mac_trace.append(
@@ -265,32 +271,32 @@ class NruGnb:
         if fb_entries:
             for k, (ue, pids) in enumerate(fb_entries.items()):
                 t_sym = t_slot + (SYMBOLS_PER_SLOT - len(fb_entries) + k) * SYMBOL_NS
-                self.engine.schedule(lambda ue=ue, pids=pids: ue.send_feedback(pids), t_sym)
-            all_pids = [pid for pids in fb_entries.values() for pid in pids]
-            self.engine.schedule(
-                lambda pids=all_pids: self._close_feedback(pids), t_slot + SLOT_NS
-            )
+                ue.fb_pids = pids
+                self.engine.schedule(ue.send_feedback, t_sym)
+            self._close_pids = [pid for pids in fb_entries.values() for pid in pids]
+            self.engine.schedule(self._close_feedback, t_slot + SLOT_NS)
 
     def _air_tb(self, ue: NruUe, tb: TransportBlock, end: int) -> None:
-        self.env.add_emission(ue.dl_key, end, partial(ue.receive_tb, tb))
+        self.env.add_emission(ue.dl_key, end, ue.receive_tb, tb)
 
     # -- HARQ resolution -----------------------------------------------------------
 
-    def receive_feedback(self, items: list[tuple[int, bool, float]], ue: NruUe, cap) -> None:
+    def receive_feedback(self, cap) -> None:
         if cap not in self.fb_on_air:
             return  # decoded already, by the slot-end event of the same nanosecond
         del self.fb_on_air[cap]
+        items, ue = cap.payload  # its (pid, ack, SINR) items and their UE
         sinr = self.env.effective_sinr_db(cap, ue.fb_table)
         if sinr >= FB_DECODE_THRESHOLD_DB:  # else the slot-end timeout NACKs them
             self._resolve(items)
 
-    def _close_feedback(self, pids: list[int]) -> None:
-        """Slot end: decode the feedback that ends now, whether or not its end
-        event has run yet, then time out every pid still open. Feedback slots
-        are FB_BATCH_SLOTS apart, so all feedback still on the air ends now."""
+    def _close_feedback(self) -> None:
+        """Slot end: decode the feedback that ends now, whether or not its end event
+        has run yet, then time out every pid of `_close_pids` still open. Feedback
+        slots are FB_BATCH_SLOTS apart, so all feedback still on the air ends now."""
         for cap in list(self.fb_on_air):
             cap.at_end(cap)
-        self._feedback_timeout(pids)
+        self._feedback_timeout(self._close_pids)
 
     def _feedback_timeout(self, pids: list[int]) -> None:
         self._resolve([(pid, False, None) for pid in pids])

@@ -188,7 +188,8 @@ class Emission:
     """One transmission on link `link_key` and, once `add_emission` puts it
     on the air, its own decode context: in start order, every other emission
     that overlaps it in time (one that only touches it end to start is left
-    out). Its bound `_end` is its end event, after which the context is gone."""
+    out), and the `payload` its receiver's `at_end` reads. Its bound `_end` is
+    its end event, after which the context is gone."""
     source: Device
     tx_power_dbm: float
     beam_target: Optional[Device]  # None transmits with 0 dB gain
@@ -200,10 +201,11 @@ class Emission:
     interferers: Optional[list["Emission"]] = field(default=None, repr=False)
     at_end: Optional[Callable[["Emission"], None]] = field(default=None, repr=False)
     env: Optional["RadioEnvironment"] = field(default=None, repr=False)
+    payload: object = field(default=None, repr=False)  # the block, frame, ACK or feedback
 
     def _end(self) -> None:
-        """Take the emission off the air, keep it for window sensing, notify the listeners
-        and run `at_end`; then drop `interferers` and `at_end`, which would keep others alive."""
+        """Take the emission off the air, keep it for window sensing, notify the listeners and
+        run `at_end`; then drop `interferers`, `at_end` and `payload`, which keep others alive."""
         env = self.env
         del env.active[self.eid]
         ended = env._ended
@@ -213,7 +215,7 @@ class Emission:
             ended.popleft()
         env._notify(self, False)
         self.at_end(self)
-        self.interferers = self.at_end = None
+        self.interferers = self.at_end = self.payload = None
 
 
 class LinkTable:
@@ -375,10 +377,11 @@ class RadioEnvironment:
                 obj.sense.append(None)
         return key
 
-    def add_emission(self, key: int, end: int, at_end: Callable[[Emission], None]) -> Emission:
-        """Put an emission on link `key` on the air from now to `end`; its `_end` ends it
-        and calls `at_end(emission)`. An emission ending now (its end event may still be
-        due) does not overlap it, so neither lists the other."""
+    def add_emission(self, key: int, end: int, at_end: Callable[[Emission], None],
+                     payload: object = None) -> Emission:
+        """Put an emission carrying `payload` on link `key` on the air from now to `end`;
+        its `_end` ends it and calls `at_end(emission)`. An emission ending now (its end
+        event may still be due) does not overlap it, so neither lists the other."""
         link = self._link_emissions[key]
         start = self.engine.now
         assert start < end
@@ -386,7 +389,7 @@ class RadioEnvironment:
         self._next_eid = eid + 1
         interferers = []
         em = Emission(link.source, link.tx_power_dbm, link.beam_target, start, end, link.rat, key,
-                      eid, interferers, at_end, self)
+                      eid, interferers, at_end, self, payload)
         if link.eid < 0:  # the link's first emission
             self._link_emissions[key] = em
             for obj in self._backoffs:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from typing import Optional
 
 from .channel_access import Backoff
@@ -93,7 +93,7 @@ class WigigAp(Backoff):
         frame = self._current
         sta = frame.sta
         end = self.engine.now + frame_duration_ns(frame.packet.size_bytes, WIGIG_MCS[frame.mcs][1])
-        self.env.add_emission(sta.dl_key, end, partial(sta.receive_frame, frame))
+        self.env.add_emission(sta.dl_key, end, sta.receive_frame, frame)
         self._ack_ok = False
         self._ack_due = end + self.config.ack_timeout_ns
 
@@ -102,9 +102,12 @@ class WigigAp(Backoff):
         frame.sta.last_sinr_db = measured_sinr_db
         self._settle(frame)
 
-    def ack_missed(self, frame: WigigFrame) -> None:
-        """The STA lost `frame` or the AP its ACK: only now arm its timeout."""
-        self.engine.schedule(lambda: self._settle(frame), self._ack_due)
+    def ack_missed(self) -> None:
+        """The STA lost the frame in hand or the AP its ACK: only now arm its timeout."""
+        self.engine.schedule(self._ack_timeout, self._ack_due)
+
+    def _ack_timeout(self) -> None:
+        self._settle(self._current)
 
     def _settle(self, frame: WigigFrame) -> None:
         if self._ack_ok:
@@ -148,6 +151,7 @@ class WigigSta:
         self.association = "pending"  # pending | associated | failed
         self.holding: list[PacketRecord] = []
         self.last_sinr_db = 0.0
+        self._ack: Optional[tuple[WigigFrame, float]] = None  # a decoded frame and its SINR
         self._assoc_tries = 0
         self._busy_waits = 0
         self._t0 = t0_offset
@@ -169,27 +173,29 @@ class WigigSta:
         else:
             self.ap.enqueue(WigigFrame(self, pkt))
 
-    def receive_frame(self, frame: WigigFrame, cap) -> None:
+    def receive_frame(self, cap) -> None:
+        frame = cap.payload
         sinr = self.env.effective_sinr_db(cap, self.table)
         if sinr < WIGIG_MCS[frame.mcs][0]:
-            self.ap.ack_missed(frame)  # undecodable
+            self.ap.ack_missed()  # undecodable
             return
         engine = self.engine
         frame.packet.credit(frame.packet.size_bytes, engine.now)  # the frame's end
-        engine.schedule(lambda: self._send_ack(frame, sinr), engine.now + self.sifs_ns)
+        self._ack = (frame, sinr)  # the AP sends no frame before this ACK ends
+        engine.schedule(self._send_ack, engine.now + self.sifs_ns)
 
-    def _send_ack(self, frame: WigigFrame, measured_sinr_db: float) -> None:
-        end = self.engine.now + self.ack_ns
-        at_end = partial(self._deliver_ack, frame, measured_sinr_db)
-        self.env.add_emission(self.ul_key, end, at_end)
+    def _send_ack(self) -> None:
+        self.env.add_emission(self.ul_key, self.engine.now + self.ack_ns, self._deliver_ack,
+                              self._ack)
 
-    def _deliver_ack(self, frame: WigigFrame, measured_sinr_db: float, cap) -> None:
+    def _deliver_ack(self, cap) -> None:
+        frame, measured_sinr_db = cap.payload
         # Quasi-omnidirectional reception at the AP in the uplink.
         sinr = self.env.effective_sinr_db(cap, self.ap.table)
         if sinr >= ACK_THRESHOLD_DB:
             self.ap.ack_received(frame, measured_sinr_db)
         else:
-            self.ap.ack_missed(frame)
+            self.ap.ack_missed()
 
     # -- association ------------------------------------------------------------
 
@@ -217,24 +223,27 @@ class WigigSta:
                 self.engine.schedule(self._associate_attempt, self.engine.now + 100 * US)
             return
         self._busy_waits = 0
-        engine = self.engine  # the AP answers a heard probe SIFS later
-        self._probe(self.ul_key, self.ap.table,
-                    lambda: engine.schedule(self._probe_response, engine.now + self.sifs_ns))
+        self._probe(self.ul_key)
 
     def _probe_response(self) -> None:
-        self._probe(self.dl_key, self.table, partial(self._end_association, "associated"))
+        self._probe(self.dl_key)
 
-    def _probe(self, key: int, table, heard) -> None:
-        """Send one association frame on link `key` at the floor rate; at its
-        end, `heard()` if it decodes at `table`, else the attempt fails."""
+    def _probe(self, key: int) -> None:
+        """Send one association frame on link `key` at the floor rate; `_probe_end` judges it."""
         end = self.engine.now + frame_duration_ns(PROBE_BYTES, WIGIG_MCS[0][1])
-        self.env.add_emission(key, end, partial(self._probe_end, table, heard))
+        self.env.add_emission(key, end, self._probe_end)
 
-    def _probe_end(self, table, heard, cap) -> None:
+    def _probe_end(self, cap) -> None:
+        """A probe that decodes at the AP is answered SIFS later, and an answer
+        that decodes here associates; a frame that does not fails the attempt."""
+        probe = cap.link_key == self.ul_key
+        table = self.ap.table if probe else self.table
         if self.env.effective_sinr_db(cap, table) < ACK_THRESHOLD_DB:
             self._attempt_failed()
+        elif probe:
+            self.engine.schedule(self._probe_response, self.engine.now + self.sifs_ns)
         else:
-            heard()
+            self._end_association("associated")
 
     def _attempt_failed(self) -> None:
         self._assoc_tries += 1

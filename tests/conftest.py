@@ -86,8 +86,8 @@ def record_emissions(monkeypatch) -> list[Emission]:
     log = []
     add_emission = RadioEnvironment.add_emission
 
-    def recording(env, key, end, at_end):
-        em = add_emission(env, key, end, at_end)
+    def recording(env, key, end, at_end, payload=None):
+        em = add_emission(env, key, end, at_end, payload)
         log.append(em)
         return em
 

@@ -102,7 +102,7 @@ def test_single_packet_takes_one_whole_symbol(rig):
 def test_an_idle_cell_schedules_no_commit(rig, monkeypatch):
     gnb, ues, trace = _gnb_rig(rig, n_ues=2)
     commits = []
-    monkeypatch.setattr(gnb, "_commit", lambda slot, *_args: commits.append(slot))
+    monkeypatch.setattr(gnb, "_commit", lambda: commits.append(rig.engine.now // SLOT_NS))
     gnb.start()
     rig.engine.run_until(6 * SLOT_NS)
     assert commits == [] and trace == []
@@ -173,7 +173,8 @@ def test_an_lbt_grant_at_the_slot_start_is_too_late_for_that_slot(rig, order):
     tb = TransportBlock(0, ue, 1500, ue.take_bytes(1500), mcs=0, n_symbols=1)
 
     def commit():
-        gnb._commit(2, [tb], {})
+        gnb.plans[0] = ([tb], 1, None)  # filed under the slot that 23 us falls in
+        gnb._commit()
 
     if order == "commit first":
         rig.engine.schedule(commit, 23_000)
@@ -253,7 +254,8 @@ def test_ue_feedback_must_end_by_the_gnb_cot_deadline(rig, emission_log, late_ns
     assert gnb._access_ok(SYMBOL_NS)  # a COT that ends with the duty cycle's on time
     t_send = rig.config.duty_on_ns - SYMBOL_NS + late_ns
     ue.fb_pending[0] = (True, 20.0)
-    rig.engine.schedule(lambda: ue.send_feedback([0]), t_send)
+    ue.fb_pids = [0]
+    rig.engine.schedule(ue.send_feedback, t_send)
     rig.engine.run_until(t_send)
     assert [em.source for em in emission_log] == ([ue.device] if late_ns == 0 else [])
 
@@ -264,7 +266,9 @@ def test_chase_combining_adds_linear_snr(rig):
     tb = TransportBlock(0, ue, 100, [], mcs=11, n_symbols=1)  # 28 dB threshold
 
     def one_tx():
-        ue.receive_tb(tb, rig.emit(gnb.device, 17.0, SYMBOL_NS, beam_target=ue.device))
+        em = rig.emit(gnb.device, 17.0, SYMBOL_NS, beam_target=ue.device)
+        em.payload = tb
+        ue.receive_tb(em)
 
     one_tx()
     first = 10 * math.log10(tb.acc_sinr_lin)
@@ -286,7 +290,9 @@ def test_a_block_sent_again_after_lost_feedback_combines_afresh(rig):
 
     def copy(power_dbm):
         now = rig.engine.now
-        ue.receive_tb(tb, rig.emit(gnb.device, power_dbm, SYMBOL_NS, beam_target=ue.device))
+        em = rig.emit(gnb.device, power_dbm, SYMBOL_NS, beam_target=ue.device)
+        em.payload = tb
+        ue.receive_tb(em)
         rig.engine.run_until(now + 2 * SYMBOL_NS)
         return ue.fb_pending.pop(0)
 
@@ -382,14 +388,14 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 def test_every_feedback_pid_is_pending_at_its_symbol(monkeypatch, cfg_name, label):
     """A reserved block ends at least FB_DELAY_SLOTS slots before its
     feedback symbol, so the UE has decided it by then: `send_feedback` pops
-    every pid it is given."""
+    every pid of its `fb_pids`."""
     send_feedback = NruUe.send_feedback
     sent = []
 
-    def checked(ue, pids):
-        assert all(pid in ue.fb_pending for pid in pids)
-        sent.extend(pids)
-        send_feedback(ue, pids)
+    def checked(ue):
+        assert all(pid in ue.fb_pending for pid in ue.fb_pids)
+        sent.extend(ue.fb_pids)
+        send_feedback(ue)
 
     monkeypatch.setattr(NruUe, "send_feedback", checked)
     cfg = replace(parse_config(str(SCRIPTS / cfg_name)), duration_s=0.05)
@@ -420,13 +426,15 @@ def test_plans_run_at_every_slot_start_and_commit_their_lead_slot(monkeypatch, l
         for pid in range(first, gnb._next_pid):
             planned_at[gnb, pid] = gnb.engine.now  # pids count per gNB
 
-    def recording_commit(gnb, slot, alloc, fb_entries):
+    def recording_commit(gnb):
+        slot = gnb.engine.now // SLOT_NS
         assert gnb.engine.now == slot * SLOT_NS
+        alloc, _symbols, _fb_entries = gnb.plans[slot]
         for tb in alloc:
             if tb.tx_count == 0:  # not sent yet, so made by this slot's plan
                 assert planned_at[gnb, tb.pid] == (slot - lead) * SLOT_NS
         commits.append(slot)
-        commit(gnb, slot, alloc, fb_entries)
+        commit(gnb)
 
     monkeypatch.setattr(NruGnb, "_plan", recording_plan)
     monkeypatch.setattr(NruGnb, "_commit", recording_commit)
