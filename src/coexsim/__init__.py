@@ -2,7 +2,7 @@
 
 from .config import CampaignConfig, ConfigError, parse_config
 from .engine import Engine, RngStreams, SchedulingInPastError
-from .runner import RunResult, emit_report, run_campaign, run_once
+from .runner import RunResult, build, emit_report, run_campaign, run_once
 
 __all__ = [
     "CampaignConfig",
@@ -11,6 +11,7 @@ __all__ = [
     "RngStreams",
     "RunResult",
     "SchedulingInPastError",
+    "build",
     "emit_report",
     "parse_config",
     "run_campaign",

@@ -181,6 +181,7 @@ class LinkState:
     los: bool
     shadowing_db: float
     distance_3d: float
+    pathloss_db: Optional[float] = None  # pathloss plus shadowing, from `link_pathloss_db`
 
 
 @dataclass(slots=True, eq=False)
@@ -266,7 +267,6 @@ class RadioEnvironment:
         self._links: dict[frozenset, LinkState] = {}
         self._gain_cache: dict[tuple, float] = {}
         self._frames: dict[tuple[str, str], tuple] = {}  # (owner, toward) -> steering_frame
-        self._pathloss: dict[tuple[str, str], float] = {}  # (a, b) -> link_pathloss_db
         self._rx_cache: dict[tuple, float] = {}
         self._tables: dict[tuple[str, Optional[str]], LinkTable] = {}
         # (source id, beam target id or "", tx power, rat) -> link key
@@ -297,13 +297,12 @@ class RadioEnvironment:
         return st
 
     def link_pathloss_db(self, a: Device, b: Device) -> float:
-        """Pathloss plus shadowing, worked out once per (a, b)."""
-        key = (a.id, b.id)
-        pl = self._pathloss.get(key)
+        """Pathloss plus shadowing, worked out once per link and kept on its state."""
+        st = self.link(a, b)
+        pl = st.pathloss_db
         if pl is None:
-            st = self.link(a, b)
             pl = pathloss_db(st.distance_3d, self.config.center_frequency_ghz, st.los)
-            pl = self._pathloss[key] = pl + st.shadowing_db
+            pl = st.pathloss_db = pl + st.shadowing_db
         return pl
 
     def direction(self, src: Device, dst: Device) -> Vector:

@@ -22,7 +22,7 @@ from .engine import US, Engine, RngStreams
 from .metrics import box_stats, goodput_per_device_bps, latency_samples_ns
 from .nru import NruGnb, NruUe
 from .radio import RadioEnvironment
-from .scenario import build_scenario, scenario_csv
+from .scenario import Scenario, build_scenario, scenario_csv
 from .traffic import CbrArrivals, CbrFlow, interarrival_ns
 from .wigig import WigigAp, WigigSta
 
@@ -38,19 +38,66 @@ TRACES = {
 
 @dataclass
 class RunResult:
+    """One run: made by `build`, its first events scheduled; run and filled in by `run_once`."""
     label: str
     seed: int
     config_hash: str
     technologies: dict[str, str]
-    occupancy: dict[str, float]
-    latency_ns: dict[str, list[int]]  # device -> delivered packet delays
-    goodput_bps: dict[str, float]
-    event_count: int
-    wall_s: float
-    # Heavyweight handles for in-process inspection (not serialized).
-    flows: list = field(default_factory=list, repr=False)
-    env: object = field(default=None, repr=False)
-    aps: list = field(default_factory=list, repr=False)
+    # The run's objects, for in-process inspection (not serialized).
+    env: RadioEnvironment = field(repr=False)
+    scenario: Scenario = field(repr=False)
+    flows: list[CbrFlow] = field(repr=False)
+    aps: list[WigigAp] = field(repr=False)
+    gnbs: list[NruGnb] = field(repr=False)
+    # Filled in by `run_once`.
+    event_count: int = 0
+    wall_s: float = 0.0
+    occupancy: dict[str, float] = field(default_factory=dict)
+    latency_ns: dict[str, list[int]] = field(default_factory=dict)  # device -> delivered delays
+    goodput_bps: dict[str, float] = field(default_factory=dict)
+
+
+def build(cfg: CampaignConfig, seed: int, traces: tuple[str, ...] = ()) -> RunResult:
+    """The run of `cfg` at `seed` recording `traces`, its first events scheduled and none run.
+    Raises ConfigError on an invalid config or an unknown trace before it builds anything."""
+    validate(cfg)
+    unknown = sorted(set(traces) - TRACES.keys())
+    if unknown:
+        raise ConfigError(f"unknown trace selector(s): {unknown}")
+    engine = Engine()
+    streams = RngStreams(seed)
+    env = RadioEnvironment(engine, streams, cfg)
+    env.traces = {s: [] for s in traces}
+    run = RunResult(cfg.label, seed, cfg.config_hash(), cfg.technologies(), env,
+                    scenario=build_scenario(cfg, streams, env), flows=[], aps=[], gnbs=[])
+    scn, flows = run.scenario, run.flows
+
+    def add_flow(user, sink) -> None:
+        flows.append(CbrFlow(f"flow-{user.id}", user.id, cfg.packet_bytes, sink))
+
+    for op, tech in run.technologies.items():
+        if tech == "NR-U":
+            gnb_cat, ue_cat = ACCESS_MODES[cfg.nru_access]
+            for site in scn.sites[op]:
+                gnb = NruGnb(site, make_cam(gnb_cat, site, env), env)
+                run.gnbs.append(gnb)
+                for user in scn.users_of_site(site):
+                    # A UE senses along its transmit beam: toward its site.
+                    ue = NruUe(user, make_cam(ue_cat, user, env, site), gnb)
+                    add_flow(user, ue.offer_packet)
+                gnb.start()
+        else:
+            for site in scn.sites[op]:
+                ap = WigigAp(site, env, streams.stream("dcf", site.id))
+                run.aps.append(ap)
+                for k, user in enumerate(scn.users_of_site(site)):
+                    sta = WigigSta(user, ap, t0_offset=k * 100 * US)
+                    sta.start()
+                    add_flow(user, sta.offer_packet)
+
+    spacing_ns = interarrival_ns(cfg.packet_bytes, cfg.load_mbps * 1e6)
+    CbrArrivals(engine, flows, spacing_ns, cfg.duration_ns).start()
+    return run
 
 
 def run_once(
@@ -59,74 +106,22 @@ def run_once(
     out_dir: Optional[str] = None,
     traces: tuple[str, ...] = (),
 ) -> RunResult:
-    validate(cfg)
-    unknown = sorted(set(traces) - TRACES.keys())
-    if unknown:
-        raise ConfigError(f"unknown trace selector(s): {unknown}")
+    """`build` the run, run it for `cfg.duration_ns`, fill in its results and write them to
+    `out_dir` if given: an `out_dir` that cannot be made is refused before any event runs."""
+    t_wall = time.perf_counter()
+    run = build(cfg, seed, traces)
     if out_dir is not None:
         _make_out_dir(out_dir)
-    t_wall = time.perf_counter()
     t_end = cfg.duration_ns
-    engine = Engine()
-    streams = RngStreams(seed)
-    env = RadioEnvironment(engine, streams, cfg)
-    env.traces = {s: [] for s in traces}
-
-    scn = build_scenario(cfg, streams, env)
-
-    flows: list[CbrFlow] = []
-    aps: list[WigigAp] = []
-
-    def add_flow(user, sink) -> None:
-        flows.append(CbrFlow(f"flow-{user.id}", user.id, cfg.packet_bytes, sink))
-
-    for op in ("A", "B"):
-        tech = cfg.technologies()[op]
-        if tech == "NR-U":
-            gnb_cat, ue_cat = ACCESS_MODES[cfg.nru_access]
-            for site in scn.sites[op]:
-                cam = make_cam(gnb_cat, site, env)
-                gnb = NruGnb(site, cam, env)
-                for user in scn.users_of_site(site):
-                    # A UE senses along its transmit beam: toward its site.
-                    ue_cam = make_cam(ue_cat, user, env, site)
-                    ue = NruUe(user, ue_cam, gnb)
-                    add_flow(user, ue.offer_packet)
-                gnb.start()
-        else:
-            for site in scn.sites[op]:
-                ap = WigigAp(site, env, streams.stream("dcf", site.id))
-                aps.append(ap)
-                for k, user in enumerate(scn.users_of_site(site)):
-                    sta = WigigSta(user, ap, t0_offset=k * 100 * US)
-                    sta.start()
-                    add_flow(user, sta.offer_packet)
-
-    spacing_ns = interarrival_ns(cfg.packet_bytes, cfg.load_mbps * 1e6)
-    CbrArrivals(engine, flows, spacing_ns, t_end).start()
-    events = engine.run_until(t_end)
-    wall_s = time.perf_counter() - t_wall
-
-    occupancy = {
-        op: env.ledger.occupied_within(op, 0, t_end) / t_end for op in ("A", "B")
-    }
-    result = RunResult(
-        label=cfg.label,
-        seed=seed,
-        config_hash=cfg.config_hash(),
-        technologies=cfg.technologies(),
-        occupancy=occupancy,
-        latency_ns=latency_samples_ns(flows),
-        goodput_bps=goodput_per_device_bps(flows, t_end),
-        event_count=events,
-        wall_s=wall_s,
-        flows=flows,
-        env=env,
-        aps=aps,
-    )
+    env = run.env
+    run.event_count = env.engine.run_until(t_end)
+    run.wall_s = time.perf_counter() - t_wall
+    run.occupancy = {op: env.ledger.occupied_within(op, 0, t_end) / t_end for op in ("A", "B")}
+    run.latency_ns = latency_samples_ns(run.flows)
+    run.goodput_bps = goodput_per_device_bps(run.flows, t_end)
     if out_dir is not None:
-        _write_run(result, scn, out_dir)
-    return result
+        _write_run(run, out_dir)
+    return run
 
 
 def _make_out_dir(path: str) -> None:
@@ -137,7 +132,7 @@ def _make_out_dir(path: str) -> None:
         raise ConfigError(f"cannot make output directory {path}: {exc.strerror}") from None
 
 
-def _write_run(result, scn, out_dir) -> None:
+def _write_run(result: RunResult, out_dir: str) -> None:
     with open(os.path.join(out_dir, "metrics.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(METRICS_HEADER)
@@ -149,7 +144,7 @@ def _write_run(result, scn, out_dir) -> None:
         for dev in sorted(result.goodput_bps):
             w.writerow(["goodput_mbps", dev, f"{result.goodput_bps[dev] / 1e6:.6f}"])
     with open(os.path.join(out_dir, "scenario.csv"), "w") as fh:
-        fh.write(scenario_csv(scn))
+        fh.write(scenario_csv(result.scenario))
     meta = {
         "label": result.label,
         "seed": result.seed,
@@ -214,7 +209,9 @@ def run_campaign(
     parallelism: int = 1,
     verbose: bool = True,
 ) -> list[tuple[str, int, Optional[str], float]]:
-    validate(cfg)  # once here, not once per task
+    # Each task's `build` validates too; this call refuses an invalid config
+    # before any run directory exists.
+    validate(cfg)
     _make_out_dir(os.path.join(out_dir, "runs"))
     tasks = []
     for label in cfg.sweep_labels():

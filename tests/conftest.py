@@ -4,7 +4,6 @@ from copy import copy
 
 import pytest
 
-from coexsim import runner
 from coexsim.config import CampaignConfig
 from coexsim.engine import Engine, RngStreams
 from coexsim.radio import (
@@ -95,18 +94,9 @@ def record_emissions(monkeypatch) -> list[Emission]:
     return log
 
 
-def record_cams(monkeypatch) -> list:
-    """Wrap `runner.make_cam` through `monkeypatch` and return the list it
-    appends every channel access manager that `run_once` builds to."""
-    cams = []
-    make_cam = runner.make_cam
-
-    def recording(*args, **kwargs):
-        cams.append(make_cam(*args, **kwargs))
-        return cams[-1]
-
-    monkeypatch.setattr(runner, "make_cam", recording)
-    return cams
+def run_cams(run) -> list:
+    """Every channel access manager of a built run: each gNB's, then its UEs'."""
+    return [cam for gnb in run.gnbs for cam in (gnb.cam, *(ue.cam for ue in gnb.ues))]
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from coexsim import CampaignConfig, parse_config, run_once
 from coexsim.channel_access import CAT4, Backoff, Cam, LbtCam
 from coexsim.radio import RadioEnvironment, peak_power_lin
 from coexsim.wigig import WigigAp, WigigSta
-from tests.conftest import FixedRng, record_cams, table_entry
+from tests.conftest import FixedRng, run_cams, table_entry
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 LABELS = parse_config(str(SCRIPTS / "full_campaign.cfg")).sweep_labels()
@@ -197,14 +197,13 @@ def test_a_sense_list_covers_the_keys_born_before_and_after_its_device(rig):
 
 @pytest.mark.parametrize("base", [CampaignConfig(), NON_DEFAULT], ids=["default", "non-default"])
 @pytest.mark.parametrize("label", LABELS)
-def test_every_sense_entry_follows_the_rule_at_its_table(monkeypatch, base, label):
+def test_every_sense_entry_follows_the_rule_at_its_table(base, label):
     """After a full-floor run, every AP and LBT manager built is registered
     once, and each entry of its `sense` list is the rule's at its table for
     a link that has aired (eid set), None for one that has not."""
-    cams = record_cams(monkeypatch)
     result = run_once(replace(base.for_label(label), duration_s=0.05), 1)
     env = result.env
-    contenders = result.aps + [cam for cam in cams if isinstance(cam, LbtCam)]
+    contenders = result.aps + [cam for cam in run_cams(result) if isinstance(cam, LbtCam)]
     assert sorted(map(id, env._backoffs)) == sorted(map(id, contenders))
     assert len(env._link_emissions) > 20
     for obj in env._backoffs:

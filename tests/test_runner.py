@@ -15,8 +15,7 @@ from coexsim import CampaignConfig, ConfigError, emit_report, parse_config, run_
 from coexsim.cli import main
 from coexsim.engine import Engine
 from coexsim.metrics import packet_conservation
-from coexsim.radio import RadioEnvironment
-from coexsim.runner import RUN_FILES, TRACES
+from coexsim.runner import RUN_FILES, TRACES, build
 
 REDUCED = dict(sites_per_operator=1, users_per_operator=4, duration_s=0.02)
 ROOT = Path(__file__).resolve().parent.parent
@@ -94,36 +93,32 @@ LINK_GRAPH_CONFIGS = {name: parse_config(str(ROOT / "scripts" / f"{name}.cfg"))
 
 @pytest.mark.parametrize("config", list(LINK_GRAPH_CONFIGS))
 @pytest.mark.parametrize("label", LINK_GRAPH_CONFIGS["full_campaign"].sweep_labels())
-def test_every_link_is_registered_before_the_loop_starts(monkeypatch, emission_log, config, label):
-    """The link graph is complete at build: no link key is registered once
-    `run_until` starts, and every emission carries the key registered for
-    its (source, beam target, power, rat). Once ended, none keeps its
+def test_every_link_is_registered_before_the_loop_starts(emission_log, config, label):
+    """The link graph is complete at build: running the built run registers
+    no link key, and every emission carries the key registered for its
+    (source, beam target, power, rat). Once ended, none keeps its
     interferers or `at_end`."""
-    looping, late = [], []
-    run_until, link_key = Engine.run_until, RadioEnvironment.link_key
-
-    def recording_run_until(engine, t_end):
-        looping.append(True)
-        return run_until(engine, t_end)
-
-    def recording_link_key(env, *args):
-        n = len(env._link_emissions)
-        key = link_key(env, *args)
-        if looping and len(env._link_emissions) > n:
-            late.append(args)
-        return key
-
-    monkeypatch.setattr(Engine, "run_until", recording_run_until)
-    monkeypatch.setattr(RadioEnvironment, "link_key", recording_link_key)
-    cfg = LINK_GRAPH_CONFIGS[config]
-    env = run_once(replace(cfg.for_label(label), duration_s=0.05), 1).env
-    assert looping and late == []
+    cfg = replace(LINK_GRAPH_CONFIGS[config].for_label(label), duration_s=0.05)
+    env = build(cfg, 1).env
+    keys = len(env._link_keys)
+    env.engine.run_until(cfg.duration_ns)
+    assert len(env._link_keys) == keys
     assert len(emission_log) > 500
     for em in emission_log:
         link = (em.source.id, em.beam_target.id, em.tx_power_dbm, em.rat)
         assert env._link_keys[link] == em.link_key
         if em.eid not in env.active:
             assert em.interferers is None and em.at_end is None
+
+
+@pytest.mark.parametrize("label", ["Cat4/Cat2", "WiGig-only"])
+def test_a_built_run_runs_no_event_and_its_engine_runs_the_events_of_run_once(label):
+    cfg = reduced(label)
+    run = build(cfg, 1)
+    engine = run.env.engine
+    assert engine.now == 0 and run.env.active == {} and run.event_count == 0
+    assert engine._heap[0][0] == 0  # the flows' first arrivals, at 0
+    assert engine.run_until(cfg.duration_ns) == run_once(cfg, 1).event_count > 0
 
 
 def test_run_outputs_have_no_wallclock(tmp_path):
